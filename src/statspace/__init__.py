@@ -30,10 +30,7 @@ from .ingest import (
     StatTable,
     apply_filter,
     build_table,
-    load_filter_policy,
     parse_csv,
-    stat_table_from_csv,
-    stat_table_to_csv,
 )
 from .pca import (
     PcaModel,

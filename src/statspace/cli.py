@@ -13,7 +13,6 @@ error. Failures also emit one machine-parseable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import ingest, pca, regression, scoring, similarity
+from . import files, ingest, pca, regression, scoring, similarity
 from .errors import (
     DataError,
     NumericalError,
@@ -32,21 +31,33 @@ from .errors import (
 )
 
 SCHEMA_KEY = "schema"
-FLAG_KEYS = (
-    "input",
-    "model",
-    "min_games",
-    "k",
-    "components",
-    "top",
-    "query",
-    "membership",
-    "winpct",
-    "weights",
-    "out",
-    "format",
-)
-CONFIG_ONLY_KEYS = ("column_mode", "excluded_column_patterns", SCHEMA_KEY)
+# Config-file keys, each with the JSON types its value may have. Every flag
+# can be given in the config; the last three keys are config-only.
+CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    "input": (str,),
+    "model": (str,),
+    "min_games": (int,),
+    "k": (int,),
+    "components": (str, list),
+    "top": (int,),
+    "query": (str,),
+    "membership": (str,),
+    "winpct": (str,),
+    "weights": (str, dict),
+    "out": (str,),
+    "format": (str,),
+    "column_mode": (str,),
+    "excluded_column_patterns": (list,),
+    SCHEMA_KEY: (list,),
+}
+# Element type of each list-valued config key, and of the weights map's values.
+CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
+    "components": (int,),
+    "weights": (int, float),
+    "excluded_column_patterns": (str,),
+    SCHEMA_KEY: (str,),
+}
+FORMATS = ("csv", "json")
 
 DEFAULT_K = 4
 DEFAULT_TOP = 5
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="component weights like 2=0.17,4=0.09 (1-based numbers)",
         )
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], dest="format")
+        p.add_argument("--format", choices=FORMATS, dest="format")
     return parser
 
 
@@ -126,15 +137,29 @@ def _load_config_file(path: str | None) -> dict:
     if not config_path.exists():
         raise UsageError(f"config file not found: {config_path}")
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = json.loads(files.read_text(config_path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {config_path} must hold a JSON object")
-    unknown = set(raw) - set(FLAG_KEYS) - set(CONFIG_ONLY_KEYS)
+    unknown = set(raw) - set(CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        ok = _is_a(value, CONFIG_TYPES[key])
+        if ok and isinstance(value, (list, dict)):
+            items = value.values() if isinstance(value, dict) else value
+            ok = all(_is_a(item, CONFIG_ITEM_TYPES[key]) for item in items)
+        if not ok:
+            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+    if raw.get("format", FORMATS[0]) not in FORMATS:
+        raise UsageError(f"config key 'format' must be one of {list(FORMATS)}")
     return raw
+
+
+def _is_a(value, types: tuple[type, ...]) -> bool:
+    """isinstance, except that a JSON true/false is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _parse_components(text: str) -> set[int]:
@@ -193,7 +218,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(weights, str):
         weights = _parse_weights(weights)
     elif isinstance(weights, dict):
-        weights = {int(n) - 1: float(v) for n, v in weights.items()}
+        try:
+            weights = {int(n) - 1: float(v) for n, v in weights.items()}
+        except ValueError:
+            raise ParameterError(
+                f"bad weights keys {sorted(weights)}; expected component numbers"
+            ) from None
 
     schema = config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA)
 
@@ -236,44 +266,28 @@ def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:
     return config.output_dir / f"{stem}.{suffix or config.output_format}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_scree(config: RunConfig, spectrum, total: float) -> Path:
-    count = min(SCREE_COMPONENTS, len(spectrum))
-    cumulative = 0.0
-    rows = []
-    for i in range(count):
-        cumulative += float(spectrum[i])
-        rows.append((i + 1, float(spectrum[i]), cumulative / total))
-    path = _out_file(config, "scree")
+def _emit(config: RunConfig, stem: str, records: list[dict]) -> None:
+    """Write one output table in the configured format."""
+    path = _out_file(config, stem)
     if config.output_format == "json":
-        _write_json(
-            path,
-            [
-                {"component": c, "variance": v, "cumulative_ratio": r}
-                for c, v, r in rows
-            ],
-        )
+        files.write_text(path, files.to_json(records))
     else:
-        _write_csv(
-            path,
-            ["component", "variance", "cumulative_ratio"],
-            [[c, _fmt(v), _fmt(r)] for c, v, r in rows],
+        files.write_records(path, records)
+
+
+def _write_scree(config: RunConfig, spectrum, total: float) -> None:
+    records = []
+    cumulative = 0.0
+    for i in range(min(SCREE_COMPONENTS, len(spectrum))):
+        cumulative += float(spectrum[i])
+        records.append(
+            {
+                "component": i + 1,
+                "variance": float(spectrum[i]),
+                "cumulative_ratio": cumulative / total,
+            }
         )
-    return path
+    _emit(config, "scree", records)
 
 
 def cmd_fit(config: RunConfig) -> int:
@@ -316,35 +330,20 @@ def _pc_names(k: int) -> list[str]:
 
 
 def cmd_scores(config: RunConfig) -> int:
-    model, table, scores = _score_players(config)
-    path = _out_file(config, "scores")
-    if config.output_format == "json":
-        _write_json(
-            path,
-            [
-                {
-                    "entity_id": scores.entity_ids[i],
-                    "entity_name": table.entity_names[i],
-                    "minutes": scores.minutes[i],
-                    "scores": scores.scores[i].tolist(),
-                }
-                for i in range(len(scores.entity_ids))
-            ],
-        )
-    else:
-        _write_csv(
-            path,
-            ["entity_id", "entity_name", "minutes", *_pc_names(model.k)],
-            [
-                [
-                    scores.entity_ids[i],
-                    table.entity_names[i],
-                    _fmt(scores.minutes[i]),
-                    *(_fmt(v) for v in scores.scores[i]),
-                ]
-                for i in range(len(scores.entity_ids))
-            ],
-        )
+    _, table, scores = _score_players(config)
+    _emit(
+        config,
+        "scores",
+        [
+            {
+                "entity_id": entity_id,
+                "entity_name": table.entity_names[i],
+                "minutes": scores.minutes[i],
+                "scores": scores.scores[i].tolist(),
+            }
+            for i, entity_id in enumerate(scores.entity_ids)
+        ],
+    )
     return 0
 
 
@@ -366,40 +365,19 @@ def _team_rows(config: RunConfig) -> tuple[scoring.TeamScoreSet, list[float] | N
 
 def cmd_teams(config: RunConfig) -> int:
     teams, weighted = _team_rows(config)
-    path = _out_file(config, "teams")
-    if config.output_format == "json":
-        doc = []
-        for t, code in enumerate(teams.team_codes):
-            entry = {
-                "team_code": code,
-                "total_minutes": teams.total_minutes[t],
-                "scores": teams.scores[t].tolist(),
-            }
-            if teams.win_pct is not None:
-                entry["win_pct"] = teams.win_pct[t]
-            if weighted is not None:
-                entry["weighted_score"] = weighted[t]
-            doc.append(entry)
-        _write_json(path, doc)
-    else:
-        header = ["team_code", "total_minutes", *_pc_names(teams.k)]
+    records = []
+    for t, code in enumerate(teams.team_codes):
+        record = {
+            "team_code": code,
+            "total_minutes": teams.total_minutes[t],
+            "scores": teams.scores[t].tolist(),
+        }
         if teams.win_pct is not None:
-            header.append("win_pct")
+            record["win_pct"] = teams.win_pct[t]
         if weighted is not None:
-            header.append("weighted_score")
-        rows = []
-        for t, code in enumerate(teams.team_codes):
-            row = [
-                code,
-                _fmt(teams.total_minutes[t]),
-                *(_fmt(v) for v in teams.scores[t]),
-            ]
-            if teams.win_pct is not None:
-                row.append(_fmt(teams.win_pct[t]))
-            if weighted is not None:
-                row.append(_fmt(weighted[t]))
-            rows.append(row)
-        _write_csv(path, header, rows)
+            record["weighted_score"] = weighted[t]
+        records.append(record)
+    _emit(config, "teams", records)
     return 0
 
 
@@ -414,7 +392,7 @@ def cmd_similar(config: RunConfig) -> int:
     names = dict(zip(table.entity_ids, table.entity_names))
     path = _out_file(config, "similar")
     if config.output_format == "json":
-        path.write_text(similarity.ranking_to_json(ranking, names), encoding="utf-8")
+        files.write_text(path, similarity.ranking_to_json(ranking, names))
     else:
         similarity.ranking_to_csv(ranking, names, path)
     return 0
@@ -431,10 +409,10 @@ def cmd_regress(config: RunConfig) -> int:
         term_names=_pc_names(teams.k),
     )
     txt_path = _out_file(config, "regression", "txt")
-    txt_path.write_text(regression.summary_text(fit), encoding="utf-8")
+    files.write_text(txt_path, regression.summary_text(fit))
     path = _out_file(config, "regression")
     if config.output_format == "json":
-        path.write_text(regression.summary_json(fit), encoding="utf-8")
+        files.write_text(path, regression.summary_json(fit))
     else:
         regression.summary_csv(fit, path)
     return 0

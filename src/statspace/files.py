@@ -1,0 +1,77 @@
+"""File access and the output text format shared by every reader and writer.
+
+A target is a path or an open stream. A path opens as UTF-8 with
+``newline=""`` (so CSV quoting sees raw line ends and ``"\\n"`` is written
+as is) and is closed on exit; an open text stream is used as given and left
+open; a byte stream is decoded as UTF-8 and also left open.
+
+Numbers are written in shortest round-trip form, so a value read back is
+bit-identical: ``repr(float(v))`` in CSV, the same digits ``json`` writes.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator, Mapping, Sequence
+
+Target = str | Path | IO[str] | IO[bytes]
+
+
+@contextmanager
+def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
+    """A text stream on ``target``, closed on exit only if opened here."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    elif isinstance(target, io.TextIOBase):
+        yield target
+    else:
+        stream = io.TextIOWrapper(target, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes, and leaves the byte stream open
+
+
+def read_text(source: Target) -> str:
+    with opened(source) as fh:
+        return fh.read()
+
+
+def write_text(destination: Target, text: str) -> None:
+    with opened(destination, "w") as fh:
+        fh.write(text)
+
+
+def to_json(doc) -> str:
+    """The output JSON text of ``doc``: two-space indent, final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:
+    """Write one CSV row per record, under a header of the first record's keys.
+
+    Floats are written as ``repr(float(v))``; other values as ``str``. A
+    list-valued field (component scores) is spread over columns
+    ``PC1..PCk``. Lines end in ``"\\n"``. No records writes an empty file.
+    """
+    with opened(destination, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if not records:
+            return
+        header: list[str] = []
+        for key, value in records[0].items():
+            if isinstance(value, list):
+                header.extend(f"PC{i + 1}" for i in range(len(value)))
+            else:
+                header.append(key)
+        writer.writerow(header)
+        for record in records:
+            row: list[object] = []
+            for value in record.values():
+                row.extend(value if isinstance(value, list) else (value,))
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

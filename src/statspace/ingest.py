@@ -9,16 +9,14 @@ policy, and ``build_table`` assembles a fully numeric :class:`StatTable`
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import ParameterError, ParseError, SchemaError, ValidationError
 
 # Role order for the metadata columns of a players CSV. A 4-name schema omits
@@ -137,17 +135,8 @@ def _parse_stat(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _open_source(source: str | Path | IO[str] | IO[bytes]) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    # byte stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-
 def parse_csv(
-    source: str | Path | IO[str] | IO[bytes],
+    source: files.Target,
     schema: Sequence[str] = DEFAULT_SCHEMA,
 ) -> list[RawRecord]:
     """Parse a players CSV into RawRecords.
@@ -168,8 +157,7 @@ def parse_csv(
             f"schema must list 4 or 5 metadata column names, got {len(schema)}"
         )
 
-    stream = _open_source(source)
-    try:
+    with files.opened(source) as stream:
         reader = csv.reader(stream, strict=True)
         try:
             header = next(reader)
@@ -222,9 +210,6 @@ def parse_csv(
                 )
             )
         return records
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
 
 
 def _parse_number(cell: str, column: str, line: int) -> float:
@@ -317,79 +302,3 @@ def build_table(records: list[RawRecord]) -> StatTable:
         stat_names=stat_names,
         values=np.array([[r.stats[s] for s in stat_names] for r in records]),
     )
-
-
-def load_filter_policy(path: str | Path) -> FilterPolicy:
-    """Load a FilterPolicy from a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: filter policy must be a JSON object")
-    unknown = set(raw) - {"min_games", "column_mode", "excluded_column_patterns"}
-    if unknown:
-        raise SchemaError(f"{path}: unknown filter policy keys: {sorted(unknown)}")
-    return FilterPolicy(**raw)
-
-
-def stat_table_to_csv(table: StatTable, destination: str | Path | IO[str]) -> None:
-    """Write a StatTable as CSV with full-precision (round-trippable) values."""
-    own = isinstance(destination, (str, Path))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["entity_id", "entity_name", "minutes", *table.stat_names])
-        for i, entity_id in enumerate(table.entity_ids):
-            writer.writerow(
-                [
-                    entity_id,
-                    table.entity_names[i],
-                    repr(table.minutes[i]),
-                    *(repr(v) for v in table.values[i].tolist()),
-                ]
-            )
-    finally:
-        if own:
-            fh.close()
-
-
-def stat_table_from_csv(source: str | Path | IO[str]) -> StatTable:
-    """Read back a CSV produced by :func:`stat_table_to_csv`."""
-    own = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        reader = csv.reader(fh, strict=True)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input: header row required") from None
-        if header[:3] != ["entity_id", "entity_name", "minutes"]:
-            raise SchemaError(
-                "expected leading columns entity_id, entity_name, minutes"
-            )
-        stat_names = header[3:]
-        ids: list[str] = []
-        names: list[str] = []
-        minutes: list[float] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"ragged row at line {reader.line_num}: expected "
-                    f"{len(header)} cells, got {len(row)}"
-                )
-            ids.append(row[0])
-            names.append(row[1])
-            minutes.append(float(row[2]))
-            rows.append([float(cell) for cell in row[3:]])
-        return StatTable(
-            entity_ids=ids,
-            entity_names=names,
-            minutes=minutes,
-            stat_names=stat_names,
-            values=np.array(rows),
-        )
-    finally:
-        if own:
-            fh.close()

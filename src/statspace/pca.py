@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
+from . import files
 from .errors import (
     ConvergenceError,
     EntityLookupError,
@@ -394,37 +393,73 @@ def model_to_json(model: PcaModel) -> str:
         "component_variances": model.component_variances.tolist(),
         "loadings": model.loadings.tolist(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return files.to_json(doc)
 
 
 def model_from_json(text: str) -> PcaModel:
-    doc = json.loads(text)
+    """Parse a model document written by :func:`model_to_json`.
+
+    A malformed document, or a missing or non-numeric field, raises
+    :class:`SchemaError`; a non-finite number raises :class:`ValidationError`.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("model must be a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise SchemaError(f"unsupported model format version: {version!r}")
-    std = doc["standardization"]
+    std = _model_field(doc, "standardization", dict)
+    stat_names = _model_field(std, "stat_names", list)
+    if not all(isinstance(name, str) for name in stat_names):
+        raise SchemaError("model field 'stat_names' must list strings")
+    n_samples = _model_field(doc, "n_samples", int)
     return PcaModel(
         standardization=StandardizationParams(
-            stat_names=list(std["stat_names"]),
-            means=np.array(std["means"], dtype=float),
-            std_devs=np.array(std["std_devs"], dtype=float),
+            stat_names=stat_names,
+            means=_model_numbers(std, "means", 1),
+            std_devs=_model_numbers(std, "std_devs", 1),
         ),
-        loadings=np.array(doc["loadings"], dtype=float),
-        component_variances=np.array(doc["component_variances"], dtype=float),
-        total_variance=float(doc["total_variance"]),
-        n_samples=int(doc["n_samples"]),
+        loadings=_model_numbers(doc, "loadings", 2),
+        component_variances=_model_numbers(doc, "component_variances", 1),
+        total_variance=float(_model_numbers(doc, "total_variance", 0)),
+        n_samples=n_samples,
     )
 
 
-def save_model(model: PcaModel, destination: str | Path | IO[str]) -> None:
-    text = model_to_json(model)
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
-    else:
-        destination.write(text)
+def _model_field(doc: dict, key: str, kind: type | None = None):
+    try:
+        value = doc[key]
+    except KeyError:
+        raise SchemaError(f"model is missing field {key!r}") from None
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise SchemaError(
+            f"model field {key!r} is a {type(value).__name__}, expected a {kind.__name__}"
+        )
+    return value
 
 
-def load_model(source: str | Path | IO[str]) -> PcaModel:
-    if isinstance(source, (str, Path)):
-        return model_from_json(Path(source).read_text(encoding="utf-8"))
-    return model_from_json(source.read())
+def _model_numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """A numeric model field as a finite float array of the given rank."""
+    value = _model_field(doc, key)
+    try:
+        values = np.asarray(value)
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or values.ndim != ndim:
+        shape = ("a number", "a list of numbers", "a list of number lists")[ndim]
+        raise SchemaError(f"model field {key!r} must be {shape}")
+    values = values.astype(float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"model field {key!r} holds a non-finite value")
+    return values
+
+
+def save_model(model: PcaModel, destination: files.Target) -> None:
+    files.write_text(destination, model_to_json(model))
+
+
+def load_model(source: files.Target) -> PcaModel:
+    return model_from_json(files.read_text(source))

@@ -2,24 +2,21 @@
 
 Coefficients come from a column-pivoted QR factorization rather than normal
 equations, both for stability and so rank deficiency can be detected (and the
-offending columns named) from the R pivots. Two-sided p-values use an exact
-small-sample Student t distribution evaluated through the regularized
-incomplete beta function (continued fraction, Lentz's algorithm).
+offending columns named) from the R pivots. Two-sided p-values use the exact
+small-sample Student t distribution (``scipy.special.stdtr``).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
+from . import files
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -170,84 +167,17 @@ def predict(fit: RegressionFit, design: np.ndarray) -> np.ndarray:
 def t_cdf(x: float, df: int) -> float:
     """Student t cumulative probability with ``df`` degrees of freedom.
 
-    Evaluated through the regularized incomplete beta function; accurate to
-    well under 1e-10 absolutely. ``x`` must be finite.
+    Evaluated by ``scipy.special.stdtr``; accurate to well under 1e-10
+    absolutely. ``x`` must be finite.
     """
     if df < 1:
         raise ParameterError(f"df must be >= 1, got {df}")
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"t_cdf requires finite x, got {x}")
-    if x == 0.0:
-        return 0.5
-    x2 = x * x  # overflows to inf for huge x; z then underflows to 0
-    z = df / (df + x2)
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, z)
-    return 1.0 - tail if x > 0 else tail
+    import scipy.special  # only `regress` needs it; keeps other commands' start-up short
 
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by continued fraction."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    # Use the symmetry transform where the continued fraction converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 300) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz's method)."""
-    tiny = 1e-300
-    eps = 1e-16
-
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise DomainError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+    return float(scipy.special.stdtr(df, x))
 
 
 def summary_text(fit: RegressionFit) -> str:
@@ -270,39 +200,27 @@ def summary_text(fit: RegressionFit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _term_records(fit: RegressionFit) -> list[dict]:
+    return [
+        {
+            "term": name,
+            "coefficient": float(fit.coefficients[j]),
+            "std_error": float(fit.std_errors[j]),
+            "p_value": float(fit.p_values[j]),
+        }
+        for j, name in enumerate(fit.term_names)
+    ]
+
+
 def summary_json(fit: RegressionFit) -> str:
     doc = {
-        "terms": [
-            {
-                "term": name,
-                "coefficient": float(fit.coefficients[j]),
-                "std_error": float(fit.std_errors[j]),
-                "p_value": float(fit.p_values[j]),
-            }
-            for j, name in enumerate(fit.term_names)
-        ],
+        "terms": _term_records(fit),
         "r_squared": fit.r_squared,
         "df_residual": fit.df_residual,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return files.to_json(doc)
 
 
-def summary_csv(fit: RegressionFit, destination: str | Path | IO[str]) -> None:
+def summary_csv(fit: RegressionFit, destination: files.Target) -> None:
     """Coefficient table as CSV with full-precision values."""
-    own = isinstance(destination, (str, Path))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "coefficient", "std_error", "p_value"])
-        for j, name in enumerate(fit.term_names):
-            writer.writerow(
-                [
-                    name,
-                    repr(float(fit.coefficients[j])),
-                    repr(float(fit.std_errors[j])),
-                    repr(float(fit.p_values[j])),
-                ]
-            )
-    finally:
-        if own:
-            fh.close()
+    files.write_records(destination, _term_records(fit))

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from . import files
 from .errors import (
     AggregationError,
     EntityLookupError,
@@ -130,7 +130,7 @@ def regression_weighted_score(
     return [float(v) for v in teams.scores @ vector]
 
 
-def load_membership(source: str | Path | IO[str]) -> dict[str, str]:
+def load_membership(source: files.Target) -> dict[str, str]:
     """Read a two-column (player_id, team_code) CSV into a map."""
     rows = _read_two_columns(source, "membership", ("player_id", "team_code"))
     mapping: dict[str, str] = {}
@@ -143,7 +143,7 @@ def load_membership(source: str | Path | IO[str]) -> dict[str, str]:
     return mapping
 
 
-def load_win_pct(source: str | Path | IO[str]) -> dict[str, float]:
+def load_win_pct(source: files.Target) -> dict[str, float]:
     """Read a two-column (team_code, win_pct) CSV into a map."""
     rows = _read_two_columns(source, "win_pct", ("team_code", "win_pct"))
     mapping: dict[str, float] = {}
@@ -154,17 +154,17 @@ def load_win_pct(source: str | Path | IO[str]) -> dict[str, float]:
             raise ParseError(f"line {line}: win_pct must be numeric, got {cell!r}") from None
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"line {line}: win_pct {value} outside [0, 1]")
+        if team in mapping and mapping[team] != value:
+            raise ValidationError(f"line {line}: conflicting win_pct for team {team!r}")
         mapping[team] = value
     return mapping
 
 
 def _read_two_columns(
-    source: str | Path | IO[str], what: str, header: tuple[str, str]
+    source: files.Target, what: str, header: tuple[str, str]
 ) -> list[tuple[int, tuple[str, str]]]:
     """Rows of a two-column CSV; a leading row equal to ``header`` is skipped."""
-    own = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with files.opened(source) as fh:
         reader = csv.reader(fh, strict=True)
         rows = []
         for row in reader:
@@ -180,6 +180,3 @@ def _read_two_columns(
         if not rows:
             raise SchemaError(f"{what} CSV has no data rows")
         return rows
-    finally:
-        if own:
-            fh.close()

@@ -8,14 +8,12 @@ force, which is plenty for a few thousand entities.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import EntityLookupError, ParameterError
 from .pca import ScoreSet
 
@@ -49,23 +47,17 @@ def sdi(
     a: Sequence[float],
     b: Sequence[float],
     components: Iterable[int] | None = None,
-    weights: Mapping[int, float] | None = None,
 ) -> float:
     """Sum of squared score differences over the chosen components.
 
     Symmetric in its arguments and exactly zero for identical profiles.
-    ``weights`` (default all ones) scales each component's squared term; the
-    unweighted form is the canonical index.
     """
     k = min(len(a), len(b))
     comps = _checked_components(components, k)
     total = 0.0
     for c in comps:
         d = float(a[c]) - float(b[c])
-        term = d * d
-        if weights is not None:
-            term *= weights.get(c, 1.0)
-        total += term
+        total += d * d
     return total
 
 
@@ -121,36 +113,31 @@ def pairwise_sdi(
     return matrix
 
 
+def _ranking_records(ranking: SdiRanking, names: Mapping[str, str]) -> list[dict]:
+    return [
+        {
+            "rank": rank,
+            "entity_id": entity_id,
+            "entity_name": names.get(entity_id, ""),
+            "sdi": value,
+        }
+        for rank, (entity_id, value) in enumerate(ranking.entries, start=1)
+    ]
+
+
 def ranking_to_csv(
     ranking: SdiRanking,
     names: Mapping[str, str],
-    destination: str | Path | IO[str],
+    destination: files.Target,
 ) -> None:
     """Write ``rank, entity_id, entity_name, sdi`` rows, full precision."""
-    own = isinstance(destination, (str, Path))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "entity_id", "entity_name", "sdi"])
-        for rank, (entity_id, value) in enumerate(ranking.entries, start=1):
-            writer.writerow([rank, entity_id, names.get(entity_id, ""), repr(value)])
-    finally:
-        if own:
-            fh.close()
+    files.write_records(destination, _ranking_records(ranking, names))
 
 
 def ranking_to_json(ranking: SdiRanking, names: Mapping[str, str]) -> str:
     doc = {
         "query_id": ranking.query_id,
         "components_used": sorted(ranking.components_used),
-        "entries": [
-            {
-                "rank": rank,
-                "entity_id": entity_id,
-                "entity_name": names.get(entity_id, ""),
-                "sdi": value,
-            }
-            for rank, (entity_id, value) in enumerate(ranking.entries, start=1)
-        ],
+        "entries": _ranking_records(ranking, names),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return files.to_json(doc)

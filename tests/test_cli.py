@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from statspace import ingest, pca, scoring
 from statspace.cli import main
@@ -269,45 +270,67 @@ class TestRegress:
         assert "winpct" in json.loads(err.strip())["error"]
 
 
+def _chain(players_csv, membership_csv, tmp_path, out, fmt):
+    """argv lists for all six subcommands, writing ``fmt`` outputs to ``out``."""
+    winpct = tmp_path / "winpct.csv"
+    codes = sorted(set(_teams(membership_csv)))
+    winpct.write_text(
+        "".join(f"{code},0.{45 + i}\n" for i, code in enumerate(codes)), encoding="utf-8"
+    )
+    model = str(out / "model.json")
+    team_files = ["--membership", str(membership_csv), "--winpct", str(winpct)]
+    common = ["--input", str(players_csv), "--out", str(out), "--format", fmt]
+    return [
+        ["fit", *common],
+        ["scree", *common],
+        ["scores", "--model", model, *common],
+        ["teams", "--model", model, *team_files, "--weights", "2=0.17,4=0.09", *common],
+        ["similar", "--model", model, "--query", "p01", "--top", "4", *common],
+        ["regress", "--model", model, *team_files, *common],
+    ]
+
+
+def _run_chain(capsys, argvs) -> None:
+    for argv in argvs:
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_subcommand_byte_identical(
-        self, players_csv, membership_csv, tmp_path, capsys
+        self, players_csv, membership_csv, tmp_path, capsys, fmt
     ):
-        winpct = tmp_path / "winpct.csv"
-        winpct.write_text(
-            "".join(f"{code},0.{45 + i}\n" for i, code in enumerate(sorted(set(_teams(membership_csv))))),
-            encoding="utf-8",
-        )
         outputs = []
         for run_dir in ("one", "two"):
             out = tmp_path / run_dir
-            model = str(out / "model.json")
-            commands = [
-                ["fit", "--input", str(players_csv), "--out", str(out)],
-                ["scree", "--input", str(players_csv), "--out", str(out)],
-                ["scores", "--input", str(players_csv), "--model", model, "--out", str(out)],
-                [
-                    "teams", "--input", str(players_csv), "--model", model,
-                    "--membership", str(membership_csv), "--winpct", str(winpct),
-                    "--weights", "2=0.17,4=0.09", "--out", str(out),
-                ],
-                [
-                    "similar", "--input", str(players_csv), "--model", model,
-                    "--query", "p01", "--top", "4", "--out", str(out),
-                ],
-                [
-                    "regress", "--input", str(players_csv), "--model", model,
-                    "--membership", str(membership_csv), "--winpct", str(winpct),
-                    "--out", str(out),
-                ],
-            ]
-            for argv in commands:
-                assert main(argv) == 0, argv[0]
-            capsys.readouterr()
+            _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, out, fmt))
             outputs.append(
                 {f.name: f.read_bytes() for f in sorted(out.iterdir())}
             )
+        assert len(outputs[0]) == 7
         assert outputs[0] == outputs[1]
+
+    def test_csv_cells_equal_json_values(self, players_csv, membership_csv, tmp_path, capsys):
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / fmt
+            _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, outs[fmt], fmt))
+        for name in ("model.json", "regression.txt"):
+            assert (outs["csv"] / name).read_bytes() == (outs["json"] / name).read_bytes()
+        nested = {"similar": "entries", "regression": "terms"}
+        for stem in ("scree", "scores", "teams", "similar", "regression"):
+            header, *rows = read_rows(outs["csv"] / f"{stem}.csv")
+            doc = json.loads((outs["json"] / f"{stem}.json").read_text(encoding="utf-8"))
+            records = doc[nested[stem]] if stem in nested else doc
+            assert len(rows) == len(records) > 0, stem
+            named = [column for column in header if not column.startswith("PC")]
+            assert named == [key for key in records[0] if key != "scores"], stem
+            for row, record in zip(rows, records):
+                values = []
+                for value in record.values():  # component scores spread over PC columns
+                    values += value if isinstance(value, list) else [value]
+                assert row == [repr(v) if isinstance(v, float) else str(v) for v in values], stem
 
     def test_scree_subcommand_matches_fit_scree(self, players_csv, tmp_path, capsys):
         fit_out, scree_out = tmp_path / "fit", tmp_path / "scree"
@@ -353,3 +376,64 @@ class TestConfigFile:
         )
         assert code == 2
         assert "mystery" in json.loads(err.strip())["error"]
+
+
+def _one_error_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+class TestBadFiles:
+    """A malformed model or config file ends in one JSON error line."""
+
+    def _model_doc(self, players_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        return json.loads((out / "model.json").read_text(encoding="utf-8"))
+
+    def _score_with(self, doc, players_csv, tmp_path, capsys):
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        return run(
+            capsys,
+            "scores", "--input", str(players_csv), "--model", str(model),
+            "--out", str(tmp_path / "out"),
+        )
+
+    def test_model_missing_field(self, players_csv, tmp_path, capsys):
+        doc = self._model_doc(players_csv, tmp_path, capsys)
+        del doc["n_samples"]
+        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
+        assert code == 3
+        assert "n_samples" in _one_error_line(err)["error"]
+
+    def test_model_nan_loading(self, players_csv, tmp_path, capsys):
+        doc = self._model_doc(players_csv, tmp_path, capsys)
+        doc["loadings"][0][0] = float("nan")
+        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
+        assert code == 3
+        assert "loadings" in _one_error_line(err)["error"]
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config_text, key",
+        [
+            ('{"k": "four"}', "k"),
+            ('{"k": true}', "k"),
+            ('{"components": [1, "2"]}', "components"),
+            ('{"weights": {"x": 0.1}}', "weights"),
+            ('{"excluded_column_patterns": "*_total"}', "excluded_column_patterns"),
+            ('{"format": "xml"}', "format"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, players_csv, tmp_path, capsys, config_text, key):
+        config = tmp_path / "config.json"
+        config.write_text(config_text, encoding="utf-8")
+        code, err = run(
+            capsys, "fit", "--config", str(config),
+            "--input", str(players_csv), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert key in _one_error_line(err)["error"]
+        assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -14,10 +15,8 @@ from statspace import (
     ValidationError,
     apply_filter,
     build_table,
-    load_filter_policy,
+    files,
     parse_csv,
-    stat_table_from_csv,
-    stat_table_to_csv,
 )
 
 SCHEMA4 = ("name", "team", "gp", "min")
@@ -236,35 +235,17 @@ class TestStatTable:
         values = rng.normal(scale=1e3, size=(5, 4)) * 10.0 ** rng.integers(
             -12, 12, size=(5, 4)
         )
-        table = StatTable(
-            entity_ids=[f"p{i}" for i in range(5)],
-            entity_names=[f"Name {i}" for i in range(5)],
-            minutes=[100.0 * i + 0.125 for i in range(5)],
-            stat_names=[f"s{j}" for j in range(4)],
-            values=values,
-        )
+        minutes = [100.0 * i + 0.125 for i in range(5)]
+        records = [
+            {"entity_id": f"p{i}", "minutes": minutes[i], "scores": values[i].tolist()}
+            for i in range(5)
+        ]
         path = tmp_path / "table.csv"
-        stat_table_to_csv(table, path)
-        again = stat_table_from_csv(path)
-        assert again.entity_ids == table.entity_ids
-        assert again.stat_names == table.stat_names
-        assert again.minutes == table.minutes
-        assert (again.values == table.values).all()
-
-
-def test_load_filter_policy(tmp_path):
-    path = tmp_path / "policy.json"
-    path.write_text(
-        '{"min_games": 10, "column_mode": "rate-only", '
-        '"excluded_column_patterns": ["*_total"]}',
-        encoding="utf-8",
-    )
-    policy = load_filter_policy(path)
-    assert policy.min_games == 10
-    assert policy.column_mode == "rate-only"
-    assert policy.excluded_column_patterns == ["*_total"]
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"min_games": 10, "mystery": 1}', encoding="utf-8")
-    with pytest.raises(SchemaError, match="mystery"):
-        load_filter_policy(bad)
+        files.write_records(path, records)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["entity_id", "minutes", "PC1", "PC2", "PC3", "PC4"]
+        assert [row[0] for row in rows] == [f"p{i}" for i in range(5)]
+        assert [float(row[1]) for row in rows] == minutes
+        again = np.array([[float(cell) for cell in row[2:]] for row in rows])
+        assert (again == values).all()

@@ -9,6 +9,7 @@ from statspace import (
     ParameterError,
     SchemaError,
     StatTable,
+    ValidationError,
     ZeroVarianceError,
     component_spectrum,
     explained_variance_ratio,
@@ -21,6 +22,7 @@ from statspace import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+DROP = object()  # marks a model field to delete
 
 
 def make_table(columns: dict[str, list[float]]) -> StatTable:
@@ -311,3 +313,43 @@ class TestModelSerialization:
     def test_version_check(self):
         with pytest.raises(SchemaError, match="version"):
             model_from_json(json.dumps({"format_version": 99}))
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            pytest.param(("n_samples",), DROP, SchemaError, id="missing-n_samples"),
+            pytest.param(("standardization", "means"), DROP, SchemaError, id="missing-means"),
+            pytest.param(("n_samples",), "17", SchemaError, id="string-n_samples"),
+            pytest.param(("n_samples",), True, SchemaError, id="bool-n_samples"),
+            pytest.param(("total_variance",), "6", SchemaError, id="string-total"),
+            pytest.param(("loadings",), None, SchemaError, id="null-loadings"),
+            pytest.param(("loadings", 0), [1.0], SchemaError, id="ragged-loadings"),
+            pytest.param(("loadings", 0, 0), "x", SchemaError, id="string-loading"),
+            pytest.param(("loadings", 0, 0), math.nan, ValidationError, id="nan-loading"),
+            pytest.param(("standardization", "means", 0), math.nan, ValidationError, id="nan-mean"),
+            pytest.param(
+                ("standardization", "std_devs", 1), math.inf, ValidationError, id="inf-std-dev"
+            ),
+            pytest.param(
+                ("component_variances", 0), math.nan, ValidationError, id="nan-variance"
+            ),
+            pytest.param(("total_variance",), math.inf, ValidationError, id="inf-total"),
+        ],
+    )
+    def test_bad_field_is_typed_error(self, fitted_pipeline, path, value, error):
+        doc = json.loads(model_to_json(fitted_pipeline[3]))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+        field = [key for key in path if isinstance(key, str)][-1]
+        with pytest.raises(error, match=field):
+            model_from_json(json.dumps(doc))
+
+    def test_not_json(self):
+        with pytest.raises(SchemaError, match="JSON"):
+            model_from_json("{not json")

@@ -188,6 +188,15 @@ class TestLoaders:
         source = io.StringIO("team_code,win_pct\nBOS,0.61\nNYK,0.45\n")
         assert load_win_pct(source) == {"BOS": 0.61, "NYK": 0.45}
 
+    def test_win_pct_exact_repeat_accepted(self):
+        source = io.StringIO("BOS,0.61\nNYK,0.45\nBOS,0.61\n")
+        assert load_win_pct(source) == {"BOS": 0.61, "NYK": 0.45}
+
+    def test_win_pct_conflict(self):
+        source = io.StringIO("team_code,win_pct\nBOS,0.61\nNYK,0.45\nBOS,0.5\n")
+        with pytest.raises(ValidationError, match="line 4.*BOS"):
+            load_win_pct(source)
+
     def test_win_pct_validation(self):
         with pytest.raises(ValidationError, match="1.2"):
             load_win_pct(io.StringIO("BOS,1.2\n"))

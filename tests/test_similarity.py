@@ -48,11 +48,6 @@ class TestSdi:
         with pytest.raises(ParameterError, match="out of range"):
             sdi([1, 2], [0, 0], components={5})
 
-    def test_weighted_variant_defaults_to_unweighted(self):
-        a, b = [1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 3.0, 1.0]
-        assert sdi(a, b, weights={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}) == sdi(a, b)
-        assert sdi(a, b, weights={0: 2.0}) == sdi(a, b) + sdi(a, b, components={0})
-
     @given(a=score_vector, b=score_vector)
     def test_symmetry_nonnegativity_self_zero(self, a, b):
         assert sdi(a, b) == sdi(b, a)
