@@ -27,6 +27,7 @@ from .ingest import (
     DEFAULT_SCHEMA,
     FilterPolicy,
     RawRecord,
+    RawTable,
     StatTable,
     apply_filter,
     build_table,

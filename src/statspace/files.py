@@ -18,23 +18,35 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
 
+from .errors import ParseError
+
 Target = str | Path | IO[str] | IO[bytes]
 
 
 @contextmanager
 def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
-    """A text stream on ``target``, closed on exit only if opened here."""
-    if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="") as fh:
-            yield fh
-    elif isinstance(target, io.TextIOBase):
-        yield target
-    else:
-        stream = io.TextIOWrapper(target, encoding="utf-8", newline="")
-        try:
-            yield stream
-        finally:
-            stream.detach()  # flushes, and leaves the byte stream open
+    """A text stream on ``target``, closed on exit only if opened here.
+
+    Bytes that are not UTF-8, met while the stream is read, raise
+    :class:`ParseError`.
+    """
+    try:
+        if isinstance(target, (str, Path)):
+            with open(target, mode, encoding="utf-8", newline="") as fh:
+                yield fh
+        elif isinstance(target, io.TextIOBase):
+            yield target
+        else:
+            stream = io.TextIOWrapper(target, encoding="utf-8", newline="")
+            try:
+                yield stream
+            finally:
+                stream.detach()  # flushes, and leaves the byte stream open
+    except UnicodeDecodeError as exc:
+        where = f"{target}: " if isinstance(target, (str, Path)) else ""
+        raise ParseError(
+            f"{where}not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
 
 
 def read_text(source: Target) -> str:

@@ -167,14 +167,20 @@ def _read_two_columns(
     with files.opened(source) as fh:
         reader = csv.reader(fh, strict=True)
         rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(
-                    f"{what} CSV line {reader.line_num}: expected 2 cells, got {len(row)}"
-                )
-            rows.append((reader.line_num, (row[0], row[1])))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ParseError(
+                        f"{what} CSV line {reader.line_num}: expected 2 cells, "
+                        f"got {len(row)}"
+                    )
+                rows.append((reader.line_num, (row[0], row[1])))
+        except csv.Error as exc:
+            raise ParseError(
+                f"malformed {what} CSV at line {reader.line_num}: {exc}"
+            ) from None
         if rows and rows[0][1] == header:
             rows = rows[1:]
         if not rows:

@@ -7,6 +7,8 @@ import pytest
 from statspace import ingest, pca, scoring
 from statspace.cli import main
 
+from conftest import players_csv_text
+
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
@@ -385,7 +387,7 @@ def _one_error_line(err: str) -> dict:
 
 
 class TestBadFiles:
-    """A malformed model or config file ends in one JSON error line."""
+    """A malformed input, model or config file ends in one JSON error line."""
 
     def _model_doc(self, players_csv, tmp_path, capsys):
         out = tmp_path / "fit"
@@ -436,4 +438,41 @@ class TestBadFiles:
         )
         assert code == 2
         assert key in _one_error_line(err)["error"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--membership", 'player_id,team_code\n"p01,ATL\n'),
+            ("--winpct", 'team_code,win_pct\n"ATL,0.5\n'),
+        ],
+        ids=["membership", "winpct"],
+    )
+    def test_unbalanced_quote_in_two_column_csv(
+        self, players_csv, membership_csv, tmp_path, capsys, flag, text
+    ):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        membership = bad if flag == "--membership" else membership_csv
+        winpct = ["--winpct", str(bad)] if flag == "--winpct" else []
+        code, err = run(
+            capsys,
+            "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--membership", str(membership), *winpct, "--out", str(out),
+        )
+        assert code == 3
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "data"
+        assert "line 2" in diagnostic["error"]
+
+    def test_players_csv_not_utf8(self, tmp_path, capsys):
+        players = tmp_path / "players.csv"
+        players.write_bytes(players_csv_text().replace("Player 03", "Jos\xe9").encode("latin-1"))
+        code, err = run(capsys, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
+        assert code == 3
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "data"
+        assert "0xe9" in diagnostic["error"]
         assert not (tmp_path / "o").exists()

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from statspace import (
     ParameterError,
     ParseError,
     RawRecord,
+    RawTable,
     SchemaError,
     StatTable,
     ValidationError,
@@ -114,6 +117,60 @@ class TestParseCsv:
         with pytest.raises(ParameterError):
             parse_csv(io.StringIO("a,b\n"), ("a", "b"))
 
+    def test_first_fault_wins(self):
+        source = io.StringIO(
+            "name,team,gp,min,pts48\n"
+            "A,BOS,50,1200,1.0\n"
+            "B,BOS,many,1200,1.0\n"
+            "C,BOS,50,1200,1.0\n"
+            "D,BOS,50,1200\n"
+        )
+        with pytest.raises(ParseError, match="line 3"):
+            parse_csv(source, SCHEMA4)
+
+    def test_negative_games_raised_by_parse(self):
+        source = io.StringIO("name,team,gp,min,pts48\nA,BOS,-1,1200,1.0\n")
+        with pytest.raises(ValidationError, match="games_played must be >= 0"):
+            parse_csv(source, SCHEMA4)
+
+    @given(data=st.data())
+    def test_cell_semantics_match_float_and_isfinite(self, data):
+        n_stats = data.draw(st.integers(min_value=1, max_value=4))
+        cell = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.text(st.characters(blacklist_characters="\x00")),
+            st.sampled_from(SPECIAL_CELLS),
+        )
+        row = st.lists(cell, min_size=n_stats, max_size=n_stats)
+        rows = data.draw(st.lists(row, min_size=1, max_size=5))
+        stat_names = [f"s{j}" for j in range(n_stats)]
+        source = io.StringIO()
+        writer = csv.writer(source)
+        writer.writerow(["name", "team", "gp", "min", *stat_names])
+        for i, cells in enumerate(rows):
+            writer.writerow([f"p{i}", "BOS", "50", "1200", *cells])
+        source.seek(0)
+
+        records = parse_csv(source, SCHEMA4)
+        assert len(records) == len(rows)
+        for i, cells in enumerate(rows):
+            for name, c in zip(stat_names, cells):
+                assert records[i].stats[name] == _float_or_none(c), (i, name, c)
+
+
+SPECIAL_CELLS = [
+    "", "nan", "inf", "-Infinity", "1e500", "1_000", " 1.5 ", "n/a",
+    "1,5", '"2"', 'a "quoted", cell',
+]
+
+
+def _float_or_none(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
 
 class TestApplyFilter:
     def test_games_boundary_inclusive(self):
@@ -136,7 +193,7 @@ class TestApplyFilter:
 
     def test_min_games_zero_keeps_all(self):
         records = [_record("p1", games=0), _record("p2", games=1)]
-        assert apply_filter(records, FilterPolicy(min_games=0)) == records
+        assert list(apply_filter(records, FilterPolicy(min_games=0))) == records
 
     def test_rate_only_drops_matching_columns(self):
         records = [_record("p1", pts_total=100.0, pts_per48=20.0, pts_pg=10.0)]
@@ -164,7 +221,7 @@ class TestApplyFilter:
         policy = FilterPolicy(min_games=min_games)
         once = apply_filter(records, policy)
         twice = apply_filter(once, policy)
-        assert twice == once
+        assert list(twice) == list(once)
         assert len(once) <= len(records)
 
     def test_column_drop_idempotent(self):
@@ -173,13 +230,38 @@ class TestApplyFilter:
             min_games=0, column_mode="rate-only", excluded_column_patterns=["*_total"]
         )
         once = apply_filter(records, policy)
-        assert apply_filter(once, policy) == once
+        assert list(apply_filter(once, policy)) == list(once)
 
     def test_invalid_policy(self):
         with pytest.raises(ParameterError):
             FilterPolicy(min_games=-1)
         with pytest.raises(ParameterError):
             FilterPolicy(column_mode="everything")
+
+
+class TestRawTable:
+    def test_indexes_as_records(self):
+        source = io.StringIO(
+            "name,team,gp,min,a,b\nA,BOS,50,1200,1.5,\nB,NYK,60,900,2.5,3.0\n"
+        )
+        table = parse_csv(source, SCHEMA4)
+        assert table.values.shape == (2, 2)
+        assert [r.player_id for r in table] == ["A", "B"]
+        assert table[0] == RawRecord("A", "A", "BOS", 50, 1200.0, {"a": 1.5, "b": None})
+        assert table[-1].stats == {"a": 2.5, "b": 3.0}
+        with pytest.raises(IndexError):
+            table[2]
+
+    def test_from_records_round_trip(self):
+        records = [_record("p1", a=1.0, b=None), _record("p2", team="TOT", a=3.0, b=4.0)]
+        table = RawTable.from_records(records)
+        assert list(table) == records
+        assert RawTable.from_records(table) is table
+
+    def test_from_records_column_order_differs(self):
+        records = [_record("p1", a=1.0, b=2.0), _record("p2", b=2.0, a=1.0)]
+        with pytest.raises(SchemaError, match="p2.*column order differs"):
+            RawTable.from_records(records)
 
 
 class TestBuildTable:
@@ -204,6 +286,14 @@ class TestBuildTable:
         records = [_record("p1", a=1.0), _record("p2", b=2.0)]
         with pytest.raises(SchemaError, match="p2"):
             build_table(records)
+
+    def test_missing_pairs_listed_row_major(self):
+        source = io.StringIO(
+            "name,team,gp,min,a,b\nA,BOS,50,1200,1.0,\nB,BOS,50,1200,,2.0\n"
+        )
+        expected = "missing values for (player, statistic): [('A', 'b'), ('B', 'a')]"
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            build_table(parse_csv(source, SCHEMA4))
 
     def test_duplicate_ids_rejected(self):
         records = [_record("p1", a=1.0), _record("p1", a=2.0)]
