@@ -48,7 +48,7 @@ from .pca import (
     top_loadings,
     transform,
 )
-from .regression import RegressionFit, fit_ols, predict, t_cdf
+from .regression import RegressionFit, fit_ols, t_cdf
 from .scoring import (
     TeamScoreSet,
     load_membership,
@@ -57,6 +57,6 @@ from .scoring import (
     team_scores,
     with_win_pct,
 )
-from .similarity import SdiRanking, pairwise_sdi, rank_similar, sdi
+from .similarity import SdiRanking, rank_similar, sdi
 
 __version__ = "0.1.0"

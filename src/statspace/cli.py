@@ -38,22 +38,20 @@ CONFIG_TYPES: dict[str, tuple[type, ...]] = {
     "model": (str,),
     "min_games": (int,),
     "k": (int,),
-    "components": (str, list),
+    "components": (str,),
     "top": (int,),
     "query": (str,),
     "membership": (str,),
     "winpct": (str,),
-    "weights": (str, dict),
+    "weights": (str,),
     "out": (str,),
     "format": (str,),
     "column_mode": (str,),
     "excluded_column_patterns": (list,),
     SCHEMA_KEY: (list,),
 }
-# Element type of each list-valued config key, and of the weights map's values.
+# Element type of each list-valued config key.
 CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
-    "components": (int,),
-    "weights": (int, float),
     "excluded_column_patterns": (str,),
     SCHEMA_KEY: (str,),
 }
@@ -138,7 +136,7 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file not found: {config_path}")
     try:
         raw = json.loads(files.read_text(config_path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {config_path} must hold a JSON object")
@@ -147,9 +145,8 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         ok = _is_a(value, CONFIG_TYPES[key])
-        if ok and isinstance(value, (list, dict)):
-            items = value.values() if isinstance(value, dict) else value
-            ok = all(_is_a(item, CONFIG_ITEM_TYPES[key]) for item in items)
+        if ok and isinstance(value, list):
+            ok = all(_is_a(item, CONFIG_ITEM_TYPES[key]) for item in value)
         if not ok:
             raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
     if raw.get("format", FORMATS[0]) not in FORMATS:
@@ -209,21 +206,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("missing required flag: --out")
 
     components = merged("components")
-    if isinstance(components, str):
-        components = _parse_components(components)
-    elif isinstance(components, list):
-        components = {int(n) - 1 for n in components}
-
     weights = merged("weights")
-    if isinstance(weights, str):
-        weights = _parse_weights(weights)
-    elif isinstance(weights, dict):
-        try:
-            weights = {int(n) - 1: float(v) for n, v in weights.items()}
-        except ValueError:
-            raise ParameterError(
-                f"bad weights keys {sorted(weights)}; expected component numbers"
-            ) from None
 
     schema = config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA)
 
@@ -235,13 +218,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             excluded_column_patterns=config.get("excluded_column_patterns", []),
         ),
         k=merged("k", DEFAULT_K),
-        components_for_sdi=components,
+        components_for_sdi=None if components is None else _parse_components(components),
         output_dir=Path(out),
         output_format=merged("format", "csv"),
         schema=tuple(schema),
         query=merged("query"),
         top=merged("top", DEFAULT_TOP),
-        weights=weights or {},
+        weights={} if weights is None else _parse_weights(weights),
     )
 
 
@@ -308,21 +291,10 @@ def cmd_scree(config: RunConfig) -> int:
     return 0
 
 
-def _score_players(config: RunConfig) -> tuple[pca.PcaModel, ingest.StatTable, pca.ScoreSet]:
+def _score_players(config: RunConfig) -> tuple[ingest.StatTable, pca.ScoreSet]:
     model = _load_model(config)
     table = _load_table(config)
-    kept = set(model.standardization.stat_names)
-    if set(table.stat_names) != kept:
-        # the fit may have dropped constant columns; align before projecting
-        keep_idx = [j for j, s in enumerate(table.stat_names) if s in kept]
-        table = ingest.StatTable(
-            entity_ids=table.entity_ids,
-            entity_names=table.entity_names,
-            minutes=table.minutes,
-            stat_names=[table.stat_names[j] for j in keep_idx],
-            values=table.values[:, keep_idx],
-        )
-    return model, table, pca.transform(model, table)
+    return table, pca.transform(model, table)
 
 
 def _pc_names(k: int) -> list[str]:
@@ -330,7 +302,7 @@ def _pc_names(k: int) -> list[str]:
 
 
 def cmd_scores(config: RunConfig) -> int:
-    _, table, scores = _score_players(config)
+    table, scores = _score_players(config)
     _emit(
         config,
         "scores",
@@ -348,7 +320,7 @@ def cmd_scores(config: RunConfig) -> int:
 
 
 def _team_rows(config: RunConfig) -> tuple[scoring.TeamScoreSet, list[float] | None]:
-    _, _, scores = _score_players(config)
+    _, scores = _score_players(config)
     membership = scoring.load_membership(config.existing_path("membership"))
     teams = scoring.team_scores(scores, membership)
     if "winpct" in config.input_paths:
@@ -382,13 +354,12 @@ def cmd_teams(config: RunConfig) -> int:
 
 
 def cmd_similar(config: RunConfig) -> int:
-    model, table, scores = _score_players(config)
+    table, scores = _score_players(config)
     if config.query is None:
         raise UsageError("missing required flag: --query")
-    components = config.components_for_sdi
-    if components is None:
-        components = set(range(model.k))
-    ranking = similarity.rank_similar(scores, config.query, config.top, components)
+    ranking = similarity.rank_similar(
+        scores, config.query, config.top, config.components_for_sdi
+    )
     names = dict(zip(table.entity_ids, table.entity_names))
     path = _out_file(config, "similar")
     if config.output_format == "json":
@@ -405,7 +376,6 @@ def cmd_regress(config: RunConfig) -> int:
     fit = regression.fit_ols(
         teams.scores,
         teams.win_pct,
-        include_intercept=True,
         term_names=_pc_names(teams.k),
     )
     txt_path = _out_file(config, "regression", "txt")

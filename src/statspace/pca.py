@@ -36,7 +36,8 @@ from .ingest import StatTable
 MODEL_FORMAT_VERSION = 1
 
 # Power iteration stops when successive vectors differ by less than this in
-# Euclidean norm, or fails after this many iterations.
+# Euclidean norm, or fails after this many iterations. Both are read when the
+# solver runs.
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
 
@@ -194,8 +195,6 @@ def fit_pca(
     standardization: StandardizationParams,
     *,
     method: str = "eig",
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
 ) -> PcaModel:
     """Fit the top-k components of mean-zero data.
 
@@ -227,7 +226,7 @@ def fit_pca(
         variances = np.maximum(eigvals[order[:k]], 0.0)
         loadings = np.array([_orient_sign(eigvecs[:, j]) for j in order[:k]])
     elif method == "power":
-        loadings, variances = _power_deflation(Z, k, tol=tol, max_iter=max_iter)
+        loadings, variances = _power_deflation(Z, k)
     else:
         raise ParameterError(f"unknown method {method!r}; use 'eig' or 'power'")
 
@@ -240,9 +239,7 @@ def fit_pca(
     )
 
 
-def _power_deflation(
-    Z: np.ndarray, k: int, *, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _power_deflation(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Extract k loading vectors by repeated variance maximization.
 
     The direction maximizing the variance of the projected data is the
@@ -268,7 +265,7 @@ def _power_deflation(
         if np.trace(A) <= 1e-12 * max(1.0, float(np.trace(Z.T @ Z))):
             w = _orthogonal_completion(found, p)
         else:
-            w = _dominant_eigenvector(A, found, rng, component, tol, max_iter)
+            w = _dominant_eigenvector(A, found, rng, component)
 
         w = _orient_sign(w)
         found.append(w)
@@ -282,14 +279,12 @@ def _dominant_eigenvector(
     previous: list[np.ndarray],
     rng: np.random.Generator,
     component: int,
-    tol: float,
-    max_iter: int,
 ) -> np.ndarray:
     v = rng.normal(size=A.shape[0])
     v = _project_out(v, previous)
     v /= np.linalg.norm(v)
     diff = np.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         u = A @ v
         u = _project_out(u, previous)  # keep rounding drift out of found span
         norm = np.linalg.norm(u)
@@ -298,7 +293,7 @@ def _dominant_eigenvector(
         u /= norm
         diff = float(np.linalg.norm(u - v))
         v = u
-        if diff < tol:
+        if diff < POWER_TOL:
             return v
     raise ConvergenceError(component, diff)
 
@@ -338,14 +333,19 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
 def transform(model: PcaModel, table: StatTable) -> ScoreSet:
     """Project a table onto the fitted components.
 
-    The table must carry exactly the model's statistic columns, in order.
+    The model's statistic columns are taken from the table by name, so column
+    order does not matter and other columns (say, ones the fit dropped as
+    constant) are ignored. A missing column raises :class:`SchemaError`.
     """
     expected = model.standardization.stat_names
+    values = table.values
     if table.stat_names != expected:
-        diff = sorted(set(table.stat_names).symmetric_difference(expected))
-        detail = f"column mismatch: {diff}" if diff else "column order differs"
-        raise SchemaError(detail)
-    Z = model.standardization.apply(table.values)
+        position = {name: j for j, name in enumerate(table.stat_names)}
+        missing = [name for name in expected if name not in position]
+        if missing:
+            raise SchemaError(f"table lacks model columns: {missing}")
+        values = values[:, [position[name] for name in expected]]
+    Z = model.standardization.apply(values)
     return ScoreSet(
         entity_ids=list(table.entity_ids),
         minutes=list(table.minutes),
@@ -404,7 +404,7 @@ def model_from_json(text: str) -> PcaModel:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"model is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("model must be a JSON object")

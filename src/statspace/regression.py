@@ -1,9 +1,11 @@
 """Ordinary least squares with standard errors, p-values, and R-squared.
 
-Coefficients come from a column-pivoted QR factorization rather than normal
-equations, both for stability and so rank deficiency can be detected (and the
-offending columns named) from the R pivots. Two-sided p-values use the exact
-small-sample Student t distribution (``scipy.special.stdtr``).
+Every fit has an intercept. Coefficients come from a column-pivoted QR
+factorization rather than normal equations, both for stability and so rank
+deficiency can be detected (and the offending columns named) from the R
+pivots. Two-sided p-values use the exact small-sample Student t distribution
+(``scipy.special.stdtr``), evaluated in the lower tail so that tiny p-values
+keep their precision instead of rounding to 0.
 """
 
 from __future__ import annotations
@@ -60,22 +62,17 @@ class RegressionFit:
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValidationError("r_squared must lie in [0, 1]")
 
-    @property
-    def has_intercept(self) -> bool:
-        return bool(self.term_names) and self.term_names[0] == INTERCEPT_NAME
-
 
 def fit_ols(
     design: np.ndarray,
     outcome: Sequence[float],
-    include_intercept: bool = True,
     term_names: Sequence[str] | None = None,
 ) -> RegressionFit:
-    """Least-squares fit of ``outcome`` on the design columns.
+    """Least-squares fit of ``outcome`` on an intercept and the design columns.
 
     ``term_names`` labels the predictor columns (defaults x1..xq); the
-    intercept term, when included, always comes first. A constant outcome
-    yields R-squared 0 with a degenerate-outcome warning rather than an error.
+    intercept term always comes first. A constant outcome yields R-squared 0
+    with a degenerate-outcome warning rather than an error.
     """
     X = np.asarray(design, dtype=float)
     if X.ndim == 1:
@@ -90,9 +87,8 @@ def fit_ols(
     names = list(term_names) if term_names is not None else [f"x{j + 1}" for j in range(q)]
     if len(names) != q:
         raise ParameterError(f"expected {q} term names, got {len(names)}")
-    if include_intercept:
-        X = np.column_stack([np.ones(n), X])
-        names = [INTERCEPT_NAME, *names]
+    X = np.column_stack([np.ones(n), X])
+    names = [INTERCEPT_NAME, *names]
     n_terms = X.shape[1]
     if n <= n_terms:
         raise InsufficientDataError(
@@ -121,11 +117,8 @@ def fit_ols(
     cov[np.ix_(pivot, pivot)] = unscaled
     std_errors = np.sqrt(np.maximum(sigma2 * np.diag(cov), 0.0))
 
-    if include_intercept:
-        centered = y - y.mean()
-        tss = float(centered @ centered)
-    else:
-        tss = float(y @ y)
+    centered = y - y.mean()
+    tss = float(centered @ centered)
     if tss == 0.0:
         warnings.warn("degenerate outcome: zero total variation", stacklevel=2)
         r_squared = 0.0
@@ -137,7 +130,7 @@ def fit_ols(
         if std_errors[j] == 0.0:
             p_values[j] = 1.0 if beta[j] == 0.0 else 0.0
         else:
-            p_values[j] = 2.0 * (1.0 - t_cdf(abs(beta[j]) / std_errors[j], df))
+            p_values[j] = 2.0 * t_cdf(-abs(beta[j]) / std_errors[j], df)
 
     return RegressionFit(
         term_names=names,
@@ -147,21 +140,6 @@ def fit_ols(
         r_squared=r_squared,
         df_residual=df,
     )
-
-
-def predict(fit: RegressionFit, design: np.ndarray) -> np.ndarray:
-    """Linear prediction for new rows (intercept column implied)."""
-    X = np.asarray(design, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    expected = len(fit.term_names) - (1 if fit.has_intercept else 0)
-    if X.shape[1] != expected:
-        raise SchemaError(
-            f"design has {X.shape[1]} columns, fit expects {expected} predictors"
-        )
-    if fit.has_intercept:
-        return fit.coefficients[0] + X @ fit.coefficients[1:]
-    return X @ fit.coefficients
 
 
 def t_cdf(x: float, df: int) -> float:

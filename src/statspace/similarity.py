@@ -1,8 +1,8 @@
 """Squared-distance similarity between component score profiles.
 
 The diversity index between two entities is the sum of squared differences of
-their component scores over a chosen component subset (all four by default);
-lower means more alike. Rankings and the full pairwise matrix are exact brute
+their component scores over a chosen component subset (every component of
+the scores by default); lower means more alike. Rankings are exact brute
 force, which is plenty for a few thousand entities.
 """
 
@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import files
 from .errors import EntityLookupError, ParameterError
 from .pca import ScoreSet
-
-DEFAULT_COMPONENTS = frozenset({0, 1, 2, 3})
 
 
 @dataclass
@@ -32,7 +28,7 @@ class SdiRanking:
 def _checked_components(
     components: Iterable[int] | None, k: int
 ) -> tuple[int, ...]:
-    comps = DEFAULT_COMPONENTS if components is None else frozenset(components)
+    comps = frozenset(range(k) if components is None else components)
     if not comps:
         raise ParameterError("component set must not be empty")
     out_of_range = [c for c in comps if not 0 <= c < k]
@@ -50,7 +46,8 @@ def sdi(
 ) -> float:
     """Sum of squared score differences over the chosen components.
 
-    Symmetric in its arguments and exactly zero for identical profiles.
+    ``components=None`` means every component. Symmetric in its arguments and
+    exactly zero for identical profiles.
     """
     k = min(len(a), len(b))
     comps = _checked_components(components, k)
@@ -90,27 +87,6 @@ def rank_similar(
         entries=[(entity_id, value) for value, entity_id in ranked[:top]],
         components_used=frozenset(comps),
     )
-
-
-def pairwise_sdi(
-    scores: ScoreSet, components: Iterable[int] | None = None
-) -> np.ndarray:
-    """Full symmetric matrix of indices; zero diagonal.
-
-    Each upper-triangle entry is computed with the scalar formula and
-    mirrored, so the matrix agrees exactly with independent pairwise calls.
-    """
-    n = len(scores.entity_ids)
-    if n < 2:
-        raise ParameterError("pairwise computation needs at least 2 entities")
-    comps = _checked_components(components, scores.k)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = sdi(scores.scores[i], scores.scores[j], comps)
-            matrix[i, j] = value
-            matrix[j, i] = value
-    return matrix
 
 
 def _ranking_records(ranking: SdiRanking, names: Mapping[str, str]) -> list[dict]:

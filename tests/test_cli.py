@@ -115,6 +115,49 @@ class TestScores:
         assert set(doc[0]) == {"entity_id", "entity_name", "minutes", "scores"}
 
 
+class TestDroppedColumn:
+    """`fit` drops a constant column; later subcommands project without it."""
+
+    def _with_constant_column(self, tmp_path):
+        lines = players_csv_text().splitlines()
+        header = lines[0].split(",")
+        header.insert(7, "const")
+        rows = [",".join(header)]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells.insert(7, "2.5")
+            rows.append(",".join(cells))
+        path = tmp_path / "players_const.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return path
+
+    def test_later_subcommands_use_kept_columns(
+        self, players_csv, membership_csv, tmp_path, capsys
+    ):
+        players = self._with_constant_column(tmp_path)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="const"):
+            assert run(capsys, "fit", "--input", str(players), "--out", str(out))[0] == 0
+        model = pca.load_model(out / "model.json")
+        assert "const" not in model.standardization.stat_names
+        common = ["--input", str(players), "--model", str(out / "model.json"), "--out", str(out)]
+        for argv in (
+            ["scores"],
+            ["teams", "--membership", str(membership_csv)],
+            ["similar", "--query", "p01"],
+        ):
+            code, err = run(capsys, *argv, *common)
+            assert (code, err) == (0, "")
+
+        table = ingest.build_table(
+            ingest.apply_filter(ingest.parse_csv(players_csv), ingest.FilterPolicy())
+        )
+        expected = pca.transform(model, table).scores
+        rows = read_rows(out / "scores.csv")[1:]
+        assert np.array_equal(np.array([[float(v) for v in row[3:]] for row in rows]), expected)
+        assert len(read_rows(out / "similar.csv")) - 1 == 5
+
+
 class TestTeams:
     def _fit(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -410,6 +453,27 @@ class TestBadFiles:
         assert code == 3
         assert "n_samples" in _one_error_line(err)["error"]
 
+    def test_model_nested_too_deep(self, players_csv, tmp_path, capsys):
+        model = tmp_path / "deep_model.json"
+        model.write_text("[" * 100_000, encoding="utf-8")
+        code, err = run(
+            capsys,
+            "scores", "--input", str(players_csv), "--model", str(model),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert _one_error_line(err)["category"] == "data"
+
+    def test_config_nested_too_deep(self, players_csv, tmp_path, capsys):
+        config = tmp_path / "deep_config.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        code, err = run(
+            capsys, "fit", "--config", str(config),
+            "--input", str(players_csv), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "not valid JSON" in _one_error_line(err)["error"]
+
     def test_model_nan_loading(self, players_csv, tmp_path, capsys):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         doc["loadings"][0][0] = float("nan")
@@ -425,6 +489,8 @@ class TestBadFiles:
             ('{"k": true}', "k"),
             ('{"components": [1, "2"]}', "components"),
             ('{"weights": {"x": 0.1}}', "weights"),
+            ('{"components": [1, 2]}', "components"),
+            ('{"weights": {"2": 0.17}}', "weights"),
             ('{"excluded_column_patterns": "*_total"}', "excluded_column_patterns"),
             ('{"format": "xml"}', "format"),
         ],

@@ -6,7 +6,6 @@ from statspace import (
     EntityLookupError,
     ParameterError,
     ScoreSet,
-    pairwise_sdi,
     rank_similar,
     sdi,
 )
@@ -110,32 +109,32 @@ class TestRankSimilar:
         backward = rank_similar(make_scores(shuffled), "q", top=3)
         assert forward.entries == backward.entries
 
-
-class TestPairwise:
-    def test_two_entities(self):
-        scores = make_scores({"A": [0, 0, 0, 0], "B": [1, 1, 1, 1]})
-        matrix = pairwise_sdi(scores)
-        np.testing.assert_array_equal(matrix, [[0.0, 4.0], [4.0, 0.0]])
-
-    def test_identical_entities_zero_matrix(self):
-        scores = make_scores({k: [2.0, -1.0, 0.0, 3.0] for k in "ABCD"})
-        assert not pairwise_sdi(scores).any()
-
     def test_matches_elementwise_calls_exactly(self):
         rng = np.random.default_rng(5)
-        values = rng.normal(size=(10, 4))
+        values = rng.normal(size=(12, 4))
+        values[[7, 9, 11]] = values[3]  # ties: equal distances, broken by id
+        ids = [f"e{i:02d}" for i in range(12)]
+        scores = ScoreSet(entity_ids=ids, minutes=[1.0] * 12, scores=values)
+        for components in (None, {0, 2}, {3}):
+            for q, query in enumerate(ids):
+                ranking = rank_similar(scores, query, top=11, components=components)
+                assert len(ranking.entries) == 11
+                for entity_id, value in ranking.entries:
+                    row = values[ids.index(entity_id)]
+                    assert value == sdi(values[q], row, components)
+                by_value_then_id = sorted(ranking.entries, key=lambda e: (e[1], e[0]))
+                assert ranking.entries == by_value_then_id
+
+    def test_default_components_are_all_scores(self):
         scores = ScoreSet(
-            entity_ids=[f"e{i}" for i in range(10)],
-            minutes=[1.0] * 10,
-            scores=values,
+            entity_ids=["q", "a"],
+            minutes=[1.0, 1.0],
+            scores=np.array([[0.0] * 5, [0.0, 0.0, 0.0, 0.0, 2.0]]),
         )
-        matrix = pairwise_sdi(scores)
-        for i in range(10):
-            for j in range(10):
-                expected = 0.0 if i == j else sdi(values[i], values[j])
-                assert matrix[i, j] == expected
-        assert (matrix == matrix.T).all()
-        assert (np.diag(matrix) == 0.0).all()
+        ranking = rank_similar(scores, "q", top=1)
+        assert ranking.components_used == frozenset(range(5))
+        assert ranking.entries == [("a", 4.0)]
+        assert sdi(scores.scores[0], scores.scores[1]) == 4.0
 
 
 class TestEmit:
