@@ -6,8 +6,9 @@ deterministic: identical inputs and configuration produce byte-identical
 files. Numeric cells use shortest round-trip decimal form except in the
 human-readable regression table.
 
-Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
-error. Failures also emit one machine-parseable JSON line on stderr.
+Exit codes: 0 success, 1 internal error, 2 usage error, 3 data/validation
+error, 4 numerical error. Failures also emit one machine-parseable JSON line
+on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -409,14 +410,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(exc, DataError.exit_code)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail(exc, NumericalError.exit_code)
+    except Exception as exc:  # a defect here; still one JSON line, not a traceback
+        return _fail(exc, StatspaceError.exit_code)
 
 
 def _fail(exc: Exception, code: int) -> int:
     categories = {2: "usage", 3: "data", 4: "numerical"}
+    category = categories.get(code, "internal")
     line = json.dumps(
         {
-            "error": str(exc),
-            "category": categories.get(code, "internal"),
+            # the type names an internal fault, which no message was written for
+            "error": f"{type(exc).__name__}: {exc}" if category == "internal" else str(exc),
+            "category": category,
             "exit_code": code,
         }
     )

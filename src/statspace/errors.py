@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit statuses: 2 usage, 3 data/validation, 4 numerical.
+documented exit statuses: 2 usage, 3 data/validation, 4 numerical; 1 is
+left for an internal fault.
 """
 
 

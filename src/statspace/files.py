@@ -3,7 +3,9 @@
 A target is a path or an open stream. A path opens as UTF-8 with
 ``newline=""`` (so CSV quoting sees raw line ends and ``"\\n"`` is written
 as is) and is closed on exit; an open text stream is used as given and left
-open; a byte stream is decoded as UTF-8 and also left open.
+open; a byte stream is decoded as UTF-8 and also left open. A path opened
+for writing is replaced atomically: readers see the old file or the whole
+new one, and a write that fails leaves the old file as it was.
 
 Numbers are written in shortest round-trip form, so a value read back is
 bit-identical: ``repr(float(v))`` in CSV, the same digits ``json`` writes.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
@@ -31,7 +34,10 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
     :class:`ParseError`.
     """
     try:
-        if isinstance(target, (str, Path)):
+        if isinstance(target, (str, Path)) and mode == "w":
+            with _replacing(Path(target)) as fh:
+                yield fh
+        elif isinstance(target, (str, Path)):
             with open(target, mode, encoding="utf-8", newline="") as fh:
                 yield fh
         elif isinstance(target, io.TextIOBase):
@@ -47,6 +53,25 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
         raise ParseError(
             f"{where}not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
         ) from None
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[str]]:
+    """A new file beside ``path`` that replaces it on a clean exit.
+
+    The file is made by ``open(..., "x")``, so it gets the usual mode for a
+    new file (``mkstemp`` would give 0600), and a name already taken is an
+    error rather than a file overwritten. On an exception it is removed.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fh = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read_text(source: Target) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,12 +119,16 @@ class ScoreSet:
     entity_ids: list[str]
     minutes: list[float]
     scores: np.ndarray  # n x k
+    row_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
         n = len(self.entity_ids)
         if len(self.minutes) != n or self.scores.shape[0] != n:
             raise ValidationError("entity_ids, minutes, scores lengths differ")
+        # entity id -> its row; built back to front so a repeated id maps to
+        # its first row, as a scan from the front would find it
+        self.row_index = dict(zip(reversed(self.entity_ids), range(n - 1, -1, -1)))
 
     @property
     def k(self) -> int:
@@ -132,8 +136,8 @@ class ScoreSet:
 
     def row(self, entity_id: str) -> np.ndarray:
         try:
-            return self.scores[self.entity_ids.index(entity_id)]
-        except ValueError:
+            return self.scores[self.row_index[entity_id]]
+        except KeyError:
             raise EntityLookupError(f"unknown entity id {entity_id!r}") from None
 
 

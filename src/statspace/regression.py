@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import files
 from .errors import (
@@ -94,6 +93,8 @@ def fit_ols(
         raise InsufficientDataError(
             f"need more than {n_terms} observations for {n_terms} terms, got {n}"
         )
+
+    import scipy.linalg  # only `regress` needs it; keeps other commands' start-up short
 
     Q, R, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))

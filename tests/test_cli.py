@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statspace import ingest, pca, scoring
+import statspace
+from statspace import cli, ingest, pca, scoring
 from statspace.cli import main
 
 from conftest import players_csv_text
@@ -385,6 +391,30 @@ class TestReproducibility:
         assert not (scree_out / "model.json").exists()
 
 
+class TestColdStart:
+    def test_only_regress_loads_scipy(self, players_csv, membership_csv, tmp_path):
+        # a fresh process: this one has imported scipy already
+        argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
+        assert argvs[-1][0] == "regress"
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import statspace.cli
+            for argv in json.loads(sys.argv[1]):
+                assert statspace.cli.main(argv) == 0, argv[0]
+            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+            """
+        )
+        src = str(Path(statspace.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs[:-1])],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 class TestConfigFile:
     def test_config_supplies_flags_and_cli_wins(self, players_csv, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -542,3 +572,21 @@ class TestBadFiles:
         assert diagnostic["category"] == "data"
         assert "0xe9" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
+
+
+class TestLastResort:
+    def test_unexpected_exception_is_one_internal_line(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        def broken(config):
+            raise RuntimeError("not a StatspaceError")
+
+        monkeypatch.setitem(cli.COMMANDS, "fit", broken)
+        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "Traceback" not in err
+        assert _one_error_line(err) == {
+            "error": "RuntimeError: not a StatspaceError",
+            "category": "internal",
+            "exit_code": 1,
+        }
