@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,6 +186,8 @@ def _parse_weights(text: str) -> dict[int, float]:
             ) from None
     if any(c < 0 for c in weights):
         raise ParameterError("--weights needs 1-based component numbers")
+    if not all(math.isfinite(w) for w in weights.values()):
+        raise ParameterError(f"--weights must be finite numbers, got {text!r}")
     return weights
 
 

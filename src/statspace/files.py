@@ -85,8 +85,11 @@ def write_text(destination: Target, text: str) -> None:
 
 
 def to_json(doc) -> str:
-    """The output JSON text of ``doc``: two-space indent, final newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The output JSON text of ``doc``: two-space indent, final newline.
+
+    A NaN or infinite float raises ValueError, since JSON has no such value.
+    """
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:

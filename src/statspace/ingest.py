@@ -11,7 +11,9 @@ numeric :class:`StatTable` (rejecting, never imputing, missing values).
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -217,74 +219,179 @@ def parse_csv(
     statistic. Unparseable or non-finite stat cells become NaN (missing);
     malformed structure raises :class:`ParseError` with the line number, and
     the first fault in the file is the one reported.
+
+    The text is read once. numpy's C reader parses it wherever it reads the
+    text as ``csv.reader(strict=True)`` does; elsewhere, and on every faulty
+    file, a ``csv.reader`` loop parses it and reports the fault.
     """
+    roles = _roles(schema)
+    text = files.read_text(source)
+    try:
+        table = _parse_fast(text, roles)
+    except ValueError:  # a row or cell loadtxt rejects; the loop decides
+        table = None
+    return table if table is not None else _parse_rows(text, roles)
+
+
+Roles = tuple[str | None, str, str, str, str]
+
+
+def _roles(schema: Sequence[str]) -> Roles:
+    """(id, name, team, games, minutes) column names; id is None for 4 names."""
     if len(schema) == 4:
-        id_col = None
-        name_col, team_col, games_col, minutes_col = schema
-    elif len(schema) == 5:
-        id_col, name_col, team_col, games_col, minutes_col = schema
-    else:
-        raise ParameterError(
-            f"schema must list 4 or 5 metadata column names, got {len(schema)}"
-        )
+        return (None, *schema)
+    if len(schema) == 5:
+        return tuple(schema)
+    raise ParameterError(
+        f"schema must list 4 or 5 metadata column names, got {len(schema)}"
+    )
 
-    with files.opened(source) as stream:
-        reader = csv.reader(stream, strict=True)
+
+# A quoted field as csv.reader(strict=True) reads one: the quote opens a
+# field, quotes inside it are doubled, and the closing quote ends the field.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+_COUNT_LIMIT = 2.0**63  # games_played is stored as int64
+
+
+def _parse_fast(text: str, roles: Roles) -> RawTable | None:
+    """The table ``np.loadtxt`` reads from ``text``, or None to decline.
+
+    loadtxt is looser than ``csv.reader(strict=True)``, so this declines
+    wherever the two could read the text differently: a NUL byte (loadtxt
+    ends the cell there), a header that is not one physical line without
+    quotes, no data rows (loadtxt warns), a quote csv would reject or a
+    quoted line end, a line longer than ``csv.field_size_limit()``, or a row
+    with more cells than the header. It also declines on a count that is not
+    finite, whole and non-negative, or a games count of 2**63 or more, so the
+    loop reports those. loadtxt itself raises ValueError on a short row and
+    on a cell its float parser rejects (empty, ``n/a``, ``1_000``); its
+    parser accepts a subset of what ``float()`` does, with the same values.
+    """
+    if "\x00" in text:
+        return None
+    lines = text.split("\n")
+    header_line = lines[0].removesuffix("\r")
+    if '"' in header_line or "\r" in header_line:
+        return None
+    header = header_line.split(",")
+    col_index = {name: i for i, name in enumerate(header)}
+    if len(col_index) != len(header) or any(
+        c not in col_index for c in roles if c is not None
+    ):
+        return None  # the loop raises the SchemaError
+    if not any(line.strip() for line in lines[1:]):
+        return None
+    unquoted = _QUOTED_FIELD.sub("", text) if '"' in text else text
+    if '"' in unquoted or unquoted.count("\n") != len(lines) - 1:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+
+    id_col, name_col, team_col, games_col, minutes_col = roles
+    stat_names = [name for name in header if name not in roles]
+    numbers = np.loadtxt(
+        lines[1:],
+        dtype=float,
+        usecols=[col_index[games_col], col_index[minutes_col]]
+        + [col_index[name] for name in stat_names],
+        **_LOADTXT,
+    )
+    labels = np.loadtxt(
+        lines[1:],
+        dtype=object,
+        usecols=[col_index[c] for c in (id_col or name_col, name_col, team_col)],
+        **_LOADTXT,
+    )
+    # Every column is read, so loadtxt raised on any row short of a cell;
+    # this many delimiters outside quotes means no row has one too many.
+    if unquoted.count(",") != (len(header) - 1) * (len(numbers) + 1):
+        return None
+    counts = numbers[:, :2]
+    games, minutes = numbers[:, 0], numbers[:, 1]
+    if not (
+        np.isfinite(counts).all()
+        and (counts >= 0).all()
+        and (games < _COUNT_LIMIT).all()
+        and (games == np.floor(games)).all()
+    ):
+        return None
+    values = numbers[:, 2:].copy()
+    values[~np.isfinite(values)] = np.nan
+    return RawTable(
+        player_ids=labels[:, 0].tolist(),
+        player_names=labels[:, 1].tolist(),
+        team_codes=labels[:, 2].tolist(),
+        games_played=games.astype(int),
+        minutes_total=minutes.copy(),
+        stat_names=stat_names,
+        values=values,
+    )
+
+
+def _parse_rows(text: str, roles: Roles) -> RawTable:
+    """Parse ``text`` row by row with ``csv.reader(strict=True)``.
+
+    The reference parse, and the one that reports every fault.
+    """
+    id_col, name_col, team_col, games_col, minutes_col = roles
+    schema = [c for c in roles if c is not None]
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: header row required") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV at line 1: {exc}") from None
+
+    dupes = _duplicates(header)
+    if dupes:
+        raise SchemaError(f"duplicate header names: {sorted(dupes)}")
+    missing = [c for c in schema if c not in header]
+    if missing:
+        raise SchemaError(f"header is missing metadata columns: {missing}")
+
+    col_index = {name: i for i, name in enumerate(header)}
+    meta_cols = set(schema)
+    stat_names = [name for name in header if name not in meta_cols]
+    stat_idx = [col_index[name] for name in stat_names]
+    id_i = col_index[id_col] if id_col else None
+    name_i, team_i = col_index[name_col], col_index[team_col]
+    games_i, minutes_i = col_index[games_col], col_index[minutes_col]
+
+    ids: list[str] = []
+    names: list[str] = []
+    teams: list[str] = []
+    games: list[int] = []
+    minutes: list[float] = []
+    cells: list[str] = []  # stat cells, row after row
+    while True:
         try:
-            header = next(reader)
+            row = next(reader)
         except StopIteration:
-            raise ParseError("empty input: header row required") from None
+            break
         except csv.Error as exc:
-            raise ParseError(f"malformed CSV at line 1: {exc}") from None
-
-        dupes = _duplicates(header)
-        if dupes:
-            raise SchemaError(f"duplicate header names: {sorted(dupes)}")
-        missing = [c for c in schema if c not in header]
-        if missing:
-            raise SchemaError(f"header is missing metadata columns: {missing}")
-
-        col_index = {name: i for i, name in enumerate(header)}
-        meta_cols = set(schema)
-        stat_names = [name for name in header if name not in meta_cols]
-        stat_idx = [col_index[name] for name in stat_names]
-        id_i = col_index[id_col] if id_col else None
-        name_i, team_i = col_index[name_col], col_index[team_col]
-        games_i, minutes_i = col_index[games_col], col_index[minutes_col]
-
-        ids: list[str] = []
-        names: list[str] = []
-        teams: list[str] = []
-        games: list[int] = []
-        minutes: list[float] = []
-        cells: list[str] = []  # stat cells, row after row
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise ParseError(
-                    f"malformed CSV at line {reader.line_num}: {exc}"
-                ) from None
-            if not row:
-                continue  # blank line
-            if len(row) != len(header):
-                raise ParseError(
-                    f"ragged row at line {reader.line_num}: expected "
-                    f"{len(header)} cells, got {len(row)}"
-                )
-            name = row[name_i]
-            player_id = row[id_i] if id_i is not None else name
-            n_games = _parse_count(row[games_i], games_col, reader.line_num)
-            n_minutes = _parse_number(row[minutes_i], minutes_col, reader.line_num)
-            _check_counts(player_id, n_games, n_minutes)
-            ids.append(player_id)
-            names.append(name)
-            teams.append(row[team_i])
-            games.append(n_games)
-            minutes.append(n_minutes)
-            cells.extend([row[j] for j in stat_idx])
+            raise ParseError(
+                f"malformed CSV at line {reader.line_num}: {exc}"
+            ) from None
+        if not row:
+            continue  # blank line
+        if len(row) != len(header):
+            raise ParseError(
+                f"ragged row at line {reader.line_num}: expected "
+                f"{len(header)} cells, got {len(row)}"
+            )
+        name = row[name_i]
+        player_id = row[id_i] if id_i is not None else name
+        n_games = _parse_count(row[games_i], games_col, reader.line_num)
+        n_minutes = _parse_number(row[minutes_i], minutes_col, reader.line_num)
+        _check_counts(player_id, n_games, n_minutes)
+        ids.append(player_id)
+        names.append(name)
+        teams.append(row[team_i])
+        games.append(n_games)
+        minutes.append(n_minutes)
+        cells.extend([row[j] for j in stat_idx])
 
     values = np.fromiter(map(_parse_stat, cells), dtype=float, count=len(cells))
     return RawTable(
@@ -309,6 +416,10 @@ def _parse_count(cell: str, column: str, line: int) -> int:
     value = _parse_number(cell, column, line)
     if value != int(value):
         raise ParseError(f"line {line}: column {column!r} must be a count, got {cell!r}")
+    if value >= _COUNT_LIMIT:
+        raise ParseError(
+            f"line {line}: column {column!r} must be a count below 2**63, got {cell!r}"
+        )
     return int(value)
 
 

@@ -207,6 +207,21 @@ class TestTeams:
             assert abs(float(row[-1]) - expected) < 1e-12
         assert scores["ATL"][6] == "0.5"
 
+    @pytest.mark.parametrize("weights", ["2=nan,4=inf", "2=0.17,4=-inf"])
+    def test_non_finite_weights_are_usage_error(
+        self, players_csv, membership_csv, tmp_path, capsys, weights
+    ):
+        out = self._fit(players_csv, tmp_path, capsys)
+        code, err = run(
+            capsys,
+            "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--membership", str(membership_csv), "--weights", weights,
+            "--format", "json", "--out", str(out),
+        )
+        assert code == 2
+        assert "finite" in _one_error_line(err)["error"]
+        assert not (out / "teams.json").exists()
+
 
 def _teams(membership_csv):
     return [line.split(",")[1] for line in membership_csv.read_text().splitlines()[1:]]
@@ -571,6 +586,17 @@ class TestBadFiles:
         diagnostic = _one_error_line(err)
         assert diagnostic["category"] == "data"
         assert "0xe9" in diagnostic["error"]
+        assert not (tmp_path / "o").exists()
+
+    def test_games_played_too_large_for_int64(self, tmp_path, capsys):
+        players = tmp_path / "players.csv"
+        text = players_csv_text()
+        players.write_text(text.replace(",41,900.0,", ",1e20,900.0,", 1), encoding="utf-8")
+        code, err = run(capsys, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
+        assert code == 3
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "data"
+        assert "line 2: column 'games_played'" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
 
 

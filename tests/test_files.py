@@ -27,3 +27,15 @@ class TestAtomicWrite:
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestToJson:
+    def test_finite_values_keep_their_text(self):
+        assert files.to_json({"a": [1.5, -0.0, 1e-300]}) == (
+            '{\n  "a": [\n    1.5,\n    -0.0,\n    1e-300\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_refused(self, value):
+        with pytest.raises(ValueError, match="JSON"):
+            files.to_json([{"weighted_score": value}])

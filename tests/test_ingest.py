@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statspace import (
     FilterPolicy,
@@ -15,10 +15,12 @@ from statspace import (
     RawTable,
     SchemaError,
     StatTable,
+    StatspaceError,
     ValidationError,
     apply_filter,
     build_table,
     files,
+    ingest,
     parse_csv,
 )
 
@@ -170,6 +172,181 @@ def _float_or_none(cell):
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+SCHEMA5 = ("pid", "name", "team", "gp", "min")
+ROLES5 = ingest._roles(SCHEMA5)
+QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
+    f'p{i},"Doe ""{i}"", Jr.",BOS,{50 + i},1200.5,{i}.25\n' for i in range(3)
+)
+
+
+def _fast(text):
+    """The fast path's table, or None where it declines or raises."""
+    try:
+        return ingest._parse_fast(text, ROLES5)
+    except ValueError:
+        return None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except StatspaceError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert isinstance(got, RawTable), got
+    for name in ("player_ids", "player_names", "team_codes", "stat_names"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("games_played", "minutes_total", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# Cells that loadtxt and csv.reader(strict=True) read differently, or that
+# loadtxt rejects, when written as they are.
+RAW_CELLS = ['"x"y', '"1"2', '"x" ', '"1" ', '"x', 'x"y', ' "x"', "a\x00b", '""', '"1,5"']
+GOOD_NAMES = ['Doe "0", Jr.', "Last, First", 'a "quoted", cell', "", " B ", "cr\rname"]
+BAD_NAMES = ["two\nlines", "crlf\r\nname", "A\x00B"]
+GOOD_GAMES = ["0", "82", "50.0", " 7 ", "-0", "1e3", "9.2e18"]
+BAD_GAMES = ["-1", "2.5", "1e20", "9223372036854775807", "1_0"]
+BAD_MINUTES = ["-1", "nan", "inf", ""]
+FAULTS = [None, "gp", "min", "name", "stat", "raw", "line", "ragged", "header", "eol"]
+
+
+def _csv_cell(cell):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([cell])
+    return out.getvalue()
+
+
+@st.composite
+def csv_texts(draw):
+    """Players CSV text, well formed or with one fault the two paths must agree on."""
+    fault = draw(st.sampled_from(FAULTS))
+    stat_names = draw(st.lists(st.sampled_from(["s", "t", "u"]), max_size=3, unique=True))
+    if fault == "header":  # a name csv.writer quotes, or a duplicate
+        stat_names.append(draw(st.sampled_from(['q"', "c,d", "n\nl", "pid"])))
+    header = draw(st.permutations([*SCHEMA5, *stat_names]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"] if fault == "eol" else ["\n", "\r\n"]))
+    name = st.sampled_from(GOOD_NAMES) | st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\n\r"),
+        max_size=4,
+    )
+    stat = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+        ["nan", "-nan", "inf", "-Infinity", "1e500", " 1.5 ", "-0.0"]
+    )
+    rows = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        meta = {
+            "pid": f"p{i}",
+            "name": draw(name),
+            "team": draw(st.sampled_from(["BOS", "TOT", "N,Y"])),
+            "gp": draw(st.integers(0, 82).map(str) | st.sampled_from(GOOD_GAMES)),
+            "min": draw(st.sampled_from(["1200.5", " 7 ", "0", "-0.0"])),
+        }
+        rows.append([meta[c] if c in meta else draw(stat) for c in header])
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=eol)
+    writer.writerow(header)
+    at = draw(st.integers(0, len(rows) - 1)) if rows else -1
+    j = draw(st.integers(0, len(header) - 1))
+    for i, row in enumerate(rows):
+        if i != at or fault in (None, "header", "eol"):
+            writer.writerow(row)
+        elif fault in ("gp", "min", "name", "stat"):
+            column = draw(st.sampled_from(stat_names or ["name"])) if fault == "stat" else fault
+            bad = {"gp": BAD_GAMES, "min": BAD_MINUTES, "name": BAD_NAMES}
+            row[header.index(column)] = draw(st.sampled_from(bad.get(column, SPECIAL_CELLS)))
+            writer.writerow(row)
+        elif fault == "raw":
+            cells = [_csv_cell(c) for c in row]
+            cells[j] = draw(st.sampled_from(RAW_CELLS))
+            out.write(",".join(cells) + eol)
+        elif fault == "line":
+            out.write(draw(st.sampled_from(["", " ", "\t", "\x0c"])) + eol)
+            writer.writerow(row)
+        elif fault == "ragged":
+            writer.writerow(row[:-1] if draw(st.booleans()) else [*row, "1"])
+    text = out.getvalue()
+    return text.removesuffix(eol) if draw(st.booleans()) else text
+
+
+class TestFastPath:
+    """numpy's C reader parses what it can; the csv.reader loop is the reference."""
+
+    @pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
+    @settings(max_examples=600, deadline=None)
+    @given(text=csv_texts())
+    def test_paths_agree(self, text):
+        want = _outcome(lambda t: ingest._parse_rows(t, ROLES5), text)
+        fast = _fast(text)
+        if fast is not None:
+            _assert_same_outcome(fast, want)
+        got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), SCHEMA5), text)
+        _assert_same_outcome(got, want)
+
+    def test_taken_for_quoted_doubled_quote_names(self, monkeypatch):
+        def loop(text, roles):
+            raise AssertionError("the csv loop ran")
+
+        monkeypatch.setattr(ingest, "_parse_rows", loop)
+        table = parse_csv(io.StringIO(QUOTED_NAMES), SCHEMA5)
+        assert table.player_names == [f'Doe "{i}", Jr.' for i in range(3)]
+        assert table.values.tolist() == [[0.25], [1.25], [2.25]]
+
+    def test_declines_text_after_closing_quote(self):
+        text = 'pid,name,team,gp,min,a\np1,"x"y,BOS,50,1200,1.0\n'
+        assert _fast(text) is None
+        with pytest.raises(ParseError, match="line 2"):
+            parse_csv(io.StringIO(text), SCHEMA5)
+
+    def test_declines_nul_byte(self):
+        text = "pid,name,team,gp,min,a\np1,A\x00B,BOS,50,1200,1.0\n"
+        assert _fast(text) is None
+        want = _outcome(lambda t: ingest._parse_rows(t, ROLES5), text)
+        got = _outcome(lambda t: parse_csv(io.StringIO(t), SCHEMA5), text)
+        _assert_same_outcome(got, want)
+
+    def test_declines_field_over_size_limit(self):
+        text = f"pid,name,team,gp,min,a\np1,{'N' * 80},BOS,50,1200,1.0\n"
+        old = csv.field_size_limit(64)
+        try:
+            assert _fast(text) is None
+            with pytest.raises(ParseError, match="line 2.*field larger than field limit"):
+                parse_csv(io.StringIO(text), SCHEMA5)
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("name", ["pts\n48", "pts"], ids=["two-lines", "quoted"])
+    def test_declines_quoted_header(self, name):
+        text = f'pid,name,team,gp,min,"{name}"\np1,A,BOS,50,1200,20.5\n'
+        assert _fast(text) is None
+        table = parse_csv(io.StringIO(text), SCHEMA5)
+        assert table.stat_names == [name]
+        assert table[0].stats == {name: 20.5}
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_declines_header_only_without_warning(self, body):
+        text = "pid,name,team,gp,min,a\n" + body
+        assert _fast(text) is None
+        table = parse_csv(io.StringIO(text), SCHEMA5)
+        assert len(table) == 0 and table.values.shape == (0, 1)
+
+    @pytest.mark.parametrize("games", ["1e20", "9223372036854775807"])
+    def test_count_too_large_for_int64_is_parse_error(self, games):
+        text = f"pid,name,team,gp,min,a\np1,A,BOS,50,1200,1\np2,B,BOS,{games},1200,1\n"
+        assert _fast(text) is None
+        with pytest.raises(ParseError, match=r"line 3: column 'gp' must be a count below 2\*\*63"):
+            parse_csv(io.StringIO(text), SCHEMA5)
 
 
 class TestApplyFilter:
