@@ -258,15 +258,16 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     """The table ``np.loadtxt`` reads from ``text``, or None to decline.
 
     loadtxt is looser than ``csv.reader(strict=True)``, so this declines
-    wherever the two could read the text differently: a NUL byte (loadtxt
-    ends the cell there), a header that is not one physical line without
-    quotes, no data rows (loadtxt warns), a quote csv would reject or a
-    quoted line end, a line longer than ``csv.field_size_limit()``, or a row
-    with more cells than the header. It also declines on a count that is not
-    finite, whole and non-negative, or a games count of 2**63 or more, so the
-    loop reports those. loadtxt itself raises ValueError on a short row and
-    on a cell its float parser rejects (empty, ``n/a``, ``1_000``); its
-    parser accepts a subset of what ``float()`` does, with the same values.
+    wherever the two could read the text differently: a NUL byte (csv
+    refuses it on Python 3.10, and numpy strings drop a trailing one), a
+    header that is not one physical line without quotes, no data rows
+    (loadtxt warns), a quote csv would reject or a quoted line end, a line
+    longer than ``csv.field_size_limit()``, or a row with more cells than
+    the header. It also declines on a count that is not finite, whole and
+    non-negative, or a games count of 2**63 or more, so the loop reports
+    those. loadtxt itself raises ValueError on a short row and on a cell its
+    float parser rejects (empty, ``n/a``, ``1_000``); its parser accepts a
+    subset of what ``float()`` does, with the same values.
     """
     if "\x00" in text:
         return None
@@ -280,7 +281,8 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
         c not in col_index for c in roles if c is not None
     ):
         return None  # the loop raises the SchemaError
-    if not any(line.strip() for line in lines[1:]):
+    body = lines[1:]
+    if not any(line.strip() for line in body):
         return None
     unquoted = _QUOTED_FIELD.sub("", text) if '"' in text else text
     if '"' in unquoted or unquoted.count("\n") != len(lines) - 1:
@@ -291,14 +293,14 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     id_col, name_col, team_col, games_col, minutes_col = roles
     stat_names = [name for name in header if name not in roles]
     numbers = np.loadtxt(
-        lines[1:],
+        body,
         dtype=float,
         usecols=[col_index[games_col], col_index[minutes_col]]
         + [col_index[name] for name in stat_names],
         **_LOADTXT,
     )
     labels = np.loadtxt(
-        lines[1:],
+        body,
         dtype=object,
         usecols=[col_index[c] for c in (id_col or name_col, name_col, team_col)],
         **_LOADTXT,
