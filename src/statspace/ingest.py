@@ -17,6 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,15 +223,25 @@ def parse_csv(
 
     The text is read once. numpy's C reader parses it wherever it reads the
     text as ``csv.reader(strict=True)`` does; elsewhere, and on every faulty
-    file, a ``csv.reader`` loop parses it and reports the fault.
+    file, a ``csv.reader`` loop parses it and reports the fault. A path that
+    is not UTF-8 is read again by the loop, line by line, so a fault before
+    the bad byte is still the one reported.
     """
     roles = _roles(schema)
-    text = files.read_text(source)
+    try:
+        text = files.read_text(source)
+    except ParseError:  # not UTF-8
+        if not isinstance(source, (str, Path)):
+            raise
+        with files.opened(source) as stream:
+            return _parse_rows(stream, roles)
     try:
         table = _parse_fast(text, roles)
     except ValueError:  # a row or cell loadtxt rejects; the loop decides
         table = None
-    return table if table is not None else _parse_rows(text, roles)
+    if table is None:
+        table = _parse_rows(io.StringIO(text, newline=""), roles)
+    return table
 
 
 Roles = tuple[str | None, str, str, str, str]
@@ -247,11 +258,32 @@ def _roles(schema: Sequence[str]) -> Roles:
     )
 
 
-# A quoted field as csv.reader(strict=True) reads one: the quote opens a
-# field, quotes inside it are doubled, and the closing quote ends the field.
-_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
+# A non-empty quoted field as csv.reader(strict=True) reads one: the quote
+# opens a field, quotes inside it are doubled, and the closing quote ends
+# the field. A quoted empty field keeps its quotes, and so declines.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")+"(?![^,\r\n])')
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
 _COUNT_LIMIT = 2.0**63  # games_played is stored as int64
+_SCAN_BLOCK = 1 << 16  # bytes per numpy pass; a block's masks stay in cache
+
+
+def _has_empty_field(text: str) -> bool:
+    """Whether a comma in ``text`` meets another comma, a line end or an end.
+
+    That is an empty field, or text like one inside a quoted field. numpy
+    scans the UTF-8 bytes block by block; ``",," in text`` and the like
+    take several times as long.
+    """
+    if text[:1] == "," or text[-1:] == ",":
+        return True
+    chars = np.frombuffer(text.encode(), np.uint8)
+    for start in range(0, len(chars), _SCAN_BLOCK):
+        block = chars[start : start + _SCAN_BLOCK + 1]  # pairs across blocks too
+        comma = block == ord(",")
+        sep = comma | (block == ord("\n")) | (block == ord("\r"))
+        if (comma[1:] & sep[:-1]).any() or (comma[:-1] & sep[1:]).any():
+            return True
+    return False
 
 
 def _parse_fast(text: str, roles: Roles) -> RawTable | None:
@@ -265,12 +297,17 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     longer than ``csv.field_size_limit()``, or a row with more cells than
     the header. It also declines on a count that is not finite, whole and
     non-negative, or a games count of 2**63 or more, so the loop reports
-    those. loadtxt itself raises ValueError on a short row and on a cell its
-    float parser rejects (empty, ``n/a``, ``1_000``); its parser accepts a
+    those. It declines first of all on an empty cell, the usual missing
+    value, or on text that looks like one inside quotes, so that such a file
+    costs the loop one scan more. loadtxt itself raises ValueError on a
+    short row and on a cell its float parser rejects (``n/a``, ``1_000``),
+    but only once it has parsed the rows before it; its parser accepts a
     subset of what ``float()`` does, with the same values.
     """
     if "\x00" in text:
         return None
+    if _has_empty_field(text):
+        return None  # loadtxt would raise on an empty cell, after the rows before it
     lines = text.split("\n")
     header_line = lines[0].removesuffix("\r")
     if '"' in header_line or "\r" in header_line:
@@ -290,7 +327,7 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     if max(map(len, lines)) > csv.field_size_limit():
         return None
 
-    id_col, name_col, team_col, games_col, minutes_col = roles
+    games_col, minutes_col = roles[3:]
     stat_names = [name for name in header if name not in roles]
     numbers = np.loadtxt(
         body,
@@ -299,10 +336,10 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
         + [col_index[name] for name in stat_names],
         **_LOADTXT,
     )
-    labels = np.loadtxt(
+    labels = np.loadtxt(  # (id,) name, team: with no id column, the name is the id
         body,
         dtype=object,
-        usecols=[col_index[c] for c in (id_col or name_col, name_col, team_col)],
+        usecols=[col_index[c] for c in roles[:3] if c is not None],
         **_LOADTXT,
     )
     # Every column is read, so loadtxt raised on any row short of a cell;
@@ -322,8 +359,8 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     values[~np.isfinite(values)] = np.nan
     return RawTable(
         player_ids=labels[:, 0].tolist(),
-        player_names=labels[:, 1].tolist(),
-        team_codes=labels[:, 2].tolist(),
+        player_names=labels[:, -2].tolist(),
+        team_codes=labels[:, -1].tolist(),
         games_played=games.astype(int),
         minutes_total=minutes.copy(),
         stat_names=stat_names,
@@ -331,14 +368,14 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     )
 
 
-def _parse_rows(text: str, roles: Roles) -> RawTable:
-    """Parse ``text`` row by row with ``csv.reader(strict=True)``.
+def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
+    """Parse ``lines`` row by row with ``csv.reader(strict=True)``.
 
     The reference parse, and the one that reports every fault.
     """
     id_col, name_col, team_col, games_col, minutes_col = roles
     schema = [c for c in roles if c is not None]
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    reader = csv.reader(lines, strict=True)
     try:
         header = next(reader)
     except StopIteration:

@@ -181,12 +181,17 @@ QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
 )
 
 
-def _fast(text):
+def _fast(text, roles=ROLES5):
     """The fast path's table, or None where it declines or raises."""
     try:
-        return ingest._parse_fast(text, ROLES5)
+        return ingest._parse_fast(text, roles)
     except ValueError:
         return None
+
+
+def _loop(text, roles=ROLES5):
+    """The csv loop's table, the reference."""
+    return ingest._parse_rows(io.StringIO(text, newline=""), roles)
 
 
 def _outcome(parse, text):
@@ -228,15 +233,17 @@ def _csv_cell(cell):
 
 @st.composite
 def csv_texts(draw):
-    """Players CSV text, well formed or with one fault the two paths must agree on."""
+    """(schema, players CSV text), well formed or with one fault the two paths must agree on."""
+    schema = draw(st.sampled_from([SCHEMA4, SCHEMA5]))
     fault = draw(st.sampled_from(FAULTS))
     stat_names = draw(st.lists(st.sampled_from(["s", "t", "u"]), max_size=3, unique=True))
     if fault == "header":  # a name csv.writer quotes, or a duplicate
-        stat_names.append(draw(st.sampled_from(['q"', "c,d", "n\nl", "pid"])))
-    header = draw(st.permutations([*SCHEMA5, *stat_names]))
+        stat_names.append(draw(st.sampled_from(['q"', "c,d", "n\nl", "name"])))
+    header = draw(st.permutations([*schema, *stat_names]))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"] if fault == "eol" else ["\n", "\r\n"]))
     name = st.sampled_from(GOOD_NAMES) | st.text(
         st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\n\r"),
+        min_size=1,
         max_size=4,
     )
     stat = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
@@ -276,7 +283,7 @@ def csv_texts(draw):
         elif fault == "ragged":
             writer.writerow(row[:-1] if draw(st.booleans()) else [*row, "1"])
     text = out.getvalue()
-    return text.removesuffix(eol) if draw(st.booleans()) else text
+    return schema, text.removesuffix(eol) if draw(st.booleans()) else text
 
 
 class TestFastPath:
@@ -284,23 +291,49 @@ class TestFastPath:
 
     @pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
     @settings(max_examples=600, deadline=None)
-    @given(text=csv_texts())
-    def test_paths_agree(self, text):
-        want = _outcome(lambda t: ingest._parse_rows(t, ROLES5), text)
-        fast = _fast(text)
+    @given(case=csv_texts())
+    def test_paths_agree(self, case):
+        schema, text = case
+        roles = ingest._roles(schema)
+        want = _outcome(lambda t: _loop(t, roles), text)
+        fast = _fast(text, roles)
         if fast is not None:
             _assert_same_outcome(fast, want)
-        got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), SCHEMA5), text)
+        got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), schema), text)
         _assert_same_outcome(got, want)
 
-    def test_taken_for_quoted_doubled_quote_names(self, monkeypatch):
-        def loop(text, roles):
+    @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
+    def test_taken_for_quoted_doubled_quote_names(self, monkeypatch, schema):
+        def loop(lines, roles):
             raise AssertionError("the csv loop ran")
 
         monkeypatch.setattr(ingest, "_parse_rows", loop)
-        table = parse_csv(io.StringIO(QUOTED_NAMES), SCHEMA5)
-        assert table.player_names == [f'Doe "{i}", Jr.' for i in range(3)]
+        text = QUOTED_NAMES
+        if schema == SCHEMA4:
+            text = re.sub("^p.*?,", "", text, flags=re.M)  # drop the id column
+        table = parse_csv(io.StringIO(text), schema)
+        names = [f'Doe "{i}", Jr.' for i in range(3)]
+        assert table.player_names == names
+        assert table.player_ids == (names if schema == SCHEMA4 else ["p0", "p1", "p2"])
+        assert table.team_codes == ["BOS"] * 3
         assert table.values.tolist() == [[0.25], [1.25], [2.25]]
+
+    @pytest.mark.parametrize(
+        "row",
+        ["p1,A,BOS,50,1200,,2", "p1,A,BOS,50,1200,1,", ",A,BOS,50,1200,1,2",
+         'p1,A,BOS,50,1200,"",2'],
+        ids=["inner", "last", "first", "quoted"],
+    )
+    def test_declines_empty_cell_before_loadtxt(self, monkeypatch, row):
+        text = "pid,name,team,gp,min,a,b\np0,B,BOS,50,1200,1,2\n" + row + "\r\n"
+        want = _loop(text)
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("loadtxt ran")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert ingest._parse_fast(text, ROLES5) is None
+        _assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
 
     def test_declines_text_after_closing_quote(self):
         text = 'pid,name,team,gp,min,a\np1,"x"y,BOS,50,1200,1.0\n'
@@ -311,7 +344,7 @@ class TestFastPath:
     def test_declines_nul_byte(self):
         text = "pid,name,team,gp,min,a\np1,A\x00B,BOS,50,1200,1.0\n"
         assert _fast(text) is None
-        want = _outcome(lambda t: ingest._parse_rows(t, ROLES5), text)
+        want = _outcome(_loop, text)
         got = _outcome(lambda t: parse_csv(io.StringIO(t), SCHEMA5), text)
         _assert_same_outcome(got, want)
 
@@ -340,6 +373,27 @@ class TestFastPath:
         assert _fast(text) is None
         table = parse_csv(io.StringIO(text), SCHEMA5)
         assert len(table) == 0 and table.values.shape == (0, 1)
+
+    def test_empty_field_scan_sees_pairs_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SCAN_BLOCK", 2)
+        empty = ["a,,b", "ab,,", "abc,,d", "abcd,\n", "ab\n,c", "ab\r,c", "a,\r\nb"]
+        empty += [",a", "a,", "é,,"]
+        for text in empty:
+            assert ingest._has_empty_field(text), text
+        for text in ["", "a", "a,b", "ab,cd,ef\n", "a\n\nb,c\r\n", "é,b"]:
+            assert not ingest._has_empty_field(text), text
+
+    def test_fault_before_non_utf8_byte_reported_first(self, tmp_path):
+        # the bad byte lies many decoder chunks (8 KB) after the ragged row
+        good = "".join(f"p{i},A,BOS,50,1200,1\n" for i in range(2, 2000))
+        text = "pid,name,team,gp,min,a\np1,A,BOS,50\n" + good
+        path = tmp_path / "players.csv"
+        path.write_bytes(text.encode() + b"p9,Jos\xe9,BOS,50,1200,1\n")
+        with pytest.raises(ParseError, match="ragged row at line 2: expected 6 cells, got 4"):
+            parse_csv(path, SCHEMA5)
+        path.write_bytes(b"pid,name,team,gp,min,a\np1,Jos\xe9,BOS,50,1200,1\n" + good.encode())
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xe9"):
+            parse_csv(path, SCHEMA5)
 
     @pytest.mark.parametrize("games", ["1e20", "9223372036854775807"])
     def test_count_too_large_for_int64_is_parse_error(self, games):
