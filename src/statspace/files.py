@@ -19,7 +19,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -72,6 +72,19 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def nul_free(lines: Iterable[str], what: str) -> Iterator[str]:
+    """``lines`` as they are, up to one that holds a NUL byte: that raises
+    :class:`ParseError` with its line number.
+
+    ``csv.reader`` refuses NUL on Python 3.10 but keeps it in the cell from
+    3.11 on; reading through this makes it an error on every version.
+    """
+    for number, line in enumerate(lines, 1):
+        if "\x00" in line:
+            raise ParseError(f"{what} line {number}: NUL byte")
+        yield line
 
 
 def read_text(source: Target) -> str:

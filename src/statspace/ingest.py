@@ -290,8 +290,8 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     """The table ``np.loadtxt`` reads from ``text``, or None to decline.
 
     loadtxt is looser than ``csv.reader(strict=True)``, so this declines
-    wherever the two could read the text differently: a NUL byte (csv
-    refuses it on Python 3.10, and numpy strings drop a trailing one), a
+    wherever the two could read the text differently: a NUL byte (the
+    loop refuses it, and numpy strings drop a trailing one), a
     header that is not one physical line without quotes, no data rows
     (loadtxt warns), a quote csv would reject or a quoted line end, a line
     longer than ``csv.field_size_limit()``, or a row with more cells than
@@ -375,7 +375,7 @@ def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
     """
     id_col, name_col, team_col, games_col, minutes_col = roles
     schema = [c for c in roles if c is not None]
-    reader = csv.reader(lines, strict=True)
+    reader = csv.reader(files.nul_free(lines, "players CSV"), strict=True)
     try:
         header = next(reader)
     except StopIteration:

@@ -165,7 +165,7 @@ def _read_two_columns(
 ) -> list[tuple[int, tuple[str, str]]]:
     """Rows of a two-column CSV; a leading row equal to ``header`` is skipped."""
     with files.opened(source) as fh:
-        reader = csv.reader(fh, strict=True)
+        reader = csv.reader(files.nul_free(fh, f"{what} CSV"), strict=True)
         rows = []
         try:
             for row in reader:

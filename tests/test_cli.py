@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ import statspace
 from statspace import cli, ingest, pca, scoring
 from statspace.cli import main
 
-from conftest import players_csv_text
+from conftest import membership_csv_text, players_csv_text
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -429,6 +430,41 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
 
+    def test_no_subcommand_needs_scipy(self, players_csv, membership_csv, tmp_path):
+        # a fresh process in which any scipy import fails
+        argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
+        assert [argv[0] for argv in argvs] == [
+            "fit", "scree", "scores", "teams", "similar", "regress"
+        ]
+        script = textwrap.dedent(
+            """
+            import importlib.abc, json, sys
+
+            class NoScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, NoScipy())
+            import statspace.cli
+            for argv in json.loads(sys.argv[1]):
+                assert statspace.cli.main(argv) == 0, argv[0]
+            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+            """
+        )
+        src = Path(statspace.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+        pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
+        runtime = re.search(r"^\[project\]$.*?^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+        assert "numpy" in runtime.group(1) and "scipy" not in runtime.group(1)
+
 
 class TestConfigFile:
     def test_config_supplies_flags_and_cli_wins(self, players_csv, tmp_path, capsys):
@@ -587,6 +623,35 @@ class TestBadFiles:
         assert diagnostic["category"] == "data"
         assert "0xe9" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("role", ["players", "membership", "winpct"])
+    def test_nul_byte_is_a_parse_error(self, players_csv, membership_csv, tmp_path, capsys, role):
+        # csv.reader refuses NUL on Python 3.10 and keeps it on 3.11; both must refuse
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        bad = tmp_path / "bad.csv"
+        if role == "players":
+            text = players_csv_text().replace("Player 03", "Play\x00er 03")
+            bad.write_text(text, encoding="utf-8")
+            code, err = run(capsys, "fit", "--input", str(bad), "--out", str(tmp_path / "o"))
+            where = "players CSV line 4"
+        else:
+            text = "team_code,win_pct\nBOS,0.5\n"
+            if role == "membership":
+                text = membership_csv_text()
+            bad.write_text(text.replace("BOS", "B\x00OS", 1), encoding="utf-8")
+            membership = bad if role == "membership" else membership_csv
+            winpct = ["--winpct", str(bad)] if role == "winpct" else []
+            code, err = run(
+                capsys,
+                "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
+                "--membership", str(membership), *winpct, "--out", str(out),
+            )
+            where = "membership CSV line 3" if role == "membership" else "win_pct CSV line 2"
+        assert code == 3
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "data"
+        assert diagnostic["error"] == f"{where}: NUL byte"
 
     def test_games_played_too_large_for_int64(self, tmp_path, capsys):
         players = tmp_path / "players.csv"

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.special import stdtr
 
 from statspace import (
     DomainError,
     InsufficientDataError,
+    NumericalError,
     ParameterError,
     RankDeficiencyError,
     SchemaError,
     fit_ols,
     t_cdf,
 )
+from statspace import regression
 from statspace.regression import summary_csv, summary_json, summary_text
 
 
@@ -187,6 +190,91 @@ class TestTCdf:
     def test_complement_identity(self):
         for x in (0.3, 1.7, 4.2):
             assert t_cdf(x, 9) + t_cdf(-x, 9) == pytest.approx(1.0, abs=1e-14)
+
+
+def random_designs(count, collinearity):
+    """(design with its intercept column, rng) pairs: columns scaled over 1e-2..1e2.
+
+    Half the designs with two or more predictors get a near-collinear pair:
+    one column is a multiple of another plus noise of relative size
+    ``10**uniform(*collinearity)``.
+    """
+    rng = np.random.default_rng(20)
+    for _ in range(count):
+        n = int(rng.integers(8, 60))
+        q = int(rng.integers(1, min(8, n - 2)))
+        X = rng.normal(size=(n, q)) * 10.0 ** rng.uniform(-2, 2, size=q)
+        if q >= 2 and rng.random() < 0.5:
+            i, j = rng.choice(q, 2, replace=False)
+            noise = 10.0 ** rng.uniform(*collinearity) * np.abs(X[:, i]).max()
+            X[:, j] = X[:, i] * rng.uniform(0.5, 2.0) + noise * rng.normal(size=n)
+        yield np.column_stack([np.ones(n), X]), rng
+
+
+class TestPivotedQr:
+    """The numpy QR against LAPACK's ``dgeqp3`` (through scipy) and ``lstsq``."""
+
+    @pytest.mark.parametrize("collinearity", [(-2, -1), (-9, -3)], ids=["near", "nearer"])
+    def test_pivots_match_lapack(self, collinearity):
+        for X, rng in random_designs(300, collinearity):
+            _, _, pivot = regression._pivoted_qr(X, rng.normal(size=len(X)))
+            _, _, lapack = scipy.linalg.qr(X, mode="economic", pivoting=True)
+            np.testing.assert_array_equal(pivot, lapack)
+
+    def test_coefficients_match_lstsq(self):
+        # Two backward-stable solvers agree to about cond(X)^2 * eps; these
+        # designs keep the column-scaled condition number below ~1e3. The
+        # error is measured with each coefficient times its column's norm,
+        # which column scaling leaves unchanged.
+        for X, rng in random_designs(300, (-2, -1)):
+            scale = np.linalg.norm(X, axis=0)
+            y = (X / scale) @ rng.normal(size=X.shape[1]) + 0.1 * rng.normal(size=len(X))
+            fit = fit_ols(X[:, 1:], y)
+            ref = np.linalg.lstsq(X, y, rcond=None)[0]
+            gap = np.linalg.norm((fit.coefficients - ref) * scale)
+            assert gap <= 1e-10 * np.linalg.norm(ref * scale)
+
+
+class TestTCdfAgainstStdtr:
+    DFS = [*range(1, 401), 10**3, 10**4, 10**5]
+    T = np.concatenate([-np.logspace(-3, 3, 121), np.logspace(-3, 3, 121)])
+
+    def test_relative_error(self):
+        worst = 0.0
+        for df in self.DFS:
+            ref = stdtr(df, self.T)
+            got = np.array([t_cdf(float(t), df) for t in self.T])
+            kept = ref > 1e-300
+            worst = max(worst, float(np.max(np.abs(got[kept] - ref[kept]) / ref[kept])))
+        assert worst <= 1e-12
+
+    def test_center_is_exactly_half(self):
+        for df in self.DFS:
+            assert t_cdf(0.0, df) == 0.5
+            assert t_cdf(-0.0, df) == 0.5
+
+    def test_cauchy_closed_form(self):
+        for t in self.T:
+            got = t_cdf(float(t), 1)
+            assert abs(got - (0.5 + math.atan(t) / math.pi)) <= 1e-15
+            # the same function without the cancellation of 1/2 - atan(|t|)/pi
+            assert got == pytest.approx(math.atan2(1.0, -t) / math.pi, rel=1e-14, abs=0.0)
+
+    def test_tail_beyond_squaring_overflow(self):
+        # t*t overflows, but the Cauchy tail 1/(pi |t|) is a normal float
+        assert t_cdf(-1e200, 1) == pytest.approx(1 / (math.pi * 1e200), rel=1e-14)
+        assert t_cdf(1e200, 1) == 1.0
+
+    def test_terms_do_not_grow_with_df(self, monkeypatch):
+        # The finite series of A&S 26.7.3/26.7.4 would take df/2 = 50,000
+        # terms here, and its tail sum millions near |t| = 1.3.
+        monkeypatch.setattr(regression, "MAX_TERMS", 200)
+        for df in (10**5, 10**9):
+            for t in [*self.T, -1.0, 1.0]:
+                t_cdf(float(t), df)
+        monkeypatch.setattr(regression, "MAX_TERMS", 20)
+        with pytest.raises(NumericalError, match="20 terms"):
+            t_cdf(-1.0, 10**5)
 
 
 class TestSummaries:
