@@ -58,6 +58,16 @@ CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
     SCHEMA_KEY: (str,),
 }
 FORMATS = ("csv", "json")
+# The flags each subcommand needs, given on the command line or in the
+# config file. They are checked before any input is read.
+REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
+    "fit": ("out", "input"),
+    "scree": ("out", "input"),
+    "scores": ("out", "input", "model"),
+    "teams": ("out", "input", "model", "membership"),
+    "similar": ("out", "input", "model", "query"),
+    "regress": ("out", "input", "model", "membership", "winpct"),
+}
 
 DEFAULT_K = 4
 DEFAULT_TOP = 5
@@ -79,14 +89,8 @@ class RunConfig:
     top: int = DEFAULT_TOP
     weights: dict[int, float] = field(default_factory=dict)
 
-    def path(self, role: str) -> Path:
-        try:
-            return self.input_paths[role]
-        except KeyError:
-            raise UsageError(f"missing required input: --{role}") from None
-
     def existing_path(self, role: str) -> Path:
-        path = self.path(role)
+        path = self.input_paths[role]
         if not path.exists():
             raise DataError(f"{role} file not found: {path}")
         return path
@@ -192,7 +196,10 @@ def _parse_weights(text: str) -> dict[int, float]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults.
+
+    A flag in ``REQUIRED_FLAGS`` that neither gives is a usage error.
+    """
     config = _load_config_file(args.config)
 
     def merged(key, default=None):
@@ -205,9 +212,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             input_paths["players" if role == "input" else role] = Path(value)
 
-    out = merged("out")
-    if out is None:
-        raise UsageError("missing required flag: --out")
+    for key in REQUIRED_FLAGS[args.command]:
+        if merged(key) is None:
+            raise UsageError(f"missing required flag: --{key}")
 
     components = merged("components")
     weights = merged("weights")
@@ -223,7 +230,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         ),
         k=merged("k", DEFAULT_K),
         components_for_sdi=None if components is None else _parse_components(components),
-        output_dir=Path(out),
+        output_dir=Path(merged("out")),
         output_format=merged("format", "csv"),
         schema=tuple(schema),
         query=merged("query"),
@@ -359,8 +366,6 @@ def cmd_teams(config: RunConfig) -> int:
 
 def cmd_similar(config: RunConfig) -> int:
     table, scores = _score_players(config)
-    if config.query is None:
-        raise UsageError("missing required flag: --query")
     ranking = similarity.rank_similar(
         scores, config.query, config.top, config.components_for_sdi
     )
@@ -375,8 +380,6 @@ def cmd_similar(config: RunConfig) -> int:
 
 def cmd_regress(config: RunConfig) -> int:
     teams, _ = _team_rows(config)
-    if teams.win_pct is None:
-        raise UsageError("regress requires --winpct")
     fit = regression.fit_ols(
         teams.scores,
         teams.win_pct,

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -100,9 +101,59 @@ def write_text(destination: Target, text: str) -> None:
 def to_json(doc) -> str:
     """The output JSON text of ``doc``: two-space indent, final newline.
 
-    A NaN or infinite float raises ValueError, since JSON has no such value.
+    The text is ``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for
+    documents of dicts with str keys, lists, tuples, str, int, float, bool
+    and None. It is built around C leaf encoders: ``float.__repr__``
+    mapped over each list of floats and ``encode_basestring_ascii`` for
+    strings, where ``json.dumps`` with an indent runs its pure-Python
+    encoder over every value. A NaN or infinite float raises ValueError,
+    since JSON has no such value; another type raises TypeError.
     """
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as JSON text, with ``newline`` the line end and indent of
+    the line it starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_floats([value], "")
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_value(item, inner)  # str keys only
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = _json_floats(value, "," + inner)
+        except TypeError:  # not all floats
+            body = ("," + inner).join([_json_value(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_floats(values, separator: str) -> str:
+    """The floats ``values`` joined by ``separator``; TypeError on any other type."""
+    text = separator.join(map(float.__repr__, values))
+    if "n" in text:  # "nan", "inf" or "-inf": finite reprs hold no letter n
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return text
 
 
 def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:

@@ -235,12 +235,14 @@ def parse_csv(
             raise
         with files.opened(source) as stream:
             return _parse_rows(stream, roles)
+    lines = text.split("\n")
+    del text  # "\n".join(lines) is the text again; the fast path may drop it
     try:
-        table = _parse_fast(text, roles)
+        table = _parse_fast(lines, roles)
     except ValueError:  # a row or cell loadtxt rejects; the loop decides
         table = None
     if table is None:
-        table = _parse_rows(io.StringIO(text, newline=""), roles)
+        table = _parse_rows(io.StringIO("\n".join(lines), newline=""), roles)
     return table
 
 
@@ -262,53 +264,57 @@ def _roles(schema: Sequence[str]) -> Roles:
 # opens a field, quotes inside it are doubled, and the closing quote ends
 # the field. A quoted empty field keeps its quotes, and so declines.
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")+"(?![^,\r\n])')
-_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2, "skiprows": 1}
 _COUNT_LIMIT = 2.0**63  # games_played is stored as int64
-_SCAN_BLOCK = 1 << 16  # bytes per numpy pass; a block's masks stay in cache
+_SCAN_LINES = 128  # lines per numpy pass; a block's masks stay in cache
 
 
-def _has_empty_field(text: str) -> bool:
-    """Whether a comma in ``text`` meets another comma, a line end or an end.
+def _has_empty_field(lines: list[str]) -> bool:
+    """Whether a comma in the text of ``lines`` meets another comma, a line
+    end or an end of the text.
 
     That is an empty field, or text like one inside a quoted field. numpy
-    scans the UTF-8 bytes block by block; ``",," in text`` and the like
-    take several times as long.
+    scans the UTF-8 bytes of ``_SCAN_LINES`` lines at a time, with a line
+    end put before and after each block; ``",," in text`` and the like take
+    several times as long.
     """
-    if text[:1] == "," or text[-1:] == ",":
-        return True
-    chars = np.frombuffer(text.encode(), np.uint8)
-    for start in range(0, len(chars), _SCAN_BLOCK):
-        block = chars[start : start + _SCAN_BLOCK + 1]  # pairs across blocks too
-        comma = block == ord(",")
-        sep = comma | (block == ord("\n")) | (block == ord("\r"))
+    for start in range(0, len(lines), _SCAN_LINES):
+        block = "\n" + "\n".join(lines[start : start + _SCAN_LINES]) + "\n"
+        chars = np.frombuffer(block.encode(), np.uint8)
+        comma = chars == ord(",")
+        sep = comma | (chars == ord("\n")) | (chars == ord("\r"))
         if (comma[1:] & sep[:-1]).any() or (comma[:-1] & sep[1:]).any():
             return True
     return False
 
 
-def _parse_fast(text: str, roles: Roles) -> RawTable | None:
-    """The table ``np.loadtxt`` reads from ``text``, or None to decline.
+def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
+    """The table ``np.loadtxt`` reads from the text's ``lines`` (the text
+    split at ``"\\n"``), or None to decline.
 
     loadtxt is looser than ``csv.reader(strict=True)``, so this declines
     wherever the two could read the text differently: a NUL byte (the
     loop refuses it, and numpy strings drop a trailing one), a
     header that is not one physical line without quotes, no data rows
     (loadtxt warns), a quote csv would reject or a quoted line end, a line
-    longer than ``csv.field_size_limit()``, or a row with more cells than
-    the header. It also declines on a count that is not finite, whole and
-    non-negative, or a games count of 2**63 or more, so the loop reports
-    those. It declines first of all on an empty cell, the usual missing
-    value, or on text that looks like one inside quotes, so that such a file
-    costs the loop one scan more. loadtxt itself raises ValueError on a
-    short row and on a cell its float parser rejects (``n/a``, ``1_000``),
-    but only once it has parsed the rows before it; its parser accepts a
-    subset of what ``float()`` does, with the same values.
+    longer than ``csv.field_size_limit()``, or a row whose delimiters
+    outside quotes are not the header's. It also declines on a count that
+    is not finite, whole and non-negative, or a games count of 2**63 or
+    more, so the loop reports those. It declines first of all on an empty
+    cell, the usual missing value, or on text that looks like one inside
+    quotes, so that such a file costs the loop one scan more. loadtxt
+    itself raises ValueError on a cell its float parser rejects (``n/a``,
+    ``1_000``), but only once it has parsed the rows before it; its parser
+    accepts a subset of what ``float()`` does, with the same values.
+
+    Once the table is certain, ``lines`` is emptied, so the text is gone
+    before the stats are copied out; a decline or a ValueError leaves it
+    whole.
     """
-    if "\x00" in text:
+    if any("\x00" in line for line in lines):
         return None
-    if _has_empty_field(text):
+    if _has_empty_field(lines):
         return None  # loadtxt would raise on an empty cell, after the rows before it
-    lines = text.split("\n")
     header_line = lines[0].removesuffix("\r")
     if '"' in header_line or "\r" in header_line:
         return None
@@ -318,11 +324,20 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
         c not in col_index for c in roles if c is not None
     ):
         return None  # the loop raises the SchemaError
-    body = lines[1:]
-    if not any(line.strip() for line in body):
-        return None
-    unquoted = _QUOTED_FIELD.sub("", text) if '"' in text else text
-    if '"' in unquoted or unquoted.count("\n") != len(lines) - 1:
+    # A row with the header's delimiters outside quotes has exactly the
+    # header's cells for loadtxt and for csv.reader. Blank lines both skip.
+    delimiters = len(header) - 1
+    rows = 0
+    for line in lines[1:]:
+        if '"' in line:
+            line = _QUOTED_FIELD.sub("", line)
+            if '"' in line:
+                return None
+        if line.count(",") == delimiters:
+            rows += 1
+        elif line not in ("", "\r"):
+            return None
+    if rows == 0:
         return None
     if max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -330,41 +345,46 @@ def _parse_fast(text: str, roles: Roles) -> RawTable | None:
     games_col, minutes_col = roles[3:]
     stat_names = [name for name in header if name not in roles]
     numbers = np.loadtxt(
-        body,
+        lines,
         dtype=float,
         usecols=[col_index[games_col], col_index[minutes_col]]
         + [col_index[name] for name in stat_names],
         **_LOADTXT,
     )
     labels = np.loadtxt(  # (id,) name, team: with no id column, the name is the id
-        body,
+        lines,
         dtype=object,
         usecols=[col_index[c] for c in roles[:3] if c is not None],
         **_LOADTXT,
     )
-    # Every column is read, so loadtxt raised on any row short of a cell;
-    # this many delimiters outside quotes means no row has one too many.
-    if unquoted.count(",") != (len(header) - 1) * (len(numbers) + 1):
+    if not _loop_takes_counts(numbers[:, :2]):
         return None
-    counts = numbers[:, :2]
-    games, minutes = numbers[:, 0], numbers[:, 1]
-    if not (
-        np.isfinite(counts).all()
-        and (counts >= 0).all()
-        and (games < _COUNT_LIMIT).all()
-        and (games == np.floor(games)).all()
-    ):
-        return None
+    lines.clear()  # the table is certain; the text goes before the copies
+    games_played = numbers[:, 0].astype(int)
+    minutes_total = numbers[:, 1].copy()
     values = numbers[:, 2:].copy()
+    del numbers
     values[~np.isfinite(values)] = np.nan
     return RawTable(
         player_ids=labels[:, 0].tolist(),
         player_names=labels[:, -2].tolist(),
         team_codes=labels[:, -1].tolist(),
-        games_played=games.astype(int),
-        minutes_total=minutes.copy(),
+        games_played=games_played,
+        minutes_total=minutes_total,
         stat_names=stat_names,
         values=values,
+    )
+
+
+def _loop_takes_counts(counts: np.ndarray) -> bool:
+    """Whether the csv loop accepts every (games, minutes) row of ``counts``:
+    both finite and non-negative, games whole and below 2**63."""
+    games = counts[:, 0]
+    return bool(
+        np.isfinite(counts).all()
+        and (counts >= 0).all()
+        and (games < _COUNT_LIMIT).all()
+        and (games == np.floor(games)).all()
     )
 
 

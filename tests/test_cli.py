@@ -337,6 +337,77 @@ class TestRegress:
         assert "winpct" in json.loads(err.strip())["error"]
 
 
+class TestRequiredFlags:
+    """A missing flag is a usage error, reported before any input is read."""
+
+    @pytest.mark.parametrize(
+        "command, flag, given",
+        [
+            ("similar", "query", ["--membership", "m.csv", "--winpct", "w.csv"]),
+            ("teams", "membership", ["--query", "p01", "--winpct", "w.csv"]),
+            ("regress", "membership", ["--winpct", "w.csv"]),
+            ("regress", "winpct", ["--membership", "m.csv"]),
+        ],
+    )
+    def test_before_any_input_is_read(self, tmp_path, capsys, command, flag, given):
+        # none of these files is readable: reading any of them would exit 3
+        players = tmp_path / "players.csv"
+        players.write_text("player_id,player_name\np01\n", encoding="utf-8")
+        code, err = run(
+            capsys,
+            command, "--input", str(players), "--model", str(tmp_path / "none.json"),
+            "--out", str(tmp_path / "out"), *given,
+        )
+        assert code == 2
+        assert _one_error_line(err) == {
+            "error": f"missing required flag: --{flag}",
+            "category": "usage",
+            "exit_code": 2,
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_supplies_required_flag(
+        self, players_csv, membership_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"membership": str(membership_csv)}), encoding="utf-8")
+        code, err = run(
+            capsys,
+            "teams", "--config", str(config), "--input", str(players_csv),
+            "--model", str(out / "model.json"), "--out", str(out),
+        )
+        assert code == 0, err
+        assert (out / "teams.csv").exists()
+
+
+class TestEmit:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_is_exit_4_and_keeps_old_file(
+        self, players_csv, tmp_path, capsys, monkeypatch, bad
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "scores.json").write_text("old\n", encoding="utf-8")
+
+        def emit_bad(config):
+            cli._emit(config, "scores", [{"entity_id": "p01", "scores": [0.5, bad, 1.5]}])
+            return 0
+
+        monkeypatch.setitem(cli.COMMANDS, "fit", emit_bad)
+        code, err = run(
+            capsys,
+            "fit", "--input", str(players_csv), "--out", str(out), "--format", "json",
+        )
+        assert code == 4
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "numerical"
+        assert "not JSON compliant" in diagnostic["error"]
+        assert (out / "scores.json").read_bytes() == b"old\n"
+        assert sorted(p.name for p in out.iterdir()) == ["scores.json"]
+
+
 def _chain(players_csv, membership_csv, tmp_path, out, fmt):
     """argv lists for all six subcommands, writing ``fmt`` outputs to ``out``."""
     winpct = tmp_path / "winpct.csv"

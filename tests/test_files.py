@@ -1,6 +1,10 @@
+import json
+import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statspace import files
 
@@ -29,7 +33,58 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | finite_floats
+    | finite_floats.map(np.float64)
+    | st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 0.1])
+    | st.text(max_size=8)
+    | st.sampled_from(['"', "\\", "a\"b\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+)
+json_docs = st.recursive(
+    json_leaves | st.lists(finite_floats, max_size=6),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=30,
+)
+
+
 class TestToJson:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=json_docs)
+    def test_same_text_as_json_dumps(self, doc):
+        assert files.to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_records_same_text_as_json_dumps(self):
+        records = [
+            {"entity_id": "p\u00e9\"1\n", "minutes": 1200.5, "scores": [0.5, -0.0, 1e-300]},
+            {"entity_id": "", "minutes": np.float64(3.25), "scores": []},
+            {"rank": 1, "ok": True, "none": None, "nested": {"a": {}, "b": [[], [1, 2.5]]}},
+        ]
+        doc = {"terms": records, "r_squared": 0.5, "df_residual": 25}
+        assert files.to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["middle", "alone", "mixed"])
+    def test_non_finite_float_in_list_is_refused(self, value, where):
+        doc = {
+            "middle": [0.5, value, 1.5],
+            "alone": [value],
+            "mixed": ["a", 1, value, 2.0],
+        }[where]
+        with pytest.raises(ValueError, match="JSON"):
+            files.to_json({"scores": doc})
+
+    def test_other_types_are_refused(self):
+        with pytest.raises(TypeError):
+            files.to_json([np.int64(1)])
+        with pytest.raises(TypeError):
+            files.to_json({1: "a"})
+
     def test_finite_values_keep_their_text(self):
         assert files.to_json({"a": [1.5, -0.0, 1e-300]}) == (
             '{\n  "a": [\n    1.5,\n    -0.0,\n    1e-300\n  ]\n}\n'
