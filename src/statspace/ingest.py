@@ -221,11 +221,12 @@ def parse_csv(
     malformed structure raises :class:`ParseError` with the line number, and
     the first fault in the file is the one reported.
 
-    The text is read once. numpy's C reader parses it wherever it reads the
-    text as ``csv.reader(strict=True)`` does; elsewhere, and on every faulty
-    file, a ``csv.reader`` loop parses it and reports the fault. A path that
-    is not UTF-8 is read again by the loop, line by line, so a fault before
-    the bad byte is still the one reported.
+    The text is read once, then held only as its lines, which the fast path
+    drops before it copies the statistics out. numpy's C reader parses it
+    wherever it reads the text as ``csv.reader(strict=True)`` does;
+    elsewhere, and on every faulty file, a ``csv.reader`` loop parses it and
+    reports the fault. A path that is not UTF-8 is read again by the loop,
+    line by line, so a fault before the bad byte is still the one reported.
     """
     roles = _roles(schema)
     try:

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statspace import files
 
@@ -53,19 +53,18 @@ json_docs = st.recursive(
 )
 
 
+RECORDS = [
+    {"entity_id": "p\u00e9\"1\n", "minutes": 1200.5, "scores": [0.5, -0.0, 1e-300]},
+    {"entity_id": "", "minutes": np.float64(3.25), "scores": []},
+    {"rank": 1, "ok": True, "none": None, "nested": {"a": {}, "b": [[], [1, 2.5]]}},
+]
+
+
 class TestToJson:
     @settings(max_examples=200, deadline=None)
     @given(doc=json_docs)
+    @example(doc={"terms": RECORDS, "r_squared": 0.5, "df_residual": 25})
     def test_same_text_as_json_dumps(self, doc):
-        assert files.to_json(doc) == json.dumps(doc, indent=2) + "\n"
-
-    def test_records_same_text_as_json_dumps(self):
-        records = [
-            {"entity_id": "p\u00e9\"1\n", "minutes": 1200.5, "scores": [0.5, -0.0, 1e-300]},
-            {"entity_id": "", "minutes": np.float64(3.25), "scores": []},
-            {"rank": 1, "ok": True, "none": None, "nested": {"a": {}, "b": [[], [1, 2.5]]}},
-        ]
-        doc = {"terms": records, "r_squared": 0.5, "df_residual": 25}
         assert files.to_json(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
