@@ -58,15 +58,17 @@ CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
     SCHEMA_KEY: (str,),
 }
 FORMATS = ("csv", "json")
-# The flags each subcommand needs, given on the command line or in the
-# config file. They are checked before any input is read.
-REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
-    "fit": ("out", "input"),
-    "scree": ("out", "input"),
-    "scores": ("out", "input", "model"),
-    "teams": ("out", "input", "model", "membership"),
-    "similar": ("out", "input", "model", "query"),
-    "regress": ("out", "input", "model", "membership", "winpct"),
+# Per subcommand: the flags it needs, then the files and values it reads if
+# given (as flags or config keys). The needed flags are checked first, then
+# every listed file must exist, all before any file is read. Unlisted files
+# go unchecked, so one config file can serve the whole chain.
+COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "fit": (("out", "input"), ()),
+    "scree": (("out", "input"), ()),
+    "scores": (("out", "input", "model"), ()),
+    "teams": (("out", "input", "model", "membership"), ("winpct", "weights")),
+    "similar": (("out", "input", "model", "query"), ()),
+    "regress": (("out", "input", "model", "membership", "winpct"), ()),
 }
 
 DEFAULT_K = 4
@@ -89,15 +91,16 @@ class RunConfig:
     top: int = DEFAULT_TOP
     weights: dict[int, float] = field(default_factory=dict)
 
-    def existing_path(self, role: str) -> Path:
-        path = self.input_paths[role]
-        if not path.exists():
-            raise DataError(f"{role} file not found: {path}")
-        return path
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statspace",
         description="Reduce per-player statistics to principal components, "
         "score players and teams, rank similarity, and regress outcomes.",
@@ -198,7 +201,9 @@ def _parse_weights(text: str) -> dict[int, float]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults.
 
-    A flag in ``REQUIRED_FLAGS`` that neither gives is a usage error.
+    A needed flag in ``COMMAND_FLAGS`` that neither gives is a usage error;
+    then, once every value is parsed, a file the subcommand reads that does
+    not exist is a data error.
     """
     config = _load_config_file(args.config)
 
@@ -206,22 +211,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         return value if value is not None else config.get(key, default)
 
-    input_paths: dict[str, Path] = {}
-    for role in ("input", "model", "membership", "winpct"):
-        value = merged(role)
-        if value is not None:
-            input_paths["players" if role == "input" else role] = Path(value)
-
-    for key in REQUIRED_FLAGS[args.command]:
+    needed, optional = COMMAND_FLAGS[args.command]
+    for key in needed:
         if merged(key) is None:
             raise UsageError(f"missing required flag: --{key}")
+    input_paths = {  # in the order the files are checked
+        "players" if key == "input" else key: Path(merged(key))
+        for key in ("model", "input", "membership", "winpct")
+        if key in needed + optional and merged(key) is not None
+    }
 
     components = merged("components")
-    weights = merged("weights")
+    weights = merged("weights") if "weights" in optional else None
 
     schema = config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA)
 
-    return RunConfig(
+    resolved = RunConfig(
         input_paths=input_paths,
         filter=ingest.FilterPolicy(
             min_games=merged("min_games", 41),
@@ -237,6 +242,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         top=merged("top", DEFAULT_TOP),
         weights={} if weights is None else _parse_weights(weights),
     )
+    for role, path in input_paths.items():
+        if not path.exists():
+            raise DataError(f"{role} file not found: {path}")
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +254,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_table(config: RunConfig) -> ingest.StatTable:
-    path = config.existing_path("players")
-    records = ingest.parse_csv(path, config.schema)
+    records = ingest.parse_csv(config.input_paths["players"], config.schema)
     records = ingest.apply_filter(records, config.filter)
     return ingest.build_table(records)
-
-
-def _load_model(config: RunConfig) -> pca.PcaModel:
-    return pca.load_model(config.existing_path("model"))
 
 
 def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:
@@ -303,7 +307,7 @@ def cmd_scree(config: RunConfig) -> int:
 
 
 def _score_players(config: RunConfig) -> tuple[ingest.StatTable, pca.ScoreSet]:
-    model = _load_model(config)
+    model = pca.load_model(config.input_paths["model"])
     table = _load_table(config)
     return table, pca.transform(model, table)
 
@@ -330,24 +334,24 @@ def cmd_scores(config: RunConfig) -> int:
     return 0
 
 
-def _team_rows(config: RunConfig) -> tuple[scoring.TeamScoreSet, list[float] | None]:
+def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
     _, scores = _score_players(config)
-    membership = scoring.load_membership(config.existing_path("membership"))
+    membership = scoring.load_membership(config.input_paths["membership"])
     teams = scoring.team_scores(scores, membership)
     if "winpct" in config.input_paths:
         teams = scoring.with_win_pct(
-            teams, scoring.load_win_pct(config.existing_path("winpct"))
+            teams, scoring.load_win_pct(config.input_paths["winpct"])
         )
+    return teams
+
+
+def cmd_teams(config: RunConfig) -> int:
+    teams = _team_scores(config)
     weighted = (
         scoring.regression_weighted_score(teams, config.weights)
         if config.weights
         else None
     )
-    return teams, weighted
-
-
-def cmd_teams(config: RunConfig) -> int:
-    teams, weighted = _team_rows(config)
     records = []
     for t, code in enumerate(teams.team_codes):
         record = {
@@ -379,7 +383,7 @@ def cmd_similar(config: RunConfig) -> int:
 
 
 def cmd_regress(config: RunConfig) -> int:
-    teams, _ = _team_rows(config)
+    teams = _team_scores(config)
     fit = regression.fit_ols(
         teams.scores,
         teams.win_pct,
@@ -406,8 +410,8 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
         return COMMANDS[args.command](config)
     except StatspaceError as exc:

@@ -75,13 +75,24 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
         raise
 
 
-def nul_free(lines: Iterable[str], what: str) -> Iterator[str]:
-    """``lines`` as they are, up to one that holds a NUL byte: that raises
-    :class:`ParseError` with its line number.
+def csv_rows(lines: Iterable[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, cells)`` for each row a strict ``csv.reader`` reads
+    from ``lines``, blank rows (no cells) included. The number is that of
+    the row's last line.
 
-    ``csv.reader`` refuses NUL on Python 3.10 but keeps it in the cell from
-    3.11 on; reading through this makes it an error on every version.
+    A NUL byte or a quoting fault raises :class:`ParseError` naming ``what``
+    and the line. ``csv.reader`` refuses NUL on Python 3.10 but keeps it in
+    the cell from 3.11 on; here it is an error on every version.
     """
+    reader = csv.reader(_nul_free(lines, what), strict=True)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"malformed {what} at line {reader.line_num}: {exc}") from None
+
+
+def _nul_free(lines: Iterable[str], what: str) -> Iterator[str]:
     for number, line in enumerate(lines, 1):
         if "\x00" in line:
             raise ParseError(f"{what} line {number}: NUL byte")

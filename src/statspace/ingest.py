@@ -223,8 +223,8 @@ def parse_csv(
 
     The text is read once, then held only as its lines, which the fast path
     drops before it copies the statistics out. numpy's C reader parses it
-    wherever it reads the text as ``csv.reader(strict=True)`` does;
-    elsewhere, and on every faulty file, a ``csv.reader`` loop parses it and
+    wherever it reads the text as the strict ``files.csv_rows`` does;
+    elsewhere, and on every faulty file, a loop over that reader parses it and
     reports the fault. A path that is not UTF-8 is read again by the loop,
     line by line, so a fault before the bad byte is still the one reported.
     """
@@ -261,7 +261,7 @@ def _roles(schema: Sequence[str]) -> Roles:
     )
 
 
-# A non-empty quoted field as csv.reader(strict=True) reads one: the quote
+# A non-empty quoted field as files.csv_rows (strict) reads one: the quote
 # opens a field, quotes inside it are doubled, and the closing quote ends
 # the field. A quoted empty field keeps its quotes, and so declines.
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")+"(?![^,\r\n])')
@@ -293,7 +293,7 @@ def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
     """The table ``np.loadtxt`` reads from the text's ``lines`` (the text
     split at ``"\\n"``), or None to decline.
 
-    loadtxt is looser than ``csv.reader(strict=True)``, so this declines
+    loadtxt is looser than the strict ``files.csv_rows``, so this declines
     wherever the two could read the text differently: a NUL byte (the
     loop refuses it, and numpy strings drop a trailing one), a
     header that is not one physical line without quotes, no data rows
@@ -390,19 +390,17 @@ def _loop_takes_counts(counts: np.ndarray) -> bool:
 
 
 def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
-    """Parse ``lines`` row by row with ``csv.reader(strict=True)``.
+    """Parse ``lines`` row by row through :func:`files.csv_rows`.
 
     The reference parse, and the one that reports every fault.
     """
     id_col, name_col, team_col, games_col, minutes_col = roles
     schema = [c for c in roles if c is not None]
-    reader = csv.reader(files.nul_free(lines, "players CSV"), strict=True)
+    rows = files.csv_rows(lines, "players CSV")
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise ParseError("empty input: header row required") from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV at line 1: {exc}") from None
 
     dupes = _duplicates(header)
     if dupes:
@@ -425,26 +423,17 @@ def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
     games: list[int] = []
     minutes: list[float] = []
     cells: list[str] = []  # stat cells, row after row
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise ParseError(
-                f"malformed CSV at line {reader.line_num}: {exc}"
-            ) from None
+    for line, row in rows:
         if not row:
             continue  # blank line
         if len(row) != len(header):
             raise ParseError(
-                f"ragged row at line {reader.line_num}: expected "
-                f"{len(header)} cells, got {len(row)}"
+                f"ragged row at line {line}: expected {len(header)} cells, got {len(row)}"
             )
         name = row[name_i]
         player_id = row[id_i] if id_i is not None else name
-        n_games = _parse_count(row[games_i], games_col, reader.line_num)
-        n_minutes = _parse_number(row[minutes_i], minutes_col, reader.line_num)
+        n_games = _parse_count(row[games_i], games_col, line)
+        n_minutes = _parse_number(row[minutes_i], minutes_col, line)
         _check_counts(player_id, n_games, n_minutes)
         ids.append(player_id)
         names.append(name)

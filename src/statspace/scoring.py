@@ -8,7 +8,6 @@ how traded players' minutes split across teams is the caller's call.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -165,22 +164,13 @@ def _read_two_columns(
 ) -> list[tuple[int, tuple[str, str]]]:
     """Rows of a two-column CSV; a leading row equal to ``header`` is skipped."""
     with files.opened(source) as fh:
-        reader = csv.reader(files.nul_free(fh, f"{what} CSV"), strict=True)
         rows = []
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ParseError(
-                        f"{what} CSV line {reader.line_num}: expected 2 cells, "
-                        f"got {len(row)}"
-                    )
-                rows.append((reader.line_num, (row[0], row[1])))
-        except csv.Error as exc:
-            raise ParseError(
-                f"malformed {what} CSV at line {reader.line_num}: {exc}"
-            ) from None
+        for line, row in files.csv_rows(fh, f"{what} CSV"):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"{what} CSV line {line}: expected 2 cells, got {len(row)}")
+            rows.append((line, (row[0], row[1])))
         if rows and rows[0][1] == header:
             rows = rows[1:]
         if not rows:

@@ -51,13 +51,19 @@ def sdi(
     ``components=None`` means every component. Symmetric in its arguments and
     exactly zero for identical profiles.
     """
-    k = min(len(a), len(b))
-    comps = _checked_components(components, k)
-    total = 0.0
+    comps = _checked_components(components, min(len(a), len(b)))
+    rows = np.asarray(b, dtype=float)[None]
+    return float(_sums(np.asarray(a, dtype=float), rows, comps)[0])
+
+
+def _sums(query: np.ndarray, rows: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
+    """The index of ``query`` against each of ``rows``: squared differences
+    added up over ``comps`` in order."""
+    totals = np.zeros(len(rows))
     for c in comps:
-        d = float(a[c]) - float(b[c])
-        total += d * d
-    return total
+        d = query[c] - rows[:, c]
+        totals += d * d
+    return totals
 
 
 def rank_similar(
@@ -76,12 +82,7 @@ def rank_similar(
     if query_id not in scores.row_index:
         raise EntityLookupError(f"unknown query entity {query_id!r}")
     comps = _checked_components(components, scores.k)
-    query_row = scores.row(query_id)
-    # the same sum as `sdi`, in the same component order, so the same bits
-    totals = np.zeros(len(scores.entity_ids))
-    for c in comps:
-        d = query_row[c] - scores.scores[:, c]
-        totals += d * d
+    totals = _sums(scores.row(query_id), scores.scores, comps)
     ranked = sorted(
         (value, entity_id)
         for value, entity_id in zip(totals.tolist(), scores.entity_ids)

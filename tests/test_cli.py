@@ -325,6 +325,15 @@ class TestRegress:
         assert abs(coefs["PC3"] + 0.20) < 1e-9
         assert abs(coefs["PC4"] - 0.09) < 1e-9
 
+    def test_does_not_read_weights(self, players_csv, membership_csv, tmp_path, capsys):
+        # only teams reads --weights; component 9 is out of range for k=4
+        out = tmp_path / "out"
+        argvs = _chain(players_csv, membership_csv, tmp_path, out, "csv")
+        _run_chain(capsys, argvs)
+        written = {name: (out / name).read_bytes() for name in ("regression.csv", "regression.txt")}
+        assert run(capsys, *argvs[-1], "--weights", "9=0.1") == (0, "")
+        assert {name: (out / name).read_bytes() for name in written} == written
+
     def test_requires_winpct(self, players_csv, membership_csv, tmp_path, capsys):
         out = tmp_path / "out"
         run(capsys, "fit", "--input", str(players_csv), "--out", str(out))
@@ -380,6 +389,109 @@ class TestRequiredFlags:
         )
         assert code == 0, err
         assert (out / "teams.csv").exists()
+
+
+class TestInputFiles:
+    """Each file a subcommand reads must exist before any file is read."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("scores", "model"),
+            ("teams", "membership"),
+            ("teams", "winpct"),
+            ("regress", "membership"),
+            ("regress", "winpct"),
+        ],
+    )
+    def test_missing_file_found_before_players_parse(
+        self, players_csv, membership_csv, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        winpct = tmp_path / "winpct.csv"
+        winpct.write_text("ATL,0.5\n", encoding="utf-8")
+        paths = {"model": out / "model.json", "membership": membership_csv, "winpct": winpct}
+        missing = tmp_path / "nope.csv"
+        paths[flag] = missing
+        if command == "scores":
+            del paths["membership"], paths["winpct"]
+
+        def parse_csv(*args, **kwargs):
+            raise AssertionError("the players CSV was parsed")
+
+        monkeypatch.setattr(ingest, "parse_csv", parse_csv)
+        given = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
+        code, err = run(
+            capsys, command, "--input", str(players_csv), "--out", str(out), *given
+        )
+        assert code == 3
+        assert _one_error_line(err) == {
+            "error": f"{flag} file not found: {missing}",
+            "category": "data",
+            "exit_code": 3,
+        }
+
+    def test_bad_flag_value_reported_before_missing_file(self, players_csv, tmp_path, capsys):
+        code, err = run(
+            capsys,
+            "teams", "--input", str(players_csv), "--model", str(tmp_path / "none.json"),
+            "--membership", str(tmp_path / "none.csv"), "--weights", "2=nan",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "finite" in _one_error_line(err)["error"]
+
+    def test_files_a_subcommand_does_not_read_are_not_checked(
+        self, players_csv, tmp_path, capsys
+    ):
+        # one config file for the chain: the model is not written until fit ends
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        doc = {
+            "input": str(players_csv),
+            "out": str(out),
+            "model": str(out / "model.json"),
+            "membership": str(tmp_path / "later.csv"),
+            "winpct": str(tmp_path / "later.csv"),
+            "query": "p01",
+        }
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("fit", "scree", "scores", "similar"):
+            assert run(capsys, command, "--config", str(config)) == (0, ""), command
+        assert sorted(p.name for p in out.iterdir()) == [
+            "model.json", "scores.csv", "scree.csv", "similar.csv"
+        ]
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--bogus"], "unrecognized arguments: --bogus"),
+            (["fit", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+            (["fit", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "not-an-int", "bad-choice", "no-subcommand"],
+    )
+    def test_one_json_line(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        diagnostic = _one_error_line(captured.err)
+        assert diagnostic["error"].startswith(message)
+        assert (diagnostic["category"], diagnostic["exit_code"]) == ("usage", 2)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_keeps_its_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: statspace {' '.join(argv[:-1])}".rstrip())
+        assert captured.err == ""
 
 
 class TestEmit:
@@ -479,10 +591,12 @@ class TestReproducibility:
 
 
 class TestColdStart:
-    def test_only_regress_loads_scipy(self, players_csv, membership_csv, tmp_path):
-        # a fresh process: this one has imported scipy already
+    def test_no_subcommand_loads_scipy(self, players_csv, membership_csv, tmp_path):
+        # a fresh process, with scipy importable: this one has imported it already
         argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
-        assert argvs[-1][0] == "regress"
+        assert [argv[0] for argv in argvs] == [
+            "fit", "scree", "scores", "teams", "similar", "regress"
+        ]
         script = textwrap.dedent(
             """
             import json, sys
@@ -494,7 +608,7 @@ class TestColdStart:
         )
         src = str(Path(statspace.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs[:-1])],
+            [sys.executable, "-c", script, json.dumps(argvs)],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=120,
         )

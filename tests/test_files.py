@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from statspace import files
+from statspace.errors import ParseError
 
 
 class TestAtomicWrite:
@@ -31,6 +33,34 @@ class TestAtomicWrite:
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestCsvRows:
+    def test_rows_numbered_by_their_last_line(self):
+        text = 'a,b\n\n"x\ny",z\r\nc,d'
+        assert list(files.csv_rows(io.StringIO(text, newline=""), "t CSV")) == [
+            (1, ["a", "b"]),
+            (2, []),
+            (4, ["x\ny", "z"]),
+            (5, ["c", "d"]),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('a,b\n"x,y\nc,d\n', "malformed t CSV at line 3: "),
+            ('a,b\n"x"y,z\n', "malformed t CSV at line 2: "),
+            ('a,b\n"x\x00"\n', "t CSV line 2: NUL byte"),
+        ],
+        ids=["unbalanced-quote", "text-after-quote", "nul"],
+    )
+    def test_faults_are_parse_errors(self, text, message):
+        # the csv module's own words follow the prefix, and may vary by version
+        rows = files.csv_rows(io.StringIO(text, newline=""), "t CSV")
+        assert next(rows) == (1, ["a", "b"])
+        with pytest.raises(ParseError) as raised:
+            next(rows)
+        assert str(raised.value).startswith(message)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
