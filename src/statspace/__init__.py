@@ -6,6 +6,8 @@ the component space, rank profile similarity by squared score distance, and
 regress team outcomes on component scores.
 """
 
+from importlib import import_module
+
 from .errors import (
     AggregationError,
     ConvergenceError,
@@ -23,40 +25,38 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .ingest import (
-    DEFAULT_SCHEMA,
-    FilterPolicy,
-    RawRecord,
-    RawTable,
-    StatTable,
-    apply_filter,
-    build_table,
-    parse_csv,
-)
-from .pca import (
-    PcaModel,
-    ScoreSet,
-    StandardizationParams,
-    component_spectrum,
-    explained_variance_ratio,
-    fit_pca,
-    load_model,
-    model_from_json,
-    model_to_json,
-    save_model,
-    standardize,
-    top_loadings,
-    transform,
-)
-from .regression import RegressionFit, fit_ols, t_cdf
-from .scoring import (
-    TeamScoreSet,
-    load_membership,
-    load_win_pct,
-    regression_weighted_score,
-    team_scores,
-    with_win_pct,
-)
-from .similarity import SdiRanking, rank_similar, sdi
+# The rest of the API is imported on first use (PEP 562), so that importing
+# the package imports no numpy: the CLI sets numpy's BLAS threads first.
+_EXPORTS = {
+    "ingest": (
+        "DEFAULT_SCHEMA", "FilterPolicy", "RawRecord", "RawTable", "StatTable",
+        "apply_filter", "build_table", "parse_csv",
+    ),
+    "pca": (
+        "PcaModel", "ScoreSet", "StandardizationParams", "component_spectrum",
+        "explained_variance_ratio", "fit_pca", "load_model", "model_from_json",
+        "model_to_json", "save_model", "standardize", "top_loadings", "transform",
+    ),
+    "regression": ("RegressionFit", "fit_ols", "t_cdf"),
+    "scoring": (
+        "TeamScoreSet", "load_membership", "load_win_pct", "regression_weighted_score",
+        "team_scores", "with_win_pct",
+    ),
+    "similarity": ("SdiRanking", "rank_similar", "sdi"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"

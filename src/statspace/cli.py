@@ -16,21 +16,33 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# One BLAS thread unless the caller chose a number. The matrices here are a
+# few hundred columns wide at most, so a thread pool gains nothing, and
+# starting it slows every process. OpenBLAS reads these when numpy loads it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from . import files, ingest, pca, regression, scoring, similarity
-from .errors import (
+import numpy as np  # noqa: E402
+
+# Modules only some subcommands use are imported where those run.
+from . import files, ingest, pca  # noqa: E402
+from .errors import (  # noqa: E402
     DataError,
     NumericalError,
     ParameterError,
     StatspaceError,
     UsageError,
 )
+
+if TYPE_CHECKING:
+    from . import scoring
 
 SCHEMA_KEY = "schema"
 # Config-file keys, each with the JSON types its value may have. Every flag
@@ -60,14 +72,14 @@ CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
 FORMATS = ("csv", "json")
 # Per subcommand: the flags it needs, then the files and values it reads if
 # given (as flags or config keys). The needed flags are checked first, then
-# every listed file must exist, all before any file is read. Unlisted files
-# go unchecked, so one config file can serve the whole chain.
+# the values it reads, then every listed file must exist, all before any
+# file is read. Unlisted ones go unchecked: one config serves the chain.
 COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "fit": (("out", "input"), ()),
+    "fit": (("out", "input"), ("k",)),
     "scree": (("out", "input"), ()),
     "scores": (("out", "input", "model"), ()),
     "teams": (("out", "input", "model", "membership"), ("winpct", "weights")),
-    "similar": (("out", "input", "model", "query"), ()),
+    "similar": (("out", "input", "model", "query"), ("top",)),
     "regress": (("out", "input", "model", "membership", "winpct"), ()),
 }
 
@@ -186,11 +198,14 @@ def _parse_weights(text: str) -> dict[int, float]:
             continue
         try:
             number, value = part.split("=")
-            weights[int(number) - 1] = float(value)
+            component, weight = int(number) - 1, float(value)
         except ValueError:
             raise ParameterError(
                 f"bad --weights entry {part!r}; expected like 2=0.17"
             ) from None
+        if component in weights:
+            raise ParameterError(f"--weights gives component {component + 1} more than once")
+        weights[component] = weight
     if any(c < 0 for c in weights):
         raise ParameterError("--weights needs 1-based component numbers")
     if not all(math.isfinite(w) for w in weights.values()):
@@ -201,9 +216,10 @@ def _parse_weights(text: str) -> dict[int, float]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults.
 
-    A needed flag in ``COMMAND_FLAGS`` that neither gives is a usage error;
-    then, once every value is parsed, a file the subcommand reads that does
-    not exist is a data error.
+    A needed flag in ``COMMAND_FLAGS`` that neither gives is a usage error,
+    and so is a value out of the range that needs no data, or an ``--out``
+    that is, or lies under, an existing file; then, once every value is
+    parsed, a file the subcommand reads that does not exist is a data error.
     """
     config = _load_config_file(args.config)
 
@@ -220,6 +236,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key in ("model", "input", "membership", "winpct")
         if key in needed + optional and merged(key) is not None
     }
+    for key, default in (("k", DEFAULT_K), ("top", DEFAULT_TOP)):
+        if key in optional and merged(key, default) < 1:
+            raise ParameterError(f"{key} must be >= 1, got {merged(key, default)}")
+    output_dir = Path(merged("out"))
+    existing = next(path for path in (output_dir, *output_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise UsageError(f"output directory {output_dir}: {existing} is not a directory")
 
     components = merged("components")
     weights = merged("weights") if "weights" in optional else None
@@ -235,7 +258,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         ),
         k=merged("k", DEFAULT_K),
         components_for_sdi=None if components is None else _parse_components(components),
-        output_dir=Path(merged("out")),
+        output_dir=output_dir,
         output_format=merged("format", "csv"),
         schema=tuple(schema),
         query=merged("query"),
@@ -254,7 +277,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_table(config: RunConfig) -> ingest.StatTable:
-    records = ingest.parse_csv(config.input_paths["players"], config.schema)
+    records = ingest.parse_csv(config.input_paths["players"], config.schema, config.filter)
     records = ingest.apply_filter(records, config.filter)
     return ingest.build_table(records)
 
@@ -335,6 +358,7 @@ def cmd_scores(config: RunConfig) -> int:
 
 
 def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
+    from . import scoring
     _, scores = _score_players(config)
     membership = scoring.load_membership(config.input_paths["membership"])
     teams = scoring.team_scores(scores, membership)
@@ -346,6 +370,7 @@ def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
 
 
 def cmd_teams(config: RunConfig) -> int:
+    from . import scoring
     teams = _team_scores(config)
     weighted = (
         scoring.regression_weighted_score(teams, config.weights)
@@ -369,6 +394,7 @@ def cmd_teams(config: RunConfig) -> int:
 
 
 def cmd_similar(config: RunConfig) -> int:
+    from . import similarity
     table, scores = _score_players(config)
     ranking = similarity.rank_similar(
         scores, config.query, config.top, config.components_for_sdi
@@ -383,6 +409,7 @@ def cmd_similar(config: RunConfig) -> int:
 
 
 def cmd_regress(config: RunConfig) -> int:
+    from . import regression
     teams = _team_scores(config)
     fit = regression.fit_ols(
         teams.scores,

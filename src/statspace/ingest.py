@@ -2,7 +2,8 @@
 
 The pipeline is parse -> filter -> build: ``parse_csv`` reads a CSV once into
 a column-major :class:`RawTable` (metadata vectors plus one float matrix,
-NaN for a missing cell) that indexes as :class:`RawRecord` rows;
+NaN for a missing cell; given the policy, only the columns it keeps) that
+indexes as :class:`RawRecord` rows;
 ``apply_filter`` enforces the record/column retention policy as row and
 column indices into that table; and ``build_table`` assembles a fully
 numeric :class:`StatTable` (rejecting, never imputing, missing values).
@@ -211,15 +212,18 @@ def _parse_stat(cell: str) -> float:
 def parse_csv(
     source: files.Target,
     schema: Sequence[str] = DEFAULT_SCHEMA,
+    policy: FilterPolicy | None = None,
 ) -> RawTable:
     """Parse a players CSV into a column-major :class:`RawTable`.
 
     ``schema`` names, in role order, the metadata columns holding
     (player_id, player_name, team_code, games_played, minutes); with four
     names the player name doubles as the id. Every other header column is a
-    statistic. Unparseable or non-finite stat cells become NaN (missing);
-    malformed structure raises :class:`ParseError` with the line number, and
-    the first fault in the file is the one reported.
+    statistic; given a ``policy``, only those it keeps are parsed and
+    returned, while ``apply_filter`` still decides the rows. Unparseable or
+    non-finite stat cells become NaN (missing); malformed structure raises
+    :class:`ParseError` with the line number, and the first fault in the
+    file is the one reported.
 
     The text is read once, then held only as its lines, which the fast path
     drops before it copies the statistics out. numpy's C reader parses it
@@ -235,15 +239,15 @@ def parse_csv(
         if not isinstance(source, (str, Path)):
             raise
         with files.opened(source) as stream:
-            return _parse_rows(stream, roles)
+            return _parse_rows(stream, roles, policy)
     lines = text.split("\n")
     del text  # "\n".join(lines) is the text again; the fast path may drop it
     try:
-        table = _parse_fast(lines, roles)
+        table = _parse_fast(lines, roles, policy)
     except ValueError:  # a row or cell loadtxt rejects; the loop decides
         table = None
     if table is None:
-        table = _parse_rows(io.StringIO("\n".join(lines), newline=""), roles)
+        table = _parse_rows(io.StringIO("\n".join(lines), newline=""), roles, policy)
     return table
 
 
@@ -259,6 +263,14 @@ def _roles(schema: Sequence[str]) -> Roles:
     raise ParameterError(
         f"schema must list 4 or 5 metadata column names, got {len(schema)}"
     )
+
+
+def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy | None) -> list[str]:
+    """The ``stat_names`` that ``policy`` keeps, in order; None keeps all."""
+    if policy is None or policy.column_mode != "rate-only":
+        return list(stat_names)
+    patterns = policy.excluded_column_patterns
+    return [n for n in stat_names if not any(fnmatchcase(n, p) for p in patterns)]
 
 
 # A non-empty quoted field as files.csv_rows (strict) reads one: the quote
@@ -289,24 +301,27 @@ def _has_empty_field(lines: list[str]) -> bool:
     return False
 
 
-def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
+def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> RawTable | None:
     """The table ``np.loadtxt`` reads from the text's ``lines`` (the text
     split at ``"\\n"``), or None to decline.
 
     loadtxt is looser than the strict ``files.csv_rows``, so this declines
-    wherever the two could read the text differently: a NUL byte (the
-    loop refuses it, and numpy strings drop a trailing one), a
-    header that is not one physical line without quotes, no data rows
-    (loadtxt warns), a quote csv would reject or a quoted line end, a line
-    longer than ``csv.field_size_limit()``, or a row whose delimiters
-    outside quotes are not the header's. It also declines on a count that
-    is not finite, whole and non-negative, or a games count of 2**63 or
-    more, so the loop reports those. It declines first of all on an empty
-    cell, the usual missing value, or on text that looks like one inside
-    quotes, so that such a file costs the loop one scan more. loadtxt
-    itself raises ValueError on a cell its float parser rejects (``n/a``,
-    ``1_000``), but only once it has parsed the rows before it; its parser
-    accepts a subset of what ``float()`` does, with the same values.
+    wherever the two could read the text differently: a NUL byte (the loop
+    refuses it, and numpy strings drop a trailing one), a header that is
+    not one physical line without quotes, no data rows (loadtxt warns), a
+    quote csv would reject, a quoted line end or a ``"\\r"`` inside a row,
+    a line longer than ``csv.field_size_limit()``, or a row whose
+    delimiters outside quotes are not the header's. It also declines on a
+    count that is not finite, whole and non-negative, or a games count of
+    2**63 or more, so the loop reports those. It declines first of all on
+    an empty cell, the usual missing value, or on text that looks like one
+    inside quotes, so that such a file costs the loop one scan more.
+    loadtxt itself raises ValueError on a cell its float parser rejects
+    (``n/a``, ``1_000``) in a column it converts (games, minutes and the
+    stat columns ``policy`` keeps), but only once it has parsed the rows
+    before it; its parser accepts a subset of what ``float()`` does, with
+    the same values. The label cells come from the loop that checks each
+    row's delimiters.
 
     Once the table is certain, ``lines`` is emptied, so the text is gone
     before the stats are copied out; a decline or a ValueError leaves it
@@ -316,6 +331,8 @@ def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
         return None
     if _has_empty_field(lines):
         return None  # loadtxt would raise on an empty cell, after the rows before it
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
     header_line = lines[0].removesuffix("\r")
     if '"' in header_line or "\r" in header_line:
         return None
@@ -328,34 +345,43 @@ def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
     # A row with the header's delimiters outside quotes has exactly the
     # header's cells for loadtxt and for csv.reader. Blank lines both skip.
     delimiters = len(header) - 1
-    rows = 0
+    id_col, name_col, team_col, games_col, minutes_col = roles
+    # the label cells; with no id column, the name is the id
+    id_j, name_j, team_j = (col_index[c] for c in (id_col or name_col, name_col, team_col))
+    splits = max(id_j, name_j, team_j) + 1
+    player_ids: list[str] = []
+    player_names: list[str] = []
+    team_codes: list[str] = []
     for line in lines[1:]:
-        if '"' in line:
-            line = _QUOTED_FIELD.sub("", line)
-            if '"' in line:
-                return None
-        if line.count(",") == delimiters:
-            rows += 1
-        elif line not in ("", "\r"):
+        quoted = '"' in line
+        unquoted = _QUOTED_FIELD.sub("", line) if quoted else line
+        if quoted and '"' in unquoted:
             return None
-    if rows == 0:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
+        if unquoted.count(",") != delimiters or unquoted.find("\r", 0, -1) >= 0:
+            if unquoted in ("", "\r"):
+                continue
+            return None  # ragged, or a line end csv reads inside the row
+        cells = unquoted.split(",", splits)
+        if splits > delimiters:  # a label in the last column: no line end
+            cells[-1] = cells[-1].removesuffix("\r")
+        if quoted:  # each quoted field left an empty cell; csv reads the field
+            fields = iter(_QUOTED_FIELD.findall(line))
+            cells = [
+                cell or next(files.csv_rows([next(fields)], "players CSV"))[1][0]
+                for cell in cells[:splits]
+            ]
+        player_ids.append(cells[id_j])
+        player_names.append(cells[name_j])
+        team_codes.append(cells[team_j])
+    if not player_ids:
         return None
 
-    games_col, minutes_col = roles[3:]
-    stat_names = [name for name in header if name not in roles]
+    stat_names = _kept_stats([name for name in header if name not in roles], policy)
     numbers = np.loadtxt(
         lines,
         dtype=float,
         usecols=[col_index[games_col], col_index[minutes_col]]
         + [col_index[name] for name in stat_names],
-        **_LOADTXT,
-    )
-    labels = np.loadtxt(  # (id,) name, team: with no id column, the name is the id
-        lines,
-        dtype=object,
-        usecols=[col_index[c] for c in roles[:3] if c is not None],
         **_LOADTXT,
     )
     if not _loop_takes_counts(numbers[:, :2]):
@@ -367,9 +393,9 @@ def _parse_fast(lines: list[str], roles: Roles) -> RawTable | None:
     del numbers
     values[~np.isfinite(values)] = np.nan
     return RawTable(
-        player_ids=labels[:, 0].tolist(),
-        player_names=labels[:, -2].tolist(),
-        team_codes=labels[:, -1].tolist(),
+        player_ids=player_ids,
+        player_names=player_names,
+        team_codes=team_codes,
         games_played=games_played,
         minutes_total=minutes_total,
         stat_names=stat_names,
@@ -389,7 +415,7 @@ def _loop_takes_counts(counts: np.ndarray) -> bool:
     )
 
 
-def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
+def _parse_rows(lines: Iterable[str], roles: Roles, policy: FilterPolicy | None) -> RawTable:
     """Parse ``lines`` row by row through :func:`files.csv_rows`.
 
     The reference parse, and the one that reports every fault.
@@ -410,8 +436,7 @@ def _parse_rows(lines: Iterable[str], roles: Roles) -> RawTable:
         raise SchemaError(f"header is missing metadata columns: {missing}")
 
     col_index = {name: i for i, name in enumerate(header)}
-    meta_cols = set(schema)
-    stat_names = [name for name in header if name not in meta_cols]
+    stat_names = _kept_stats([name for name in header if name not in schema], policy)
     stat_idx = [col_index[name] for name in stat_names]
     id_i = col_index[id_col] if id_col else None
     name_i, team_i = col_index[name_col], col_index[team_col]
@@ -489,13 +514,8 @@ def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable
         if (row_counts[player_id] == 1 or team == COMBINED_TEAM_CODE)
         and n_games >= policy.min_games
     ]
-    cols = list(range(len(table.stat_names)))
-    if policy.column_mode == "rate-only" and policy.excluded_column_patterns:
-        cols = [
-            j
-            for j in cols
-            if not _excluded(table.stat_names[j], policy.excluded_column_patterns)
-        ]
+    kept = set(_kept_stats(table.stat_names, policy))
+    cols = [j for j, name in enumerate(table.stat_names) if name in kept]
     return RawTable(
         player_ids=[table.player_ids[i] for i in rows],
         player_names=[table.player_names[i] for i in rows],
@@ -505,10 +525,6 @@ def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable
         stat_names=[table.stat_names[j] for j in cols],
         values=table.values[np.ix_(rows, cols)],
     )
-
-
-def _excluded(name: str, patterns: list[str]) -> bool:
-    return any(fnmatchcase(name, pattern) for pattern in patterns)
 
 
 def build_table(records: Sequence[RawRecord]) -> StatTable:

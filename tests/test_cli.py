@@ -464,6 +464,65 @@ class TestInputFiles:
         ]
 
 
+class TestValueChecks:
+    """A value out of range, or an --out that cannot be a directory, exits 2
+    before any input is read."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["similar", "--query", "p01", "--top", "0"], "top must be >= 1, got 0"),
+            (["fit", "--k", "0"], "k must be >= 1, got 0"),
+            (["fit", "--min-games", "-5"], "min_games must be >= 0, got -5"),
+            (
+                ["teams", "--membership", "m.csv", "--weights", "2=1,2=3"],
+                "--weights gives component 2 more than once",
+            ),
+        ],
+        ids=["top", "k", "min-games", "repeated-weight"],
+    )
+    def test_before_any_input_is_read(
+        self, players_csv, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def parse_csv(*args, **kwargs):
+            raise AssertionError("the players CSV was parsed")
+
+        monkeypatch.setattr(ingest, "parse_csv", parse_csv)
+        code, err = run(
+            capsys,
+            *argv, "--input", str(players_csv), "--model", str(tmp_path / "none.json"),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+
+    def test_values_a_subcommand_does_not_read_are_not_checked(
+        self, players_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = ["--input", str(players_csv), "--out", str(out), "--top", "0"]
+        assert run(capsys, "fit", *argv) == (0, "")
+        assert run(capsys, "scree", *argv, "--k", "0") == (0, "")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file(self, players_csv, tmp_path, capsys, monkeypatch, under):
+        def parse_csv(*args, **kwargs):
+            raise AssertionError("the players CSV was parsed")
+
+        monkeypatch.setattr(ingest, "parse_csv", parse_csv)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        out = taken / "sub" if under else taken
+        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(out))
+        assert code == 2
+        assert _one_error_line(err) == {
+            "error": f"output directory {out}: {taken} is not a directory",
+            "category": "usage",
+            "exit_code": 2,
+        }
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 class TestArgparseErrors:
     @pytest.mark.parametrize(
         "argv, message",
@@ -649,6 +708,56 @@ class TestColdStart:
         pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
         runtime = re.search(r"^\[project\]$.*?^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
         assert "numpy" in runtime.group(1) and "scipy" not in runtime.group(1)
+
+
+    def test_import_statspace_leaves_numpy_unimported(self):
+        script = "import sys, statspace; print('numpy' in sys.modules)"
+        src = str(Path(statspace.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False"]
+
+    @pytest.mark.parametrize(
+        "caller, numpy_first, want",
+        [
+            ({}, False, ["1", "1", "1"]),
+            ({"OMP_NUM_THREADS": "2"}, False, [None, "2", None]),
+            ({}, True, [None, None, None]),
+        ],
+        ids=["unset", "caller-set", "numpy-first"],
+    )
+    def test_cli_runs_blas_on_one_thread_unless_told(self, caller, numpy_first, want):
+        # `python -m statspace.cli --help`, then the variables it left
+        script = textwrap.dedent(
+            """
+            import json, os, runpy, sys
+            numpy_first, names = sys.argv[1] == "True", json.loads(sys.argv[2])
+            if numpy_first:
+                import numpy
+            sys.argv[1:] = ["--help"]
+            try:
+                runpy.run_module("statspace.cli", run_name="__main__", alter_sys=True)
+            except SystemExit as stop:
+                assert stop.code == 0, stop.code
+            print(json.dumps([os.environ.get(name) for name in names]))
+            """
+        )
+        names = list(cli.BLAS_THREAD_VARS)
+        assert names == ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        src = str(Path(statspace.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(numpy_first), json.dumps(names)],
+            env={**env, **caller, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: statspace" in done.stdout
+        assert json.loads(done.stdout.splitlines()[-1]) == want
 
 
 class TestConfigFile:

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
@@ -182,17 +183,37 @@ QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
 )
 
 
-def _fast(text, roles=ROLES5):
+def _fast(text, roles=ROLES5, policy=None):
     """The fast path's table, or None where it declines or raises."""
     try:
-        return ingest._parse_fast(text.split("\n"), roles)
+        return ingest._parse_fast(text.split("\n"), roles, policy)
     except ValueError:
         return None
 
 
 def _loop(text, roles=ROLES5):
     """The csv loop's table, the reference."""
-    return ingest._parse_rows(io.StringIO(text, newline=""), roles)
+    return ingest._parse_rows(io.StringIO(text, newline=""), roles, None)
+
+
+def _kept_columns(table, policy):
+    """``table`` with only the stat columns ``policy`` keeps, chosen here by fnmatch."""
+    if policy is None or policy.column_mode != "rate-only":
+        return table
+    keep = [
+        j
+        for j, name in enumerate(table.stat_names)
+        if not any(fnmatchcase(name, p) for p in policy.excluded_column_patterns)
+    ]
+    return RawTable(
+        player_ids=table.player_ids,
+        player_names=table.player_names,
+        team_codes=table.team_codes,
+        games_played=table.games_played,
+        minutes_total=table.minutes_total,
+        stat_names=[table.stat_names[j] for j in keep],
+        values=table.values[:, keep],
+    )
 
 
 def _outcome(parse, text):
@@ -287,6 +308,20 @@ def csv_texts(draw):
     return schema, text.removesuffix(eol) if draw(st.booleans()) else text
 
 
+@st.composite
+def policies(draw):
+    """None, or a policy whose patterns may match some of csv_texts' stat names."""
+    mode = draw(st.sampled_from([None, "all", "rate-only"]))
+    if mode is None:
+        return None
+    patterns = st.sampled_from(["s", "t*", "[su]", "*", "x", 'q"', "c,d"])
+    return FilterPolicy(
+        min_games=draw(st.integers(0, 90)),
+        column_mode=mode,
+        excluded_column_patterns=draw(st.lists(patterns, max_size=3)),
+    )
+
+
 # Files the fast path gives to the loop only after it has split the text
 # into lines: a cell loadtxt rejects on the last row, a count loadtxt reads
 # but the loop refuses, and a row with a cell too many.
@@ -303,19 +338,25 @@ class TestFastPath:
 
     @pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
     @settings(max_examples=600, deadline=None)
-    @given(case=csv_texts())
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[0]))
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[1]))
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[2]))
-    def test_paths_agree(self, case):
+    @given(case=csv_texts(), policy=policies())
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[0]), policy=None)
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[1]), policy=None)
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[2]), policy=None)
+    @example(case=(SCHEMA4, 'name,team,gp,min\ncr\rname,"N,Y",0,1200.5\n'), policy=None)
+    def test_paths_agree(self, case, policy):
+        # both parses convert only the kept columns; the loop over all of
+        # them, filtered afterwards, is the reference
         schema, text = case
         roles = ingest._roles(schema)
-        want = _outcome(lambda t: _loop(t, roles), text)
-        fast = _fast(text, roles)
+        loop = _outcome(lambda t: _loop(t, roles), text)
+        want = loop if isinstance(loop, Exception) else _kept_columns(loop, policy)
+        fast = _fast(text, roles, policy)
         if fast is not None:
             _assert_same_outcome(fast, want)
-        got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), schema), text)
+        got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), schema, policy), text)
         _assert_same_outcome(got, want)
+        if policy is not None and isinstance(loop, RawTable):
+            _assert_same_outcome(apply_filter(got, policy), apply_filter(loop, policy))
 
     @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
     def test_taken_for_quoted_doubled_quote_names(self, monkeypatch, schema):
@@ -347,8 +388,34 @@ class TestFastPath:
             raise AssertionError("loadtxt ran")
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        assert ingest._parse_fast(text.split("\n"), ROLES5) is None
+        assert ingest._parse_fast(text.split("\n"), ROLES5, None) is None
         _assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
+
+    @pytest.mark.parametrize("missing", ["n/a", "NA"])
+    def test_unparseable_cell_in_dropped_column_keeps_fast_path(self, monkeypatch, missing):
+        text = (
+            "pid,name,team,gp,min,a_rate,b_total,c_rate\r\n"
+            f"p0,A,BOS,50,1200,1.5,{missing},2.5\r\n"
+            f'p1,"B, Jr.",NYK,60,1300,3.5,40,4.5\r\n'
+        )
+        policy = FilterPolicy(column_mode="rate-only", excluded_column_patterns=["*_total"])
+        want = _kept_columns(_loop(text), policy)
+        assert want.values.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+
+        def loop(*args):
+            raise AssertionError("the csv loop ran")
+
+        monkeypatch.setattr(ingest, "_parse_rows", loop)
+        _assert_same_outcome(parse_csv(io.StringIO(text, newline=""), SCHEMA5, policy), want)
+
+    @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
+    def test_label_in_last_column_drops_line_end(self, schema):
+        text = "pid,name,gp,min,a,team\r\np0,N0,50,1200,1.5,T0\r\np1,N1,60,1300,2.5,T1\r\n"
+        if schema == SCHEMA4:
+            text = re.sub("^p.*?,", "", text, flags=re.M)  # drop the id column
+        table = _fast(text, ingest._roles(schema))
+        assert table.team_codes == ["T0", "T1"]
+        assert table.player_names == ["N0", "N1"]
 
     def test_declines_text_after_closing_quote(self):
         text = 'pid,name,team,gp,min,a\np1,"x"y,BOS,50,1200,1.0\n'
