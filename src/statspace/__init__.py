@@ -6,7 +6,7 @@ the component space, rank profile similarity by squared score distance, and
 regress team outcomes on component scores.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 from .errors import (
     AggregationError,
@@ -45,12 +45,13 @@ _EXPORTS = {
     "similarity": ("SdiRanking", "rank_similar", "sdi"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_MODULE_OF)
 
 
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
 
