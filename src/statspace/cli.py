@@ -79,7 +79,7 @@ COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "scree": (("out", "input"), ()),
     "scores": (("out", "input", "model"), ()),
     "teams": (("out", "input", "model", "membership"), ("winpct", "weights")),
-    "similar": (("out", "input", "model", "query"), ("top",)),
+    "similar": (("out", "input", "model", "query"), ("top", "components")),
     "regress": (("out", "input", "model", "membership", "winpct"), ()),
 }
 
@@ -244,7 +244,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not existing.is_dir():
         raise UsageError(f"output directory {output_dir}: {existing} is not a directory")
 
-    components = merged("components")
+    components = merged("components") if "components" in optional else None
     weights = merged("weights") if "weights" in optional else None
 
     schema = config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA)
@@ -331,6 +331,13 @@ def cmd_scree(config: RunConfig) -> int:
 
 def _score_players(config: RunConfig) -> tuple[ingest.StatTable, pca.ScoreSet]:
     model = pca.load_model(config.input_paths["model"])
+    # flags that name components are checked against the model before the parse
+    if config.components_for_sdi is not None:
+        from .similarity import _checked_components
+        _checked_components(config.components_for_sdi, model.k)
+    if config.weights:
+        from .scoring import _checked_weights
+        _checked_weights(config.weights, model.k)
     table = _load_table(config)
     return table, pca.transform(model, table)
 
@@ -466,5 +473,23 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def console_main() -> None:
+    """The process entry: ``main``, then flush and end the process at once.
+
+    Every output file is closed when ``main`` returns, so the interpreter's
+    teardown (module cleanup, final collections, freeing every object) would
+    only cost time; ``atexit`` hooks do not run. A ``SystemExit`` from
+    ``main`` (``--help``) and a flush that fails take the usual exit path.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):  # a broken pipe or a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -118,15 +118,17 @@ def regression_weighted_score(
 
     Components without a weight contribute nothing; an empty map gives zeros.
     """
-    bad = [c for c in weights if not 0 <= c < teams.k]
-    if bad:
-        raise ParameterError(
-            f"weight component indices {sorted(bad)} out of range for k={teams.k}"
-        )
+    _checked_weights(weights, teams.k)
     vector = np.zeros(teams.k)
     for component, weight in weights.items():
         vector[component] = weight
     return [float(v) for v in teams.scores @ vector]
+
+
+def _checked_weights(weights: Mapping[int, float], k: int) -> None:
+    bad = [c for c in weights if not 0 <= c < k]
+    if bad:
+        raise ParameterError(f"weight component indices {sorted(bad)} out of range for k={k}")
 
 
 def load_membership(source: files.Target) -> dict[str, str]:

@@ -496,11 +496,45 @@ class TestValueChecks:
         assert code == 2
         assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["similar", "--query", "p01", "--components", "2,9"],
+                "component indices [8] out of range for 4 scores",
+            ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", "2=1,9=1"],
+                "weight component indices [8] out of range for k=4",
+            ),
+        ],
+        ids=["components", "weights"],
+    )
+    def test_beyond_the_model_before_the_parse(
+        self, players_csv, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        (tmp_path / "m.csv").write_text("p01,ATL\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+        def parse_csv(*args, **kwargs):
+            raise AssertionError("the players CSV was parsed")
+
+        monkeypatch.setattr(ingest, "parse_csv", parse_csv)
+        code, err = run(
+            capsys,
+            *argv, "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+
     def test_values_a_subcommand_does_not_read_are_not_checked(
         self, players_csv, tmp_path, capsys
     ):
         out = tmp_path / "out"
-        argv = ["--input", str(players_csv), "--out", str(out), "--top", "0"]
+        argv = ["--input", str(players_csv), "--out", str(out), "--top", "0", "--components", "0"]
         assert run(capsys, "fit", *argv) == (0, "")
         assert run(capsys, "scree", *argv, "--k", "0") == (0, "")
 
@@ -649,6 +683,104 @@ class TestReproducibility:
         assert not (scree_out / "model.json").exists()
 
 
+def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python args...`` in a fresh process that imports this statspace."""
+    src = str(Path(statspace.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
+
+class TestProcessEntry:
+    """``python -m statspace.cli`` ends through ``cli.console_main``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chain_writes_the_bytes_of_main(
+        self, players_csv, membership_csv, tmp_path, capsys, fmt
+    ):
+        in_process, processes = tmp_path / "in-process", tmp_path / "processes"
+        _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, in_process, fmt))
+        for argv in _chain(players_csv, membership_csv, tmp_path, processes, fmt):
+            done = _python("-m", "statspace.cli", *argv)
+            assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), argv[0]
+        outputs = [
+            {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            for out in (in_process, processes)
+        ]
+        assert len(outputs[0]) == 7
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["fit", "--bogus"], 2, "unrecognized arguments: --bogus"),
+            (["fit", "--input", "nope.csv"], 3, "players file not found: nope.csv"),
+        ],
+        ids=["unknown-flag", "missing-input"],
+    )
+    def test_failure_is_one_json_line(self, tmp_path, argv, code, message):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        done = _python("-m", "statspace.cli", *argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert _one_error_line(done.stderr)["error"].startswith(message)
+
+    def test_warning_reaches_stderr(self, players_csv, membership_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        lines = membership_csv.read_text(encoding="utf-8").splitlines()
+        membership_csv.write_text(
+            "\n".join(line for line in lines if not line.startswith("p02,")) + "\n",
+            encoding="utf-8",
+        )
+        done = _python(
+            "-m", "statspace.cli", "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--membership", str(membership_csv), "--out", str(out),
+        )
+        assert done.returncode == 0
+        assert "players without team membership, excluded: ['p02']" in done.stderr
+
+    def test_help_prints_the_whole_text(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        done = _python("-m", "statspace.cli", "--help")
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    @pytest.mark.parametrize(
+        "case, out, err",
+        [
+            ("open", "out", "err"),  # flushed, and teardown skipped
+            ("main-closes-stdout", "", "err atexit"),  # the flush fails: usual exit
+            ("fd-1-closed", "", "err"),  # no sys.stdout at all
+        ],
+        ids=["open", "main-closes-stdout", "fd-1-closed"],
+    )
+    def test_flushes_then_ends_at_once(self, case, out, err):
+        script = textwrap.dedent(
+            """
+            import atexit, sys
+            from statspace import cli
+
+            def main():
+                if sys.argv[1] == "main-closes-stdout":
+                    sys.stdout.close()
+                elif sys.stdout is not None:
+                    print("out", end="")
+                print("err", end="", file=sys.stderr)
+                return 3
+
+            atexit.register(lambda: print(" atexit", end="", file=sys.stderr))
+            cli.main = main
+            cli.console_main()
+            """
+        )
+        # a descriptor closed in the child before it starts Python
+        closed = {"preexec_fn": lambda: os.close(1)} if case == "fd-1-closed" else {}
+        done = _python("-c", script, case, **closed)
+        assert (done.returncode, done.stdout, done.stderr) == (3, out, err)
+
+
 class TestColdStart:
     def test_no_subcommand_loads_scipy(self, players_csv, membership_csv, tmp_path):
         # a fresh process, with scipy importable: this one has imported it already
@@ -708,6 +840,9 @@ class TestColdStart:
         pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
         runtime = re.search(r"^\[project\]$.*?^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
         assert "numpy" in runtime.group(1) and "scipy" not in runtime.group(1)
+        # the console script ends its process as `python -m statspace.cli` does
+        scripts = re.search(r"^\[project\.scripts\]$\n(.*?)$", pyproject, re.M)
+        assert scripts.group(1) == 'statspace = "statspace.cli:console_main"'
 
 
     def test_import_statspace_leaves_numpy_unimported(self):
