@@ -684,11 +684,13 @@ class TestReproducibility:
 
 
 def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """``python args...`` in a fresh process that imports this statspace."""
+    """``python args...`` in a fresh process that imports this statspace,
+    with stdout buffered as it is by default."""
     src = str(Path(statspace.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**env, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120, **kwargs,
     )
 
