@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and
@@ -473,7 +473,7 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
-def console_main() -> None:
+def console_main() -> NoReturn:
     """The process entry: ``main``, then flush and end the process at once.
 
     Every output file is closed when ``main`` returns, so the interpreter's
