@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
@@ -111,7 +112,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; only the subcommand ``command`` gets its flags."""
     parser = _Parser(
         prog="statspace",
         description="Reduce per-player statistics to principal components, "
@@ -127,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("regress", "regress winning percentage on team component scores"),
     ):
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue  # the flags of a subcommand not run are never parsed
         p.add_argument("--config", help="JSON file supplying any flag (flags win)")
         p.add_argument("--input", help="players CSV")
         p.add_argument("--model", help="fitted model JSON (from `fit`)")
@@ -247,7 +251,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     components = merged("components") if "components" in optional else None
     weights = merged("weights") if "weights" in optional else None
 
-    schema = config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA)
+    schema = tuple(config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA))
+    ingest._roles(schema)  # 4 or 5 names, none repeated
 
     resolved = RunConfig(
         input_paths=input_paths,
@@ -260,7 +265,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         components_for_sdi=None if components is None else _parse_components(components),
         output_dir=output_dir,
         output_format=merged("format", "csv"),
-        schema=tuple(schema),
+        schema=schema,
         query=merged("query"),
         top=merged("top", DEFAULT_TOP),
         weights={} if weights is None else _parse_weights(weights),
@@ -287,28 +292,23 @@ def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:
     return config.output_dir / f"{stem}.{suffix or config.output_format}"
 
 
-def _emit(config: RunConfig, stem: str, records: list[dict]) -> None:
-    """Write one output table in the configured format."""
-    path = _out_file(config, stem)
-    if config.output_format == "json":
-        files.write_text(path, files.to_json(records))
-    else:
-        files.write_records(path, records)
+def _emit(config: RunConfig, stem: str, columns: dict) -> None:
+    """Write one output table, given column by column, in the configured format."""
+    files.write_table(_out_file(config, stem), columns, config.output_format)
 
 
 def _write_scree(config: RunConfig, spectrum, total: float) -> None:
-    records = []
-    cumulative = 0.0
-    for i in range(min(SCREE_COMPONENTS, len(spectrum))):
-        cumulative += float(spectrum[i])
-        records.append(
-            {
-                "component": i + 1,
-                "variance": float(spectrum[i]),
-                "cumulative_ratio": cumulative / total,
-            }
-        )
-    _emit(config, "scree", records)
+    variance = spectrum[:SCREE_COMPONENTS].tolist()
+    cumulative = list(accumulate(variance, initial=0.0))[1:]
+    _emit(
+        config,
+        "scree",
+        {
+            "component": list(range(1, len(variance) + 1)),
+            "variance": variance,
+            "cumulative_ratio": [c / total for c in cumulative],
+        },
+    )
 
 
 def cmd_fit(config: RunConfig) -> int:
@@ -329,7 +329,8 @@ def cmd_scree(config: RunConfig) -> int:
     return 0
 
 
-def _score_players(config: RunConfig) -> tuple[ingest.StatTable, pca.ScoreSet]:
+def _score_players(config: RunConfig) -> tuple[list[str], pca.ScoreSet]:
+    """The entity names and the scores; the table goes once it is scored."""
     model = pca.load_model(config.input_paths["model"])
     # flags that name components are checked against the model before the parse
     if config.components_for_sdi is not None:
@@ -339,7 +340,7 @@ def _score_players(config: RunConfig) -> tuple[ingest.StatTable, pca.ScoreSet]:
         from .scoring import _checked_weights
         _checked_weights(config.weights, model.k)
     table = _load_table(config)
-    return table, pca.transform(model, table)
+    return table.entity_names, pca.transform(model, table)
 
 
 def _pc_names(k: int) -> list[str]:
@@ -347,19 +348,16 @@ def _pc_names(k: int) -> list[str]:
 
 
 def cmd_scores(config: RunConfig) -> int:
-    table, scores = _score_players(config)
+    names, scores = _score_players(config)
     _emit(
         config,
         "scores",
-        [
-            {
-                "entity_id": entity_id,
-                "entity_name": table.entity_names[i],
-                "minutes": scores.minutes[i],
-                "scores": scores.scores[i].tolist(),
-            }
-            for i, entity_id in enumerate(scores.entity_ids)
-        ],
+        {
+            "entity_id": scores.entity_ids,
+            "entity_name": names,
+            "minutes": scores.minutes,
+            "scores": scores.scores,
+        },
     )
     return 0
 
@@ -379,34 +377,26 @@ def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
 def cmd_teams(config: RunConfig) -> int:
     from . import scoring
     teams = _team_scores(config)
-    weighted = (
-        scoring.regression_weighted_score(teams, config.weights)
-        if config.weights
-        else None
-    )
-    records = []
-    for t, code in enumerate(teams.team_codes):
-        record = {
-            "team_code": code,
-            "total_minutes": teams.total_minutes[t],
-            "scores": teams.scores[t].tolist(),
-        }
-        if teams.win_pct is not None:
-            record["win_pct"] = teams.win_pct[t]
-        if weighted is not None:
-            record["weighted_score"] = weighted[t]
-        records.append(record)
-    _emit(config, "teams", records)
+    columns = {
+        "team_code": teams.team_codes,
+        "total_minutes": teams.total_minutes,
+        "scores": teams.scores,
+    }
+    if teams.win_pct is not None:
+        columns["win_pct"] = teams.win_pct
+    if config.weights:
+        columns["weighted_score"] = scoring.regression_weighted_score(teams, config.weights)
+    _emit(config, "teams", columns)
     return 0
 
 
 def cmd_similar(config: RunConfig) -> int:
     from . import similarity
-    table, scores = _score_players(config)
+    entity_names, scores = _score_players(config)
     ranking = similarity.rank_similar(
         scores, config.query, config.top, config.components_for_sdi
     )
-    names = dict(zip(table.entity_ids, table.entity_names))
+    names = dict(zip(scores.entity_ids, entity_names))
     path = _out_file(config, "similar")
     if config.output_format == "json":
         files.write_text(path, similarity.ranking_to_json(ranking, names))
@@ -445,7 +435,8 @@ COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         config = resolve_config(args)
         return COMMANDS[args.command](config)
     except StatspaceError as exc:

@@ -80,3 +80,9 @@ class RankDeficiencyError(NumericalError):
 
 class DomainError(NumericalError):
     """A numerical function was evaluated outside its domain."""
+
+
+def listed(items: list, limit: int = 10) -> str:
+    """``items`` for a message: the first ``limit``, then how many more."""
+    more = len(items) - limit
+    return f"{items[:limit]} and {more} more" if more > 0 else f"{items}"

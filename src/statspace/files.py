@@ -168,25 +168,70 @@ def _json_floats(values, separator: str) -> str:
 
 
 def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:
-    """Write one CSV row per record, under a header of the first record's keys.
+    """Write one CSV row per record, under a header of the first record's keys,
+    as :func:`write_table` writes the same columns."""
+    columns = {key: [record[key] for record in records] for key in records[0]} if records else {}
+    write_table(destination, columns, "csv")
 
-    Floats are written as ``repr(float(v))``; other values as ``str``. A
-    list-valued field (component scores) is spread over columns
-    ``PC1..PCk``. Lines end in ``"\\n"``. No records writes an empty file.
+
+def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) -> None:
+    """Write a table, given column by column, as ``fmt`` ("csv" or "json").
+
+    Each column holds one str, int or float per row, or is a 2-D array (the
+    component scores) holding a list of floats per row. JSON is
+    ``json.dumps(rows, indent=2) + "\\n"`` of the row dicts, byte for byte; a
+    NaN or infinite float raises ValueError before anything is written. CSV
+    has a header of the keys, the array spread over ``PC1..PCk``, then one
+    ``csv.writer`` line per row, floats as ``repr(float(v))``; no rows writes
+    an empty file. Each column is converted once, by C functions mapped over
+    it, and one ``%`` template per row places the cells.
     """
-    with opened(destination, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if not records:
-            return
-        header: list[str] = []
-        for key, value in records[0].items():
-            if isinstance(value, list):
-                header.extend(f"PC{i + 1}" for i in range(len(value)))
-            else:
-                header.append(key)
-        writer.writerow(header)
-        for record in records:
-            row: list[object] = []
-            for value in record.values():
-                row.extend(value if isinstance(value, list) else (value,))
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    header: list[str] = []  # the CSV header
+    fields: list[str] = []  # the JSON template's lines, one per key
+    cells: list[list] = []  # per cell of a row, its value in each row
+    numbers: list[list[float]] = []  # the cells that hold floats
+    for key, column in columns.items():
+        name = "    " + encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if getattr(column, "ndim", 1) == 2:
+            k = column.shape[1]
+            header += [f"PC{j + 1}" for j in range(k)]
+            items = "[\n      " + ",\n      ".join(["%r"] * k) + "\n    ]" if k else "[]"
+            fields.append(name + items)
+            scores = column.T.tolist()
+            cells += scores
+            numbers += scores
+        else:
+            values, is_float = _cells(column, fmt)
+            header.append(key)
+            fields.append(name + ("%r" if is_float else "%s"))
+            cells.append(values)
+            numbers += [values] if is_float else []
+    n = len(next(iter(columns.values()))) if columns else 0
+    if fmt != "json":
+        with opened(destination, "w") as fh:
+            if n:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(zip(*cells))  # csv.writer writes a float as its repr
+        return
+    if not all(all(map(math.isfinite, values)) for values in numbers):
+        bad = next(v for row in zip(*numbers) for v in row if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    template = "  {\n" + ",\n".join(fields) + "\n  }"
+    rows = ",\n".join([template % row for row in zip(*cells)])
+    write_text(destination, "[\n" + rows + "\n]\n" if n else "[]\n")
+
+
+def _cells(column: Sequence, fmt: str) -> tuple[Sequence, bool]:
+    """A column's cells for the row template, and whether they are floats:
+    floats as exact floats, and for JSON any other value as its text."""
+    try:
+        return list(map(float.__float__, column)), True
+    except TypeError:  # not all floats
+        pass
+    if fmt != "json":
+        return column, False
+    try:
+        return list(map(encode_basestring_ascii, column)), False
+    except TypeError:  # not all str
+        return [_json_value(value, "") for value in column], False

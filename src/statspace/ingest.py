@@ -18,13 +18,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import files
-from .errors import ParameterError, ParseError, SchemaError, ValidationError
+from .errors import ParameterError, ParseError, SchemaError, ValidationError, listed
 
 # Role order for the metadata columns of a players CSV. A 4-name schema omits
 # the id column and reuses the name column as the id.
@@ -170,9 +171,9 @@ class StatTable:
             )
         if any(m < 0 for m in self.minutes):
             raise ValidationError("minutes must be >= 0")
-        dupes = _duplicates(self.entity_ids)
-        if dupes:
-            raise ValidationError(f"duplicate entity_ids: {sorted(dupes)}")
+        if len(set(self.entity_ids)) != n:
+            dupes = sorted(_duplicates(self.entity_ids))
+            raise ValidationError(f"duplicate entity_ids: {listed(dupes)}")
         if not np.isfinite(self.values).all():
             bad = np.argwhere(~np.isfinite(self.values))
             i, j = bad[0]
@@ -256,6 +257,8 @@ Roles = tuple[str | None, str, str, str, str]
 
 def _roles(schema: Sequence[str]) -> Roles:
     """(id, name, team, games, minutes) column names; id is None for 4 names."""
+    if len(set(schema)) != len(schema):
+        raise ParameterError(f"schema names a column more than once: {list(schema)}")
     if len(schema) == 4:
         return (None, *schema)
     if len(schema) == 5:
@@ -277,7 +280,7 @@ def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy | None) -> list[
 # opens a field, quotes inside it are doubled, and the closing quote ends
 # the field. A quoted empty field keeps its quotes, and so declines.
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")+"(?![^,\r\n])')
-_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2, "skiprows": 1}
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1, "skiprows": 1}
 _COUNT_LIMIT = 2.0**63  # games_played is stored as int64
 _SCAN_LINES = 128  # lines per numpy pass; a block's masks stay in cache
 
@@ -305,23 +308,27 @@ def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> 
     """The table ``np.loadtxt`` reads from the text's ``lines`` (the text
     split at ``"\\n"``), or None to decline.
 
-    loadtxt is looser than the strict ``files.csv_rows``, so this declines
-    wherever the two could read the text differently: a NUL byte (the loop
-    refuses it, and numpy strings drop a trailing one), a header that is
-    not one physical line without quotes, no data rows (loadtxt warns), a
-    quote csv would reject, a quoted line end or a ``"\\r"`` inside a row,
-    a line longer than ``csv.field_size_limit()``, or a row whose
-    delimiters outside quotes are not the header's. It also declines on a
-    count that is not finite, whole and non-negative, or a games count of
-    2**63 or more, so the loop reports those. It declines first of all on
-    an empty cell, the usual missing value, or on text that looks like one
-    inside quotes, so that such a file costs the loop one scan more.
-    loadtxt itself raises ValueError on a cell its float parser rejects
-    (``n/a``, ``1_000``) in a column it converts (games, minutes and the
-    stat columns ``policy`` keeps), but only once it has parsed the rows
-    before it; its parser accepts a subset of what ``float()`` does, with
-    the same values. The label cells come from the loop that checks each
-    row's delimiters.
+    One loadtxt pass reads every column into a structured array: the id,
+    name and team cells as str objects, games, minutes and the stat columns
+    ``policy`` keeps as floats, and any other column as one byte. The field
+    count is the header's, so loadtxt raises ValueError on a row with other
+    cells than the header's outside quotes; it raises too on a cell it
+    cannot convert (``n/a`` or ``1_000`` in a float column, a character
+    beyond Latin-1 in a one-byte one), but only once it has parsed the rows
+    before it. Its float parser accepts a subset of what ``float()`` does,
+    with the same values.
+
+    loadtxt is looser than the strict ``files.csv_rows`` in other ways, so
+    this declines wherever the two could read the text differently: a NUL
+    byte (the loop refuses it), a header that is not one physical line
+    without quotes, no data rows (loadtxt warns), a quote csv would reject,
+    a quoted line end or a ``"\\r"`` inside a row, or a line longer than
+    ``csv.field_size_limit()``. Only lines holding a quote or a ``"\\r"`` are
+    looked at one by one. It also declines on a count that is not finite,
+    whole and non-negative, or a games count of 2**63 or more, so the loop
+    reports those. It declines first of all on an empty cell, the usual
+    missing value, or on text that looks like one inside quotes, so that
+    such a file costs the loop one scan more.
 
     Once the table is certain, ``lines`` is emptied, so the text is gone
     before the stats are copied out; a decline or a ValueError leaves it
@@ -337,79 +344,58 @@ def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> 
     if '"' in header_line or "\r" in header_line:
         return None
     header = header_line.split(",")
-    col_index = {name: i for i, name in enumerate(header)}
-    if len(col_index) != len(header) or any(
-        c not in col_index for c in roles if c is not None
-    ):
+    if len(set(header)) != len(header) or any(c not in header for c in roles if c is not None):
         return None  # the loop raises the SchemaError
-    # A row with the header's delimiters outside quotes has exactly the
-    # header's cells for loadtxt and for csv.reader. Blank lines both skip.
-    delimiters = len(header) - 1
-    id_col, name_col, team_col, games_col, minutes_col = roles
-    # the label cells; with no id column, the name is the id
-    id_j, name_j, team_j = (col_index[c] for c in (id_col or name_col, name_col, team_col))
-    splits = max(id_j, name_j, team_j) + 1
-    player_ids: list[str] = []
-    player_names: list[str] = []
-    team_codes: list[str] = []
-    for line in lines[1:]:
-        quoted = '"' in line
-        unquoted = _QUOTED_FIELD.sub("", line) if quoted else line
-        if quoted and '"' in unquoted:
-            return None
-        if unquoted.count(",") != delimiters or unquoted.find("\r", 0, -1) >= 0:
-            if unquoted in ("", "\r"):
-                continue
-            return None  # ragged, or a line end csv reads inside the row
-        cells = unquoted.split(",", splits)
-        if splits > delimiters:  # a label in the last column: no line end
-            cells[-1] = cells[-1].removesuffix("\r")
-        if quoted:  # each quoted field left an empty cell; csv reads the field
-            fields = iter(_QUOTED_FIELD.findall(line))
-            cells = [
-                cell or next(files.csv_rows([next(fields)], "players CSV"))[1][0]
-                for cell in cells[:splits]
-            ]
-        player_ids.append(cells[id_j])
-        player_names.append(cells[name_j])
-        team_codes.append(cells[team_j])
-    if not player_ids:
-        return None
+    if all(line in ("", "\r") for line in islice(lines, 1, None)):
+        return None  # no data rows; blank lines both skip
+    for line in lines:
+        if '"' in line or "\r" in line:
+            unquoted = _QUOTED_FIELD.sub("", line)
+            if '"' in unquoted or unquoted.find("\r", 0, -1) >= 0:
+                return None  # csv would reject the quote, or read a line end inside the row
 
+    id_col, name_col, team_col, games_col, minutes_col = roles
     stat_names = _kept_stats([name for name in header if name not in roles], policy)
-    numbers = np.loadtxt(
+    labels = (id_col or name_col, name_col, team_col)  # with no id column, the name is the id
+    numbers = {games_col, minutes_col, *stat_names}
+    field = {name: f"c{j}" for j, name in enumerate(header)}
+    rows = np.loadtxt(
         lines,
-        dtype=float,
-        usecols=[col_index[games_col], col_index[minutes_col]]
-        + [col_index[name] for name in stat_names],
+        dtype=[
+            (field[name], object if name in labels else "f8" if name in numbers else "S1")
+            for name in header
+        ],
         **_LOADTXT,
     )
-    if not _loop_takes_counts(numbers[:, :2]):
+    games, minutes = rows[field[games_col]], rows[field[minutes_col]]
+    if not _loop_takes_counts(games, minutes):
         return None
     lines.clear()  # the table is certain; the text goes before the copies
-    games_played = numbers[:, 0].astype(int)
-    minutes_total = numbers[:, 1].copy()
-    values = numbers[:, 2:].copy()
-    del numbers
+    kept = [field[name] for name in stat_names]
+    # one packed copy of the kept floats, viewed as the n x p matrix
+    stats = rows[kept].astype([(f, "f8") for f in kept]) if kept else np.empty((len(rows), 0))
+    values = stats.view(float).reshape(len(rows), len(kept))
     values[~np.isfinite(values)] = np.nan
+    player_ids, player_names, team_codes = (rows[field[c]].tolist() for c in labels)
     return RawTable(
         player_ids=player_ids,
         player_names=player_names,
         team_codes=team_codes,
-        games_played=games_played,
-        minutes_total=minutes_total,
+        games_played=games.astype(int),
+        minutes_total=minutes.copy(),
         stat_names=stat_names,
         values=values,
     )
 
 
-def _loop_takes_counts(counts: np.ndarray) -> bool:
-    """Whether the csv loop accepts every (games, minutes) row of ``counts``:
-    both finite and non-negative, games whole and below 2**63."""
-    games = counts[:, 0]
+def _loop_takes_counts(games: np.ndarray, minutes: np.ndarray) -> bool:
+    """Whether the csv loop accepts every (games, minutes) pair: both finite
+    and non-negative, games whole and below 2**63."""
     return bool(
-        np.isfinite(counts).all()
-        and (counts >= 0).all()
+        np.isfinite(games).all()
+        and np.isfinite(minutes).all()
+        and (games >= 0).all()
+        and (minutes >= 0).all()
         and (games < _COUNT_LIMIT).all()
         and (games == np.floor(games)).all()
     )
@@ -516,6 +502,7 @@ def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable
     ]
     kept = set(_kept_stats(table.stat_names, policy))
     cols = [j for j, name in enumerate(table.stat_names) if name in kept]
+    all_cols = len(cols) == len(table.stat_names)
     return RawTable(
         player_ids=[table.player_ids[i] for i in rows],
         player_names=[table.player_names[i] for i in rows],
@@ -523,7 +510,7 @@ def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable
         games_played=table.games_played[rows],
         minutes_total=table.minutes_total[rows],
         stat_names=[table.stat_names[j] for j in cols],
-        values=table.values[np.ix_(rows, cols)],
+        values=table.values[rows] if all_cols else table.values[np.ix_(rows, cols)],
     )
 
 
@@ -541,7 +528,7 @@ def build_table(records: Sequence[RawRecord]) -> StatTable:
     gaps = np.argwhere(np.isnan(table.values)).tolist()
     if gaps:
         missing = [(table.player_ids[i], table.stat_names[j]) for i, j in gaps]
-        raise ValidationError(f"missing values for (player, statistic): {missing}")
+        raise ValidationError(f"missing values for (player, statistic): {listed(missing)}")
 
     return StatTable(
         entity_ids=table.player_ids,

@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    listed,
 )
 from .pca import ScoreSet
 
@@ -65,11 +66,11 @@ def team_scores(
     known = set(players.entity_ids)
     unknown = sorted(set(membership) - known)
     if unknown:
-        raise EntityLookupError(f"membership references unknown players: {unknown}")
+        raise EntityLookupError(f"membership references unknown players: {listed(unknown)}")
     unassigned = sorted(known - set(membership))
     if unassigned:
         warnings.warn(
-            f"players without team membership, excluded: {unassigned}", stacklevel=2
+            f"players without team membership, excluded: {listed(unassigned)}", stacklevel=2
         )
 
     members: dict[str, list[int]] = {}
@@ -82,11 +83,12 @@ def team_scores(
         raise AggregationError("no players could be assigned to any team")
 
     codes = sorted(members)
+    minutes = np.array(players.minutes)
     rows = []
     totals = []
     for team in codes:
         idx = members[team]
-        m = np.array([players.minutes[i] for i in idx])
+        m = minutes[idx]
         total = float(m.sum())
         if total <= 0:
             raise AggregationError(f"team {team!r} has zero total minutes")

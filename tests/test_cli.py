@@ -530,6 +530,36 @@ class TestValueChecks:
         assert code == 2
         assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
 
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            (
+                ["player_name", "team", "games_played"],
+                "schema must list 4 or 5 metadata column names, got 3",
+            ),
+            (
+                ["player_id", "player_id", "team", "games_played", "minutes"],
+                "schema names a column more than once: "
+                "['player_id', 'player_id', 'team', 'games_played', 'minutes']",
+            ),
+        ],
+        ids=["three-names", "repeated-name"],
+    )
+    def test_schema_before_any_read(
+        self, players_csv, tmp_path, capsys, monkeypatch, schema, message
+    ):
+        # the model file does not exist, so a check of the files would exit 3
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": schema}), encoding="utf-8")
+        code, err = run(
+            capsys,
+            "scores", "--config", str(config), "--input", str(players_csv),
+            "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+
     def test_values_a_subcommand_does_not_read_are_not_checked(
         self, players_csv, tmp_path, capsys
     ):
@@ -597,7 +627,8 @@ class TestEmit:
         (out / "scores.json").write_text("old\n", encoding="utf-8")
 
         def emit_bad(config):
-            cli._emit(config, "scores", [{"entity_id": "p01", "scores": [0.5, bad, 1.5]}])
+            columns = {"entity_id": ["p01"], "scores": np.array([[0.5, bad, 1.5]])}
+            cli._emit(config, "scores", columns)
             return 0
 
         monkeypatch.setitem(cli.COMMANDS, "fit", emit_bad)
@@ -933,6 +964,10 @@ class TestConfigFile:
         )
         assert code == 2
         assert "mystery" in json.loads(err.strip())["error"]
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the players CSV was parsed")
 
 
 def _one_error_line(err: str) -> dict:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -123,3 +124,86 @@ class TestToJson:
     def test_non_finite_value_is_refused(self, value):
         with pytest.raises(ValueError, match="JSON"):
             files.to_json([{"weighted_score": value}])
+
+
+def _records_csv(records):
+    """The CSV text ``write_records`` wrote for a list of row dicts before
+    tables were written a column at a time: the reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if not records:
+        return ""
+    header = []
+    for key, value in records[0].items():
+        if isinstance(value, list):
+            header.extend(f"PC{i + 1}" for i in range(len(value)))
+        else:
+            header.append(key)
+    writer.writerow(header)
+    for record in records:
+        row = []
+        for value in record.values():
+            row.extend(value if isinstance(value, list) else (value,))
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return out.getvalue()
+
+
+table_floats = finite_floats | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, -1e300])
+table_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["Doe, Jr.", 'a "b"', "é中\U0001f3c0", " x ", "%s", ""]
+)
+
+
+@st.composite
+def tables(draw):
+    """(columns, the same table as row dicts), shaped like the CLI's tables."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 10))
+    scores = np.array(
+        draw(st.lists(st.lists(table_floats, min_size=k, max_size=k), min_size=n, max_size=n))
+    ).reshape(n, k)
+    columns = {
+        "entity_id": draw(st.lists(table_texts, min_size=n, max_size=n)),
+        "component": list(range(1, n + 1)),
+        "minutes": draw(st.lists(table_floats, min_size=n, max_size=n)),
+        "scores": scores,
+    }
+    if draw(st.booleans()):  # a float column after the scores, as in teams
+        columns["win_pct"] = draw(st.lists(table_floats, min_size=n, max_size=n))
+    return columns, _rows(columns)
+
+
+def _rows(columns):
+    """The table of ``columns`` as row dicts, each score row a list."""
+    lists = {key: c.tolist() if key == "scores" else c for key, c in columns.items()}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    def test_same_bytes_as_records(self, table):
+        columns, rows = table
+        out = io.StringIO()
+        files.write_table(out, columns, "json")
+        assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+        out = io.StringIO()
+        files.write_table(out, columns, "csv")
+        assert out.getvalue() == _records_csv(rows)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["scores", "minutes", "after"])
+    def test_non_finite_float_refused_as_to_json_refuses_it(self, tmp_path, value, where):
+        columns = {
+            "entity_id": ["a", "b"],
+            "minutes": [1.0, value if where == "minutes" else 2.0],
+            "scores": np.array([[0.5, 1.5], [2.5, value if where == "scores" else 3.5]]),
+            "win_pct": [0.5, value if where == "after" else 0.25],
+        }
+        with pytest.raises(ValueError) as want:
+            files.to_json(_rows(columns))
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError) as got:
+            files.write_table(path, columns, "json")
+        assert str(got.value) == str(want.value)
+        assert not path.exists()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from statspace import (
+    DEFAULT_SCHEMA,
     FilterPolicy,
     ParameterError,
     ParseError,
@@ -196,6 +197,10 @@ def _loop(text, roles=ROLES5):
     return ingest._parse_rows(io.StringIO(text, newline=""), roles, None)
 
 
+def _no_loop(*args):
+    raise AssertionError("the csv loop ran")
+
+
 def _kept_columns(table, policy):
     """``table`` with only the stat columns ``policy`` keeps, chosen here by fnmatch."""
     if policy is None or policy.column_mode != "rate-only":
@@ -239,7 +244,11 @@ def _assert_same_outcome(got, want):
 # Cells that loadtxt and csv.reader(strict=True) read differently, or that
 # loadtxt rejects, when written as they are.
 RAW_CELLS = ['"x"y', '"1"2', '"x" ', '"1" ', '"x', 'x"y', ' "x"', "a\x00b", '""', '"1,5"']
-GOOD_NAMES = ['Doe "0", Jr.', "Last, First", 'a "quoted", cell', "", " B ", "cr\rname"]
+# label cells the C pass reads itself: quotes, commas, spaces, text beyond Latin-1
+GOOD_NAMES = [
+    'Doe "0", Jr.', "Last, First", 'a "quoted", cell', "", " B ", "cr\rname", "  two  spaces ",
+    "\u0110or\u0111e \u0160ari\u0107", "\u674e\u660e", "\U0001f3c0",
+]
 BAD_NAMES = ["two\nlines", "crlf\r\nname", "A\x00B"]
 GOOD_GAMES = ["0", "82", "50.0", " 7 ", "-0", "1e3", "9.2e18"]
 BAD_GAMES = ["-1", "2.5", "1e20", "9223372036854775807", "1_0"]
@@ -268,15 +277,16 @@ def csv_texts(draw):
         min_size=1,
         max_size=4,
     )
+    # "\u00e9x" fits the one-byte field of a dropped column, "\u2014" does not
     stat = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
-        ["nan", "-nan", "inf", "-Infinity", "1e500", " 1.5 ", "-0.0"]
+        ["nan", "-nan", "inf", "-Infinity", "1e500", " 1.5 ", "-0.0", "\u00e9x", "\u2014"]
     )
     rows = []
     for i in range(draw(st.integers(min_value=0, max_value=4))):
         meta = {
             "pid": f"p{i}",
             "name": draw(name),
-            "team": draw(st.sampled_from(["BOS", "TOT", "N,Y"])),
+            "team": draw(st.sampled_from(["BOS", "TOT", "N,Y", " T ", "\u0141\u00f3d\u017a"])),
             "gp": draw(st.integers(0, 82).map(str) | st.sampled_from(GOOD_GAMES)),
             "min": draw(st.sampled_from(["1200.5", " 7 ", "0", "-0.0"])),
         }
@@ -333,6 +343,18 @@ FALLBACK_TEXTS = [
 ]
 
 
+# Label columns last, quoted with commas and doubled quotes, under CRLF.
+LABELS_LAST = (
+    "pid,gp,min,s,name,team\r\n"
+    'p0,50,1200,1.5,"Doe ""0"", Jr.","N,Y"\r\n'
+    "p1,60,1300,2.5, \u0110or\u0111e ,\u674e\r\n"
+)
+# A cell beyond Latin-1 in a column the policy drops: it does not fit the
+# one-byte field, so loadtxt raises and the loop decides.
+NON_LATIN1_DROPPED = "pid,name,team,gp,min,s,t\np0,A,BOS,50,1200,1.5,\u2014\n"
+DROP_T = FilterPolicy(min_games=0, column_mode="rate-only", excluded_column_patterns=["t*"])
+
+
 class TestFastPath:
     """numpy's C reader parses what it can; the csv.reader loop is the reference."""
 
@@ -343,6 +365,8 @@ class TestFastPath:
     @example(case=(SCHEMA5, FALLBACK_TEXTS[1]), policy=None)
     @example(case=(SCHEMA5, FALLBACK_TEXTS[2]), policy=None)
     @example(case=(SCHEMA4, 'name,team,gp,min\ncr\rname,"N,Y",0,1200.5\n'), policy=None)
+    @example(case=(SCHEMA5, LABELS_LAST), policy=None)
+    @example(case=(SCHEMA5, NON_LATIN1_DROPPED), policy=DROP_T)
     def test_paths_agree(self, case, policy):
         # both parses convert only the kept columns; the loop over all of
         # them, filtered afterwards, is the reference
@@ -373,6 +397,29 @@ class TestFastPath:
         assert table.player_ids == (names if schema == SCHEMA4 else ["p0", "p1", "p2"])
         assert table.team_codes == ["BOS"] * 3
         assert table.values.tolist() == [[0.25], [1.25], [2.25]]
+
+    def test_taken_for_an_archive_shaped_file(self, monkeypatch):
+        # quoted names, a traded player's team rows and TOT row, CRLF line
+        # ends and a rate-only policy: all read by the C pass
+        header = "player_id,player_name,team,games_played,minutes,a_rate,b_total,c_rate"
+        rows = [
+            'p0,"Doe, Jr.",BOS,82,2400.5,1.5,120,0.25',
+            "p1,\u0110or\u0111e Ko,NYK,30,600,2.5,40,0.5",
+            "p1,\u0110or\u0111e Ko,ATL,40,900,3.5,50,0.75",
+            "p1,\u0110or\u0111e Ko,TOT,70,1500,3.1,90,0.65",
+            'p2,"O""Neal, S.",LAL,12,150,0.0,3,1e-3',
+        ]
+        text = "\r\n".join([header, *rows]) + "\r\n"
+        policy = FilterPolicy(column_mode="rate-only", excluded_column_patterns=["*_total"])
+        want = _kept_columns(_loop(text, ingest._roles(DEFAULT_SCHEMA)), policy)
+        monkeypatch.setattr(ingest, "_parse_rows", _no_loop)
+        table = parse_csv(io.StringIO(text, newline=""), DEFAULT_SCHEMA, policy)
+        _assert_same_outcome(table, want)
+        assert table.player_names[::3] == ["Doe, Jr.", "\u0110or\u0111e Ko"]
+        assert table.team_codes == ["BOS", "NYK", "ATL", "TOT", "LAL"]
+        assert table.stat_names == ["a_rate", "c_rate"]
+        kept = apply_filter(table, policy)
+        assert (kept.player_ids, kept.team_codes) == (["p0", "p1"], ["BOS", "TOT"])
 
     @pytest.mark.parametrize(
         "row",
@@ -634,6 +681,19 @@ class TestBuildTable:
         with pytest.raises(ValidationError, match=re.escape(expected)):
             build_table(parse_csv(source, SCHEMA4))
 
+    def test_long_lists_of_offenders_are_cut(self):
+        # 25 rows each missing one value, and 25 ids each given twice
+        records = [_record(f"p{i:02d}", a=None) for i in range(25)]
+        pairs = [(f"p{i:02d}", "a") for i in range(10)]
+        expected = f"missing values for (player, statistic): {pairs} and 15 more"
+        with pytest.raises(ValidationError) as raised:
+            build_table(records)
+        assert str(raised.value) == expected
+        ids = [f"p{i:02d}" for i in range(25)] * 2
+        with pytest.raises(ValidationError) as raised:
+            StatTable(ids, ids, [1.0] * 50, ["s"], np.ones((50, 1)))
+        assert str(raised.value) == f"duplicate entity_ids: {ids[:10]} and 15 more"
+
     def test_duplicate_ids_rejected(self):
         records = [_record("p1", a=1.0), _record("p1", a=2.0)]
         with pytest.raises(ValidationError, match="duplicate"):
@@ -665,12 +725,9 @@ class TestStatTable:
             -12, 12, size=(5, 4)
         )
         minutes = [100.0 * i + 0.125 for i in range(5)]
-        records = [
-            {"entity_id": f"p{i}", "minutes": minutes[i], "scores": values[i].tolist()}
-            for i in range(5)
-        ]
+        columns = {"entity_id": [f"p{i}" for i in range(5)], "minutes": minutes, "scores": values}
         path = tmp_path / "table.csv"
-        files.write_records(path, records)
+        files.write_table(path, columns, "csv")
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["entity_id", "minutes", "PC1", "PC2", "PC3", "PC4"]

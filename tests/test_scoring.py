@@ -77,6 +77,21 @@ class TestTeamScores:
         assert teams.team_codes == ["BOS"]
         assert teams.scores[0, 0] == 1.0
 
+    def test_long_lists_of_players_are_cut(self):
+        ids = [f"p{i:02d}" for i in range(26)]
+        scores = make_scores({pid: (10.0, [1.0]) for pid in ids})
+        with pytest.warns(UserWarning) as warned:
+            team_scores(scores, {ids[0]: "BOS"})
+        assert str(warned[0].message) == (
+            f"players without team membership, excluded: {ids[1:11]} and 15 more"
+        )
+        ghosts = {f"g{i:02d}": "NYK" for i in range(25)}
+        with pytest.raises(EntityLookupError) as raised:
+            team_scores(scores, {**dict.fromkeys(ids, "BOS"), **ghosts})
+        assert str(raised.value) == (
+            f"membership references unknown players: {sorted(ghosts)[:10]} and 15 more"
+        )
+
     def test_convexity_bounds(self):
         rng = np.random.default_rng(21)
         ids = [f"p{i}" for i in range(12)]
