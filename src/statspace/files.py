@@ -25,6 +25,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 from .errors import ParseError
 
 Target = str | Path | IO[str] | IO[bytes]
+_READ_BLOCK = 1 << 16  # characters per read of read_lines
 
 
 @contextmanager
@@ -102,6 +103,19 @@ def _nul_free(lines: Iterable[str], what: str) -> Iterator[str]:
 def read_text(source: Target) -> str:
     with opened(source) as fh:
         return fh.read()
+
+
+def read_lines(source: Target) -> list[str]:
+    """``read_text(source).split("\\n")``, read a block at a time: the whole
+    text is never held, so a large file touches about half the memory."""
+    lines: list[str] = []
+    tail = ""
+    with opened(source) as fh:
+        while block := fh.read(_READ_BLOCK):
+            lines += (tail + block).split("\n")
+            tail = lines.pop()
+    lines.append(tail)
+    return lines
 
 
 def write_text(destination: Target, text: str) -> None:

@@ -226,8 +226,9 @@ def parse_csv(
     :class:`ParseError` with the line number, and the first fault in the
     file is the one reported.
 
-    The text is read once, then held only as its lines, which the fast path
-    drops before it copies the statistics out. numpy's C reader parses it
+    The text is read once, a block at a time, into its lines: the whole
+    text is never held, and the fast path drops the lines before it copies
+    the statistics out. numpy's C reader parses it
     wherever it reads the text as the strict ``files.csv_rows`` does;
     elsewhere, and on every faulty file, a loop over that reader parses it and
     reports the fault. A path that is not UTF-8 is read again by the loop,
@@ -235,14 +236,12 @@ def parse_csv(
     """
     roles = _roles(schema)
     try:
-        text = files.read_text(source)
+        lines = files.read_lines(source)  # "\n".join(lines) is the text again
     except ParseError:  # not UTF-8
         if not isinstance(source, (str, Path)):
             raise
         with files.opened(source) as stream:
             return _parse_rows(stream, roles, policy)
-    lines = text.split("\n")
-    del text  # "\n".join(lines) is the text again; the fast path may drop it
     try:
         table = _parse_fast(lines, roles, policy)
     except ValueError:  # a row or cell loadtxt rejects; the loop decides

@@ -36,6 +36,22 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
+class TestReadLines:
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+    @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+    def test_same_lines_as_the_whole_text_split(self, tmp_path, monkeypatch, block, kind):
+        monkeypatch.setattr(files, "_READ_BLOCK", block)
+        for text in ["", "\n", "a", "ab\ncd\n", "a\r\nb\r\n\n", "\u00e9\u674e\nx\n\ny", "a\rb\n"]:
+            path = tmp_path / "t.csv"
+            path.write_bytes(text.encode())
+            source = {
+                "path": path,
+                "bytes": io.BytesIO(text.encode()),
+                "text": io.StringIO(text, newline=""),
+            }[kind]
+            assert files.read_lines(source) == text.split("\n"), (block, kind, text)
+
+
 class TestCsvRows:
     def test_rows_numbered_by_their_last_line(self):
         text = 'a,b\n\n"x\ny",z\r\nc,d'
