@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -41,6 +41,11 @@ from .errors import (  # noqa: E402
     StatspaceError,
     UsageError,
 )
+
+try:  # the C module behind hashlib.blake2b; hashlib itself loads OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 if TYPE_CHECKING:
     from . import scoring
@@ -87,6 +92,13 @@ COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 DEFAULT_K = 4
 DEFAULT_TOP = 5
 SCREE_COMPONENTS = 10
+# The players table as last built for this output directory: a line with
+# its key, then five arrays in .npy format: the entity ids, entity names and
+# stat names (each as the UTF-8 bytes of the names joined by NUL, which no
+# CSV cell holds), the minutes and the values.
+TABLE_CACHE = ".statspace-table"
+_CACHED_LABELS = ("entity_ids", "entity_names", "stat_names")
+_HASH_BLOCK = 1 << 20  # bytes per read of a hashed file
 
 
 @dataclass
@@ -282,9 +294,69 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_table(config: RunConfig) -> ingest.StatTable:
-    records = ingest.parse_csv(config.input_paths["players"], config.schema, config.filter)
-    records = ingest.apply_filter(records, config.filter)
-    return ingest.build_table(records)
+    """The players table: read from the output directory's table cache when
+    its key matches, else parsed, filtered and built, then cached there."""
+    path = config.output_dir / TABLE_CACHE
+    key = _table_key(config)
+    table = _cached_table(path, key)
+    if table is None:
+        records = ingest.parse_csv(config.input_paths["players"], config.schema, config.filter)
+        records = ingest.apply_filter(records, config.filter)
+        table = ingest.build_table(records)
+        _cache_table(path, key, table)
+    return table
+
+
+def _table_key(config: RunConfig) -> str:
+    """A digest of all that decides the table: the players file's bytes,
+    the schema and filter policy, the numpy and Python versions, and the
+    sources that parse the file and read and write the cache."""
+    doc = [list(config.schema), asdict(config.filter), np.__version__, sys.version]
+    for path in (config.input_paths["players"], ingest.__file__, files.__file__, __file__):
+        digest = blake2b(digest_size=32)
+        with files.opened(path, "rb") as fh:
+            while block := fh.read(_HASH_BLOCK):
+                digest.update(block)
+        doc.append(digest.hexdigest())
+    return blake2b(json.dumps(doc).encode(), digest_size=32).hexdigest()
+
+
+def _cached_table(path: Path, key: str) -> ingest.StatTable | None:
+    """The table cached at ``path`` under ``key``; None when there is none,
+    or the file cannot be read or does not hold a valid table."""
+    try:
+        with files.opened(path, "rb") as fh:
+            if fh.readline() != f"{key}\n".encode():
+                return None
+            labels = {
+                name: np.load(fh, allow_pickle=False).tobytes().decode().split("\0")
+                for name in _CACHED_LABELS
+            }
+            minutes = np.load(fh, allow_pickle=False)
+            values = np.load(fh, allow_pickle=False)
+        if minutes.dtype != float or values.dtype != float:
+            return None
+        return ingest.StatTable(minutes=minutes.tolist(), values=values, **labels)
+    except Exception:  # whatever the fault in a damaged or foreign file, a miss
+        return None
+
+
+def _cache_table(path: Path, key: str, table: ingest.StatTable) -> None:
+    """Write ``table`` to ``path`` under ``key``; a write that fails is
+    passed over, since the cache only saves the next parse. The labels are
+    joined into one string each: encoding them one by one (as JSON does)
+    leaves small objects behind that raise the process's peak memory."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with files.opened(path, "wb") as fh:
+            fh.write(f"{key}\n".encode())
+            for name in _CACHED_LABELS:
+                text = "\0".join(getattr(table, name)).encode()
+                np.save(fh, np.frombuffer(text, np.uint8), allow_pickle=False)
+            np.save(fh, np.array(table.minutes), allow_pickle=False)
+            np.save(fh, table.values, allow_pickle=False)
+    except OSError:
+        pass
 
 
 def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:

@@ -2,10 +2,11 @@
 
 A target is a path or an open stream. A path opens as UTF-8 with
 ``newline=""`` (so CSV quoting sees raw line ends and ``"\\n"`` is written
-as is) and is closed on exit; an open text stream is used as given and left
-open; a byte stream is decoded as UTF-8 and also left open. A path opened
-for writing is replaced atomically: readers see the old file or the whole
-new one, and a write that fails leaves the old file as it was.
+as is), or as bytes in mode ``"rb"`` or ``"wb"``, and is closed on exit; an
+open text stream is used as given and left open; a byte stream is decoded
+as UTF-8 and also left open. A path opened for writing is replaced
+atomically: readers see the old file or the whole new one, and a write that
+fails leaves the old file as it was.
 
 Numbers are written in shortest round-trip form, so a value read back is
 bit-identical: ``repr(float(v))`` in CSV, the same digits ``json`` writes.
@@ -29,18 +30,19 @@ _READ_BLOCK = 1 << 16  # characters per read of read_lines
 
 
 @contextmanager
-def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
-    """A text stream on ``target``, closed on exit only if opened here.
+def opened(target: Target, mode: str = "r") -> Iterator[IO]:
+    """A stream on ``target``, closed on exit only if opened here: text in
+    mode ``"r"`` or ``"w"``, and for a path, bytes in ``"rb"`` or ``"wb"``.
 
-    Bytes that are not UTF-8, met while the stream is read, raise
+    Bytes that are not UTF-8, met while a text stream is read, raise
     :class:`ParseError`.
     """
     try:
-        if isinstance(target, (str, Path)) and mode == "w":
-            with _replacing(Path(target)) as fh:
+        if isinstance(target, (str, Path)) and mode.startswith("w"):
+            with _replacing(Path(target), mode.replace("w", "x")) as fh:
                 yield fh
         elif isinstance(target, (str, Path)):
-            with open(target, mode, encoding="utf-8", newline="") as fh:
+            with _open(target, mode) as fh:
                 yield fh
         elif isinstance(target, io.TextIOBase):
             yield target
@@ -57,16 +59,23 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO[str]]:
         ) from None
 
 
+def _open(path: str | Path, mode: str) -> IO:
+    if "b" in mode:
+        return open(path, mode)
+    return open(path, mode, encoding="utf-8", newline="")
+
+
 @contextmanager
-def _replacing(path: Path) -> Iterator[IO[str]]:
-    """A new file beside ``path`` that replaces it on a clean exit.
+def _replacing(path: Path, mode: str) -> Iterator[IO]:
+    """A new file beside ``path``, opened in ``mode`` (``"x"`` or ``"xb"``),
+    that replaces it on a clean exit.
 
     The file is made by ``open(..., "x")``, so it gets the usual mode for a
     new file (``mkstemp`` would give 0600), and a name already taken is an
     error rather than a file overwritten. On an exception it is removed.
     """
     temp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fh = open(temp, "x", encoding="utf-8", newline="")
+    fh = _open(temp, mode)
     try:
         with fh:
             yield fh

@@ -460,7 +460,7 @@ class TestInputFiles:
         for command in ("fit", "scree", "scores", "similar"):
             assert run(capsys, command, "--config", str(config)) == (0, ""), command
         assert sorted(p.name for p in out.iterdir()) == [
-            "model.json", "scores.csv", "scree.csv", "similar.csv"
+            ".statspace-table", "model.json", "scores.csv", "scree.csv", "similar.csv"
         ]
 
 
@@ -670,6 +670,19 @@ def _run_chain(capsys, argvs) -> None:
     capsys.readouterr()
 
 
+CACHE = ".statspace-table"
+
+
+def _chain_files(fmt: str) -> list[str]:
+    """The names of the files a chain writes, the players table cache included."""
+    stems = ("regression", "scores", "scree", "similar", "teams")
+    return sorted([CACHE, "model.json", "regression.txt"] + [f"{s}.{fmt}" for s in stems])
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_subcommand_byte_identical(
@@ -679,10 +692,8 @@ class TestReproducibility:
         for run_dir in ("one", "two"):
             out = tmp_path / run_dir
             _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, out, fmt))
-            outputs.append(
-                {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-            )
-        assert len(outputs[0]) == 7
+            outputs.append(_files(out))
+        assert sorted(outputs[0]) == _chain_files(fmt)
         assert outputs[0] == outputs[1]
 
     def test_csv_cells_equal_json_values(self, players_csv, membership_csv, tmp_path, capsys):
@@ -714,6 +725,126 @@ class TestReproducibility:
         assert not (scree_out / "model.json").exists()
 
 
+class TestTableCache:
+    """Each subcommand keeps the players table it built in --out, and a later
+    one there that would build the same table reads it instead."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_warm_chain_writes_the_bytes_of_a_cold_one(
+        self, players_csv, membership_csv, tmp_path, capsys, monkeypatch, fmt
+    ):
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, warm, fmt))
+        with monkeypatch.context() as patched:
+            patched.setattr(ingest, "parse_csv", _no_parse)
+            _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, warm, fmt))
+        _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, cold, fmt))
+        assert sorted(_files(warm)) == _chain_files(fmt)
+        assert _files(warm) == _files(cold)
+
+    def _like_fresh(self, capsys, tmp_path, argv: list[str], output: str) -> None:
+        """``argv`` writes the same ``output`` and cache into ``out``, which
+        holds the cache of another table, as into a fresh directory."""
+        for name in ("out", "fresh"):
+            code, err = run(capsys, *argv, "--out", str(tmp_path / name))
+            assert (code, err) == (0, ""), name
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for name in (output, CACHE):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def _fit(self, capsys, players: Path, out: Path, *extra: str) -> None:
+        code, err = run(capsys, "fit", "--input", str(players), "--out", str(out), *extra)
+        assert (code, err) == (0, "")
+
+    def test_input_rewritten_in_place_at_the_same_size(self, players_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._fit(capsys, players_csv, out)
+        before = players_csv.stat()
+        text = players_csv.read_text(encoding="utf-8")
+        players_csv.write_text(text.replace("Player 01", "Player 0A"), encoding="utf-8")
+        os.utime(players_csv, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert players_csv.stat().st_size == before.st_size
+        argv = ["scores", "--input", str(players_csv), "--model", str(out / "model.json")]
+        self._like_fresh(capsys, tmp_path, argv, "scores.csv")
+        assert "Player 0A" in (out / "scores.csv").read_text(encoding="utf-8")
+
+    def test_other_min_games(self, players_csv, tmp_path, capsys):
+        self._fit(capsys, players_csv, tmp_path / "out")
+        argv = ["scree", "--input", str(players_csv), "--min-games", "60"]
+        self._like_fresh(capsys, tmp_path, argv, "scree.csv")
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            ({}, {"column_mode": "rate-only", "excluded_column_patterns": ["speed_*"]}),
+            (
+                {"column_mode": "rate-only", "excluded_column_patterns": ["speed_*"]},
+                {"column_mode": "rate-only", "excluded_column_patterns": ["pts_*"]},
+            ),
+        ],
+        ids=["column-mode", "patterns"],
+    )
+    def test_other_column_policy(self, players_csv, tmp_path, capsys, first, then):
+        for name, doc in (("first", first), ("then", then)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        self._fit(capsys, players_csv, tmp_path / "out", "--config", str(tmp_path / "first.json"))
+        argv = ["scree", "--input", str(players_csv), "--config", str(tmp_path / "then.json")]
+        self._like_fresh(capsys, tmp_path, argv, "scree.csv")
+
+    def test_other_schema(self, players_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._fit(capsys, players_csv, out)
+        config = tmp_path / "config.json"
+        schema = ["player_name", "player_id", "team", "games_played", "minutes"]
+        config.write_text(json.dumps({"schema": schema}), encoding="utf-8")
+        argv = ["scores", "--input", str(players_csv), "--model", str(out / "model.json")]
+        self._like_fresh(capsys, tmp_path, [*argv, "--config", str(config)], "scores.csv")
+        assert read_rows(out / "scores.csv")[1][:2] == ["Player 01", "p01"]
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "wrong-shape", "wrong-type", "non-finite", "empty"]
+    )
+    def test_damaged_cache_is_a_miss_and_rewritten(self, players_csv, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        self._fit(capsys, players_csv, out)
+        good, scree = (out / CACHE).read_bytes(), (out / "scree.csv").read_bytes()
+        damaged = {
+            "truncated": good[: len(good) // 2],
+            "garbage": bytes(range(256)) * 8,
+            "wrong-shape": re.sub(rb"'shape': \((\d+), (\d+)\)", rb"'shape': (\2, \1)", good),
+            "wrong-type": good.replace(b"'descr': '<f8'", b"'descr': '<i8'"),
+            "non-finite": good[:-8] + np.float64(np.inf).tobytes(),
+            "empty": b"",
+        }[damage]
+        assert damaged != good
+        (out / CACHE).write_bytes(damaged)
+        (out / "scree.csv").unlink()
+        code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
+        assert (code, err) == (0, "")
+        assert (out / "scree.csv").read_bytes() == scree
+        assert (out / CACHE).read_bytes() == good
+
+    def test_cache_that_cannot_be_written(self, players_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / CACHE).mkdir(parents=True)
+        self._fit(capsys, players_csv, out)
+        self._fit(capsys, players_csv, tmp_path / "fresh")
+        assert (out / CACHE).is_dir()
+        for name in ("model.json", "scree.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_kept_by_a_command_that_fails_after_the_build(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(out), "--k", "7")
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == [CACHE]
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
+        assert (code, err) == (0, "")
+
+
 def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """``python args...`` in a fresh process that imports this statspace,
     with stdout buffered as it is by default."""
@@ -738,11 +869,8 @@ class TestProcessEntry:
         for argv in _chain(players_csv, membership_csv, tmp_path, processes, fmt):
             done = _python("-m", "statspace.cli", *argv)
             assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), argv[0]
-        outputs = [
-            {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-            for out in (in_process, processes)
-        ]
-        assert len(outputs[0]) == 7
+        outputs = [_files(out) for out in (in_process, processes)]
+        assert sorted(outputs[0]) == _chain_files(fmt)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
