@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from _blake2 import blake2b  # what hashlib.blake2b is; hashlib itself loads OpenSSL
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -41,11 +42,6 @@ from .errors import (  # noqa: E402
     StatspaceError,
     UsageError,
 )
-
-try:  # the C module behind hashlib.blake2b; hashlib itself loads OpenSSL
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without it
-    from hashlib import blake2b
 
 if TYPE_CHECKING:
     from . import scoring
@@ -295,14 +291,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_table(config: RunConfig) -> ingest.StatTable:
     """The players table: read from the output directory's table cache when
-    its key matches, else parsed, filtered and built, then cached there."""
-    path = config.output_dir / TABLE_CACHE
-    key = _table_key(config)
-    table = _cached_table(path, key)
-    if table is None:
-        records = ingest.parse_csv(config.input_paths["players"], config.schema, config.filter)
-        records = ingest.apply_filter(records, config.filter)
-        table = ingest.build_table(records)
+    its key matches, else parsed, filtered and built, then cached there.
+
+    Only a regular players file is cached: the digest of a pipe or device
+    would drain it before the parse reads it.
+    """
+    players = config.input_paths["players"]
+    cached = players.is_file()
+    if cached:
+        path = config.output_dir / TABLE_CACHE
+        key = _table_key(config)
+        table = _cached_table(path, key)
+        if table is not None:
+            return table
+    records = ingest.parse_csv(players, config.schema, config.filter)
+    records = ingest.apply_filter(records, config.filter)
+    table = ingest.build_table(records)
+    if cached:
         _cache_table(path, key, table)
     return table
 

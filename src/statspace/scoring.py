@@ -73,25 +73,21 @@ def team_scores(
             f"players without team membership, excluded: {listed(unassigned)}", stacklevel=2
         )
 
-    # every code has a member, since every id in the map is a player
-    codes = sorted(set(membership.values()))
-    if not codes:
-        raise AggregationError("no players could be assigned to any team")
-    # each player's team as its index in codes; players with none come last
-    number = {code: i for i, code in enumerate(codes)}
-    number[None] = len(codes)
-    teams = np.fromiter(
-        map(number.__getitem__, map(membership.get, players.entity_ids)),
-        np.intp,
-        len(players.entity_ids),
-    )
-    order = np.argsort(teams, kind="stable")  # by team, then by player order
-    ends = np.cumsum(np.bincount(teams, minlength=len(codes))[: len(codes)])
+    members: dict[str, list[int]] = {}
+    for i, player_id in enumerate(players.entity_ids):
+        team = membership.get(player_id)
+        if team is not None:
+            members.setdefault(team, []).append(i)
 
+    if not members:
+        raise AggregationError("no players could be assigned to any team")
+
+    codes = sorted(members)
     minutes = np.array(players.minutes)
     rows = []
     totals = []
-    for team, idx in zip(codes, np.split(order, ends)):
+    for team in codes:
+        idx = members[team]
         m = minutes[idx]
         total = float(m.sum())
         if total <= 0:
@@ -140,14 +136,13 @@ def _checked_weights(weights: Mapping[int, float], k: int) -> None:
 def load_membership(source: files.Target) -> dict[str, str]:
     """Read a two-column (player_id, team_code) CSV into a map."""
     rows = _read_two_columns(source, "membership", ("player_id", "team_code"))
-    pairs = [pair for _, pair in rows]
-    mapping = dict(pairs)
-    # a player listed twice, with two teams
-    if len(mapping) != len(pairs) and len(mapping) != len(set(pairs)):
-        first: dict[str, str] = {}
-        for line, (player_id, team) in rows:
-            if first.setdefault(player_id, team) != team:
-                raise ValidationError(f"line {line}: conflicting team for player {player_id!r}")
+    mapping: dict[str, str] = {}
+    for line, (player_id, team) in rows:
+        if player_id in mapping and mapping[player_id] != team:
+            raise ValidationError(
+                f"line {line}: conflicting team for player {player_id!r}"
+            )
+        mapping[player_id] = team
     return mapping
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -843,6 +844,27 @@ class TestTableCache:
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
         assert (code, err) == (0, "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_players_from_a_pipe_are_read_once_and_not_cached(
+        self, players_csv, tmp_path, capsys
+    ):
+        # a digest would drain the pipe, and the parse would then wait for
+        # a writer that never comes; so a pipe is parsed and never cached
+        pipe = tmp_path / "players.pipe"
+        os.mkfifo(pipe)
+        feed = threading.Thread(target=pipe.write_bytes, args=(players_csv.read_bytes(),))
+        feed.daemon = True  # a child that never opens the pipe leaves it waiting
+        feed.start()
+        out = tmp_path / "out"
+        done = _python("-m", "statspace.cli", "fit", "--input", str(pipe), "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        feed.join(timeout=10)
+        assert not feed.is_alive()
+        assert sorted(p.name for p in out.iterdir()) == ["model.json", "scree.csv"]
+        self._fit(capsys, players_csv, tmp_path / "file")
+        for name in ("model.json", "scree.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:

@@ -134,28 +134,6 @@ class TestTeamScores:
         backward = team_scores(make_scores(dict(reversed(rows.items()))), membership)
         np.testing.assert_allclose(forward.scores, backward.scores, atol=1e-15)
 
-    def test_each_team_sums_its_members_in_player_order(self):
-        # the same sums, bit for bit, as one pass over the players in order
-        rng = np.random.default_rng(5)
-        ids = [f"p{i}" for i in range(300)]
-        scores = ScoreSet(
-            entity_ids=ids,
-            minutes=list(rng.uniform(1.0, 3000.0, size=300)),
-            scores=rng.normal(size=(300, 3)),
-        )
-        codes = ["NYK", "ATL", "BOS", "CHI", "DEN", "MIA", "SAS"]
-        assigned = rng.permutation(300)[:280]  # 20 players without a team
-        membership = {ids[i]: codes[rng.integers(len(codes))] for i in assigned}
-        with pytest.warns(UserWarning, match="without team membership"):
-            teams = team_scores(scores, membership)
-        assert teams.team_codes == sorted(codes)
-        minutes = np.array(scores.minutes)
-        for t, code in enumerate(teams.team_codes):
-            idx = [i for i, pid in enumerate(ids) if membership.get(pid) == code]
-            m = minutes[idx]
-            assert teams.total_minutes[t] == float(m.sum())
-            assert np.array_equal(teams.scores[t], (m @ scores.scores[idx]) / float(m.sum()))
-
 
 class TestWinPct:
     def test_attach(self):
@@ -216,17 +194,6 @@ class TestLoaders:
         source = io.StringIO("p1,BOS\np1,NYK\n")
         with pytest.raises(ValidationError, match="p1"):
             load_membership(source)
-
-    def test_membership_conflict_names_its_first_line(self):
-        source = io.StringIO(
-            "player_id,team_code\np1,BOS\np2,NYK\np1,BOS\np2,NYK\np1,CHI\np2,ATL\n"
-        )
-        with pytest.raises(ValidationError, match=r"^line 6: conflicting team for player 'p1'$"):
-            load_membership(source)
-
-    def test_membership_exact_repeat_accepted(self):
-        source = io.StringIO("p1,BOS\np2,NYK\np1,BOS\n")
-        assert load_membership(source) == {"p1": "BOS", "p2": "NYK"}
 
     def test_membership_wrong_width(self):
         with pytest.raises(ParseError, match="line 1"):
