@@ -1,12 +1,12 @@
 """File access and the output text format shared by every reader and writer.
 
-A target is a path or an open stream. A path opens as UTF-8 with
+A target is a path or an open text stream. A path opens as UTF-8 with
 ``newline=""`` (so CSV quoting sees raw line ends and ``"\\n"`` is written
 as is), or as bytes in mode ``"rb"`` or ``"wb"``, and is closed on exit; an
-open text stream is used as given and left open; a byte stream is decoded
-as UTF-8 and also left open. A path opened for writing is replaced
-atomically: readers see the old file or the whole new one, and a write that
-fails leaves the old file as it was.
+open text stream is used as given and left open. Any other target raises
+TypeError. A path opened for writing is replaced atomically: readers see
+the old file or the whole new one, and a write that fails leaves the old
+file as it was.
 
 Numbers are written in shortest round-trip form, so a value read back is
 bit-identical: ``repr(float(v))`` in CSV, the same digits ``json`` writes.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError
 
-Target = str | Path | IO[str] | IO[bytes]
+Target = str | Path | IO[str]
 _READ_BLOCK = 1 << 16  # characters per read of read_lines
 
 
@@ -35,7 +36,8 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO]:
     mode ``"r"`` or ``"w"``, and for a path, bytes in ``"rb"`` or ``"wb"``.
 
     Bytes that are not UTF-8, met while a text stream is read, raise
-    :class:`ParseError`.
+    :class:`ParseError`; a target that is neither a path nor a text stream
+    raises TypeError.
     """
     try:
         if isinstance(target, (str, Path)) and mode.startswith("w"):
@@ -47,11 +49,7 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO]:
         elif isinstance(target, io.TextIOBase):
             yield target
         else:
-            stream = io.TextIOWrapper(target, encoding="utf-8", newline="")
-            try:
-                yield stream
-            finally:
-                stream.detach()  # flushes, and leaves the byte stream open
+            raise TypeError(f"not a path or a text stream: {type(target).__name__}")
     except UnicodeDecodeError as exc:
         where = f"{target}: " if isinstance(target, (str, Path)) else ""
         raise ParseError(
@@ -133,61 +131,10 @@ def write_text(destination: Target, text: str) -> None:
 
 
 def to_json(doc) -> str:
-    """The output JSON text of ``doc``: two-space indent, final newline.
-
-    The text is ``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for
-    documents of dicts with str keys, lists, tuples, str, int, float, bool
-    and None. It is built around C leaf encoders: ``float.__repr__``
-    mapped over each list of floats and ``encode_basestring_ascii`` for
-    strings, where ``json.dumps`` with an indent runs its pure-Python
-    encoder over every value. A NaN or infinite float raises ValueError,
-    since JSON has no such value; another type raises TypeError.
-    """
-    return _json_value(doc, "\n") + "\n"
-
-
-def _json_value(value, newline: str) -> str:
-    """``value`` as JSON text, with ``newline`` the line end and indent of
-    the line it starts on."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_floats([value], "")
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_value(item, inner)  # str keys only
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            body = _json_floats(value, "," + inner)
-        except TypeError:  # not all floats
-            body = ("," + inner).join([_json_value(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_floats(values, separator: str) -> str:
-    """The floats ``values`` joined by ``separator``; TypeError on any other type."""
-    text = separator.join(map(float.__repr__, values))
-    if "n" in text:  # "nan", "inf" or "-inf": finite reprs hold no letter n
-        bad = next(v for v in values if not math.isfinite(v))
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    return text
+    """The output JSON text of ``doc``: ``json.dumps`` with a two-space
+    indent, and a final newline. A NaN or infinite float raises ValueError,
+    since JSON has no such value."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:
@@ -257,4 +204,4 @@ def _cells(column: Sequence, fmt: str) -> tuple[Sequence, bool]:
     try:
         return list(map(encode_basestring_ascii, column)), False
     except TypeError:  # not all str
-        return [_json_value(value, "") for value in column], False
+        return [json.dumps(value, allow_nan=False) for value in column], False

@@ -3,10 +3,10 @@
 The pipeline is parse -> filter -> build: ``parse_csv`` reads a CSV once into
 a column-major :class:`RawTable` (metadata vectors plus one float matrix,
 NaN for a missing cell; given the policy, only the columns it keeps) that
-indexes as :class:`RawRecord` rows;
-``apply_filter`` enforces the record/column retention policy as row and
-column indices into that table; and ``build_table`` assembles a fully
-numeric :class:`StatTable` (rejecting, never imputing, missing values).
+indexes as :class:`RawRecord` rows; ``apply_filter`` enforces the row and
+column retention policy as row and column indices into that table; and
+``build_table`` assembles a fully numeric :class:`StatTable` (rejecting,
+never imputing, missing values). Both take a ``RawTable`` only.
 """
 
 from __future__ import annotations
@@ -91,37 +91,6 @@ class RawTable(Sequence[RawRecord]):
                 name: None if math.isnan(value) else value
                 for name, value in zip(self.stat_names, self.values[i].tolist())
             },
-        )
-
-    @classmethod
-    def from_records(cls, records: Sequence[RawRecord]) -> RawTable:
-        """The table of ``records``; a RawTable is returned as is.
-
-        Raises :class:`SchemaError` if the records disagree on their stat
-        columns or their order.
-        """
-        if isinstance(records, cls):
-            return records
-        stat_names = list(records[0].stats) if records else []
-        for record in records:
-            if list(record.stats) != stat_names:
-                got = set(record.stats)
-                expected = set(stat_names)
-                diff = sorted(got.symmetric_difference(expected))
-                detail = f"columns differ: {diff}" if diff else "column order differs"
-                raise SchemaError(f"player {record.player_id!r}: {detail}")
-        values = [
-            [math.nan if r.stats[s] is None else r.stats[s] for s in stat_names]
-            for r in records
-        ]
-        return cls(
-            player_ids=[r.player_id for r in records],
-            player_names=[r.player_name for r in records],
-            team_codes=[r.team_code for r in records],
-            games_played=np.array([r.games_played for r in records], dtype=int),
-            minutes_total=np.array([r.minutes_total for r in records], dtype=float),
-            stat_names=stat_names,
-            values=np.array(values, dtype=float).reshape(len(records), len(stat_names)),
         )
 
 
@@ -482,14 +451,13 @@ def _parse_count(cell: str, column: str, line: int) -> int:
     return int(value)
 
 
-def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable:
-    """Apply the retention policy; idempotent, never adds records or columns.
+def apply_filter(table: RawTable, policy: FilterPolicy) -> RawTable:
+    """Apply the retention policy; idempotent, never adds rows or columns.
 
     Players with several team rows keep only their combined (``TOT``) row;
     per-team splits are dropped even when no combined row exists, since they
     would double-count a single player. The games threshold is inclusive.
     """
-    table = RawTable.from_records(records)
     row_counts = Counter(table.player_ids)
     rows = [
         i
@@ -513,14 +481,12 @@ def apply_filter(records: Sequence[RawRecord], policy: FilterPolicy) -> RawTable
     )
 
 
-def build_table(records: Sequence[RawRecord]) -> StatTable:
+def build_table(table: RawTable) -> StatTable:
     """Assemble a StatTable, failing rather than imputing.
 
     Raises :class:`ValidationError` listing every (player, statistic) pair
-    with a missing value, row by row, and :class:`SchemaError` if records
-    disagree on their stat columns.
+    with a missing value, row by row.
     """
-    table = RawTable.from_records(records)
     if not table:
         raise ValidationError("no records to build a table from")
 

@@ -54,6 +54,9 @@ class StandardizationParams:
         self.means = np.asarray(self.means, dtype=float)
         self.std_devs = np.asarray(self.std_devs, dtype=float)
         p = len(self.stat_names)
+        if len(set(self.stat_names)) != p:
+            repeated = sorted({n for n in self.stat_names if self.stat_names.count(n) > 1})
+            raise SchemaError(f"stat_names lists a column more than once: {repeated}")
         if self.means.shape != (p,) or self.std_devs.shape != (p,):
             raise ValidationError("means/std_devs lengths do not match stat_names")
         if not (self.std_devs > 0).all():

@@ -49,9 +49,12 @@ def sdi(
     """Sum of squared score differences over the chosen components.
 
     ``components=None`` means every component. Symmetric in its arguments and
-    exactly zero for identical profiles.
+    exactly zero for identical profiles. Profiles of different lengths raise
+    :class:`ParameterError`.
     """
-    comps = _checked_components(components, min(len(a), len(b)))
+    if len(a) != len(b):
+        raise ParameterError(f"profiles differ in length: {len(a)} and {len(b)}")
+    comps = _checked_components(components, len(a))
     rows = np.asarray(b, dtype=float)[None]
     return float(_sums(np.asarray(a, dtype=float), rows, comps)[0])
 

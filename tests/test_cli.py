@@ -718,6 +718,15 @@ class TestReproducibility:
                     values += value if isinstance(value, list) else [value]
                 assert row == [repr(v) if isinstance(v, float) else str(v) for v in values], stem
 
+    def test_json_outputs_are_canonical(self, players_csv, membership_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, out, "json"))
+        written = sorted(out.glob("*.json"))
+        assert [p.name for p in written] == [n for n in _chain_files("json") if n.endswith(".json")]
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
     def test_scree_subcommand_matches_fit_scree(self, players_csv, tmp_path, capsys):
         fit_out, scree_out = tmp_path / "fit", tmp_path / "scree"
         assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fit_out))[0] == 0
@@ -1149,6 +1158,16 @@ class TestBadFiles:
         code, err = self._score_with(doc, players_csv, tmp_path, capsys)
         assert code == 3
         assert "n_samples" in _one_error_line(err)["error"]
+
+    def test_model_repeated_stat_name(self, players_csv, tmp_path, capsys, monkeypatch):
+        doc = self._model_doc(players_csv, tmp_path, capsys)
+        names = doc["standardization"]["stat_names"]
+        names[1] = names[0]
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
+        assert code == 3
+        assert "stat_names" in _one_error_line(err)["error"]
+        assert not (tmp_path / "out" / "scores.csv").exists()
 
     def test_model_nested_too_deep(self, players_csv, tmp_path, capsys):
         model = tmp_path / "deep_model.json"

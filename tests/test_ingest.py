@@ -30,17 +30,6 @@ from statspace import (
 SCHEMA4 = ("name", "team", "gp", "min")
 
 
-def _record(pid, team="BOS", games=50, minutes=1000.0, **stats):
-    return RawRecord(
-        player_id=pid,
-        player_name=pid.upper(),
-        team_code=team,
-        games_played=games,
-        minutes_total=minutes,
-        stats=dict(stats) or {"s1": 1.0},
-    )
-
-
 class TestParseCsv:
     def test_basic_row_mapping(self):
         source = io.StringIO("name,team,gp,min,pts48\nA,BOS,50,1200,20.5\n")
@@ -114,9 +103,10 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="header"):
             parse_csv(io.StringIO(""), SCHEMA4)
 
-    def test_byte_stream_accepted(self):
+    def test_byte_stream_refused(self):
         source = io.BytesIO(b"name,team,gp,min,pts48\nA,BOS,50,1200,20.5\n")
-        assert parse_csv(source, SCHEMA4)[0].stats["pts48"] == 20.5
+        with pytest.raises(TypeError, match="BytesIO"):
+            parse_csv(source, SCHEMA4)
 
     def test_bad_schema_length(self):
         with pytest.raises(ParameterError):
@@ -560,40 +550,47 @@ class TestParseMemory:
 
 class TestApplyFilter:
     def test_games_boundary_inclusive(self):
-        records = [_record(f"p{g}", games=g) for g in (40, 41, 82)]
-        kept = apply_filter(records, FilterPolicy(min_games=41))
+        source = io.StringIO(
+            "name,team,gp,min,s1\n"
+            "p40,BOS,40,1000,1.0\np41,BOS,41,1000,1.0\np82,BOS,82,1000,1.0\n"
+        )
+        kept = apply_filter(parse_csv(source, SCHEMA4), FilterPolicy(min_games=41))
         assert [r.games_played for r in kept] == [41, 82]
 
     def test_combined_record_kept_for_multi_team_player(self):
-        records = [
-            _record("p1", team="PHI"),
-            _record("p1", team="MIL"),
-            _record("p1", team="TOT"),
-            _record("p2", team="BOS"),
-        ]
-        kept = apply_filter(records, FilterPolicy(min_games=0))
+        source = io.StringIO(
+            "name,team,gp,min,s1\n"
+            "p1,PHI,50,1000,1.0\n"
+            "p1,MIL,50,1000,1.0\n"
+            "p1,TOT,50,1000,1.0\n"
+            "p2,BOS,50,1000,1.0\n"
+        )
+        kept = apply_filter(parse_csv(source, SCHEMA4), FilterPolicy(min_games=0))
         assert [(r.player_id, r.team_code) for r in kept] == [
             ("p1", "TOT"),
             ("p2", "BOS"),
         ]
 
     def test_min_games_zero_keeps_all(self):
-        records = [_record("p1", games=0), _record("p2", games=1)]
-        assert list(apply_filter(records, FilterPolicy(min_games=0))) == records
+        source = io.StringIO("name,team,gp,min,s1\np1,BOS,0,1000,1.0\np2,BOS,1,1000,1.0\n")
+        table = parse_csv(source, SCHEMA4)
+        assert list(apply_filter(table, FilterPolicy(min_games=0))) == list(table)
 
     def test_rate_only_drops_matching_columns(self):
-        records = [_record("p1", pts_total=100.0, pts_per48=20.0, pts_pg=10.0)]
+        source = io.StringIO(
+            "name,team,gp,min,pts_total,pts_per48,pts_pg\np1,BOS,50,1000,100.0,20.0,10.0\n"
+        )
         policy = FilterPolicy(
             min_games=0,
             column_mode="rate-only",
             excluded_column_patterns=["*_total", "*_pg"],
         )
-        assert list(apply_filter(records, policy)[0].stats) == ["pts_per48"]
+        assert list(apply_filter(parse_csv(source, SCHEMA4), policy)[0].stats) == ["pts_per48"]
 
     def test_all_mode_ignores_patterns(self):
-        records = [_record("p1", pts_total=100.0, pts_per48=20.0)]
+        source = io.StringIO("name,team,gp,min,pts_total,pts_per48\np1,BOS,50,1000,100.0,20.0\n")
         policy = FilterPolicy(min_games=0, excluded_column_patterns=["*_total"])
-        assert list(apply_filter(records, policy)[0].stats) == [
+        assert list(apply_filter(parse_csv(source, SCHEMA4), policy)[0].stats) == [
             "pts_total",
             "pts_per48",
         ]
@@ -603,19 +600,20 @@ class TestApplyFilter:
         min_games=st.integers(min_value=0, max_value=82),
     )
     def test_idempotent_and_never_grows(self, games, min_games):
-        records = [_record(f"p{i}", games=g) for i, g in enumerate(games)]
+        rows = "".join(f"p{i},BOS,{g},1000,1.0\n" for i, g in enumerate(games))
+        table = parse_csv(io.StringIO("name,team,gp,min,s1\n" + rows), SCHEMA4)
         policy = FilterPolicy(min_games=min_games)
-        once = apply_filter(records, policy)
+        once = apply_filter(table, policy)
         twice = apply_filter(once, policy)
         assert list(twice) == list(once)
-        assert len(once) <= len(records)
+        assert len(once) <= len(table)
 
     def test_column_drop_idempotent(self):
-        records = [_record("p1", a_total=1.0, b=2.0)]
+        source = io.StringIO("name,team,gp,min,a_total,b\np1,BOS,50,1000,1.0,2.0\n")
         policy = FilterPolicy(
             min_games=0, column_mode="rate-only", excluded_column_patterns=["*_total"]
         )
-        once = apply_filter(records, policy)
+        once = apply_filter(parse_csv(source, SCHEMA4), policy)
         assert list(apply_filter(once, policy)) == list(once)
 
     def test_invalid_policy(self):
@@ -638,40 +636,25 @@ class TestRawTable:
         with pytest.raises(IndexError):
             table[2]
 
-    def test_from_records_round_trip(self):
-        records = [_record("p1", a=1.0, b=None), _record("p2", team="TOT", a=3.0, b=4.0)]
-        table = RawTable.from_records(records)
-        assert list(table) == records
-        assert RawTable.from_records(table) is table
-
-    def test_from_records_column_order_differs(self):
-        records = [_record("p1", a=1.0, b=2.0), _record("p2", b=2.0, a=1.0)]
-        with pytest.raises(SchemaError, match="p2.*column order differs"):
-            RawTable.from_records(records)
-
 
 class TestBuildTable:
     def test_assembles_in_input_order(self):
-        records = [
-            _record("p1", a=1.0, b=2.0),
-            _record("p2", a=3.0, b=4.0),
-            _record("p3", a=5.0, b=6.0),
-        ]
-        table = build_table(records)
+        source = io.StringIO(
+            "name,team,gp,min,a,b\n"
+            "p1,BOS,50,1000,1.0,2.0\n"
+            "p2,BOS,50,1000,3.0,4.0\n"
+            "p3,BOS,50,1000,5.0,6.0\n"
+        )
+        table = build_table(parse_csv(source, SCHEMA4))
         assert table.values.shape == (3, 2)
         assert table.entity_ids == ["p1", "p2", "p3"]
         assert table.stat_names == ["a", "b"]
         np.testing.assert_array_equal(table.values, [[1, 2], [3, 4], [5, 6]])
 
     def test_missing_value_is_validation_error(self):
-        records = [_record("p1", a=1.0, b=None), _record("p2", a=3.0, b=4.0)]
+        source = io.StringIO("name,team,gp,min,a,b\np1,BOS,50,1000,1.0,\np2,BOS,50,1000,3.0,4.0\n")
         with pytest.raises(ValidationError, match=r"\('p1', 'b'\)"):
-            build_table(records)
-
-    def test_mismatched_columns_is_schema_error(self):
-        records = [_record("p1", a=1.0), _record("p2", b=2.0)]
-        with pytest.raises(SchemaError, match="p2"):
-            build_table(records)
+            build_table(parse_csv(source, SCHEMA4))
 
     def test_missing_pairs_listed_row_major(self):
         source = io.StringIO(
@@ -683,11 +666,12 @@ class TestBuildTable:
 
     def test_long_lists_of_offenders_are_cut(self):
         # 25 rows each missing one value, and 25 ids each given twice
-        records = [_record(f"p{i:02d}", a=None) for i in range(25)]
+        rows = "".join(f"p{i:02d},BOS,50,1000,\n" for i in range(25))
+        source = io.StringIO("name,team,gp,min,a\n" + rows)
         pairs = [(f"p{i:02d}", "a") for i in range(10)]
         expected = f"missing values for (player, statistic): {pairs} and 15 more"
         with pytest.raises(ValidationError) as raised:
-            build_table(records)
+            build_table(parse_csv(source, SCHEMA4))
         assert str(raised.value) == expected
         ids = [f"p{i:02d}" for i in range(25)] * 2
         with pytest.raises(ValidationError) as raised:
@@ -695,9 +679,9 @@ class TestBuildTable:
         assert str(raised.value) == f"duplicate entity_ids: {ids[:10]} and 15 more"
 
     def test_duplicate_ids_rejected(self):
-        records = [_record("p1", a=1.0), _record("p1", a=2.0)]
+        source = io.StringIO("name,team,gp,min,a\np1,BOS,50,1000,1.0\np1,BOS,50,1000,2.0\n")
         with pytest.raises(ValidationError, match="duplicate"):
-            build_table(records)
+            build_table(parse_csv(source, SCHEMA4))
 
     def test_values_all_finite(self, fitted_pipeline):
         table, _, _, _ = fitted_pipeline

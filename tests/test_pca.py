@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import STATS
 from statspace import pca
 from statspace import (
     ConvergenceError,
@@ -348,6 +349,9 @@ class TestModelSerialization:
                 ("component_variances", 0), math.nan, ValidationError, id="nan-variance"
             ),
             pytest.param(("total_variance",), math.inf, ValidationError, id="inf-total"),
+            pytest.param(
+                ("standardization", "stat_names", 1), STATS[0], SchemaError, id="repeated-stat"
+            ),
         ],
     )
     def test_bad_field_is_typed_error(self, fitted_pipeline, path, value, error):

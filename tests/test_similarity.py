@@ -47,6 +47,12 @@ class TestSdi:
         with pytest.raises(ParameterError, match="out of range"):
             sdi([1, 2], [0, 0], components={5})
 
+    def test_profiles_of_different_lengths(self):
+        with pytest.raises(ParameterError, match="length"):
+            sdi([1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ParameterError, match="length"):
+            sdi([1.0], [1.0, 2.0], components={0})
+
     @given(a=score_vector, b=score_vector)
     def test_symmetry_nonnegativity_self_zero(self, a, b):
         assert sdi(a, b) == sdi(b, a)
