@@ -6,6 +6,10 @@ deterministic: identical inputs and configuration produce byte-identical
 files. Numeric cells use shortest round-trip decimal form except in the
 human-readable regression table.
 
+Each flag is declared once, in ``FLAGS``, and each subcommand once, in
+``SUBCOMMANDS``: the parser, the config-file check and ``resolve_config``
+derive from them. A config file gives flags by name, and ``CONFIG_ONLY``.
+
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 data/validation
 error, 4 numerical error. Failures also emit one machine-parseable JSON line
 on stderr, never a traceback.
@@ -19,10 +23,10 @@ import math
 import os
 import sys
 from _blake2 import blake2b  # what hashlib.blake2b is; hashlib itself loads OpenSSL
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and
@@ -46,47 +50,6 @@ from .errors import (  # noqa: E402
 if TYPE_CHECKING:
     from . import scoring
 
-SCHEMA_KEY = "schema"
-# Config-file keys, each with the JSON types its value may have. Every flag
-# can be given in the config; the last three keys are config-only.
-CONFIG_TYPES: dict[str, tuple[type, ...]] = {
-    "input": (str,),
-    "model": (str,),
-    "min_games": (int,),
-    "k": (int,),
-    "components": (str,),
-    "top": (int,),
-    "query": (str,),
-    "membership": (str,),
-    "winpct": (str,),
-    "weights": (str,),
-    "out": (str,),
-    "format": (str,),
-    "column_mode": (str,),
-    "excluded_column_patterns": (list,),
-    SCHEMA_KEY: (list,),
-}
-# Element type of each list-valued config key.
-CONFIG_ITEM_TYPES: dict[str, tuple[type, ...]] = {
-    "excluded_column_patterns": (str,),
-    SCHEMA_KEY: (str,),
-}
-FORMATS = ("csv", "json")
-# Per subcommand: the flags it needs, then the files and values it reads if
-# given (as flags or config keys). The needed flags are checked first, then
-# the values it reads, then every listed file must exist, all before any
-# file is read. Unlisted ones go unchecked: one config serves the chain.
-COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "fit": (("out", "input"), ("k",)),
-    "scree": (("out", "input"), ()),
-    "scores": (("out", "input", "model"), ()),
-    "teams": (("out", "input", "model", "membership"), ("winpct", "weights")),
-    "similar": (("out", "input", "model", "query"), ("top", "components")),
-    "regress": (("out", "input", "model", "membership", "winpct"), ()),
-}
-
-DEFAULT_K = 4
-DEFAULT_TOP = 5
 SCREE_COMPONENTS = 10
 # The players table as last built for this output directory: a line with
 # its key, then five arrays in .npy format: the entity ids, entity names and
@@ -99,18 +62,57 @@ _HASH_BLOCK = 1 << 20  # bytes per read of a hashed file
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one subcommand invocation."""
+    """Resolved settings for one subcommand; a flag it does not use is None."""
 
     input_paths: dict[str, Path]
     filter: ingest.FilterPolicy
-    k: int
+    k: int | None
     components_for_sdi: set[int] | None
     output_dir: Path
     output_format: str
-    schema: tuple[str, ...] = ingest.DEFAULT_SCHEMA
-    query: str | None = None
-    top: int = DEFAULT_TOP
-    weights: dict[int, float] = field(default_factory=dict)
+    schema: tuple[str, ...]
+    query: str | None
+    top: int | None
+    weights: dict[int, float] | None
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A command-line flag, which a config file may give under the same name."""
+
+    type: type  # int or str
+    default: int | str | None = None  # None: unset, or the library's default
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+FLAGS = {
+    "input": Flag(str, help="players CSV"),
+    "model": Flag(str, help="fitted model JSON (from `fit`)"),
+    "min_games": Flag(int),
+    "k": Flag(int, 4, "components to fit"),
+    "components": Flag(str, help="comma-separated 1-based component numbers, e.g. 1,2,3,4"),
+    "top": Flag(int, 5, "ranking size"),
+    "query": Flag(str, help="entity id to rank similarity against"),
+    "membership": Flag(str, help="player_id,team_code CSV"),
+    "winpct": Flag(str, help="team_code,win_pct CSV"),
+    "weights": Flag(str, help="component weights like 2=0.17,4=0.09 (1-based numbers)"),
+    "out": Flag(str, help="output directory"),
+    "format": Flag(str, "csv", choices=("csv", "json")),
+}
+# Config-file keys that no flag sets, with the type of each value.
+CONFIG_ONLY = {"column_mode": str, "excluded_column_patterns": list, "schema": list}
+
+
+@dataclass
+class Subcommand:
+    """A subcommand: its function and help text, the flags it needs, then the
+    files and values it reads if given (as flags or config keys)."""
+
+    run: Callable[[RunConfig], int]
+    help: str
+    needs: tuple[str, ...]
+    reads: tuple[str, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,36 +130,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "score players and teams, rank similarity, and regress outcomes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fit", "fit a component model and write model + scree data"),
-        ("scree", "write per-component variance data without saving a model"),
-        ("scores", "project players onto a fitted model"),
-        ("teams", "aggregate player scores into minutes-weighted team scores"),
-        ("similar", "rank entities by statistical similarity to a query"),
-        ("regress", "regress winning percentage on team component scores"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, subcommand in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand.help)
         if name != command:
             continue  # the flags of a subcommand not run are never parsed
         p.add_argument("--config", help="JSON file supplying any flag (flags win)")
-        p.add_argument("--input", help="players CSV")
-        p.add_argument("--model", help="fitted model JSON (from `fit`)")
-        p.add_argument("--min-games", type=int, dest="min_games")
-        p.add_argument("--k", type=int, help=f"components to fit (default {DEFAULT_K})")
-        p.add_argument(
-            "--components",
-            help="comma-separated 1-based component numbers, e.g. 1,2,3,4",
-        )
-        p.add_argument("--top", type=int, help=f"ranking size (default {DEFAULT_TOP})")
-        p.add_argument("--query", help="entity id to rank similarity against")
-        p.add_argument("--membership", help="player_id,team_code CSV")
-        p.add_argument("--winpct", help="team_code,win_pct CSV")
-        p.add_argument(
-            "--weights",
-            help="component weights like 2=0.17,4=0.09 (1-based numbers)",
-        )
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=FORMATS, dest="format")
+        for key, flag in FLAGS.items():
+            help_text = flag.help
+            if help_text and flag.default is not None:
+                help_text += f" (default {flag.default})"
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=flag.type, choices=flag.choices, help=help_text
+            )
     return parser
 
 
@@ -169,27 +153,31 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file not found: {config_path}")
     try:
         raw = json.loads(files.read_text(config_path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {config_path} must hold a JSON object")
-    unknown = set(raw) - set(CONFIG_TYPES)
+    types = {key: flag.type for key, flag in FLAGS.items()} | CONFIG_ONLY
+    unknown = set(raw) - set(types)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        ok = _is_a(value, CONFIG_TYPES[key])
-        if ok and isinstance(value, list):
-            ok = all(_is_a(item, CONFIG_ITEM_TYPES[key]) for item in value)
-        if not ok:
+        if not _is_a(value, types[key]):
             raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    if raw.get("format", FORMATS[0]) not in FORMATS:
-        raise UsageError(f"config key 'format' must be one of {list(FORMATS)}")
+        # a path with a NUL fails only when it is opened, as a ValueError
+        if "\0" in ("".join(value) if isinstance(value, list) else str(value)):
+            raise UsageError(f"config key {key!r} holds a NUL character")
+    for key, flag in FLAGS.items():
+        if flag.choices and raw.get(key, flag.default) not in flag.choices:
+            raise UsageError(f"config key {key!r} must be one of {list(flag.choices)}")
     return raw
 
 
-def _is_a(value, types: tuple[type, ...]) -> bool:
-    """isinstance, except that a JSON true/false is never a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a JSON true/false is never a number; a list holds str."""
+    if isinstance(value, list):
+        return kind is list and all(isinstance(item, str) for item in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _parse_components(text: str) -> set[int]:
@@ -228,55 +216,58 @@ def _parse_weights(text: str) -> dict[int, float]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults.
 
-    A needed flag in ``COMMAND_FLAGS`` that neither gives is a usage error,
-    and so is a value out of the range that needs no data, or an ``--out``
-    that is, or lies under, an existing file; then, once every value is
-    parsed, a file the subcommand reads that does not exist is a data error.
+    A flag the subcommand needs that neither gives is a usage error, and so
+    is a value out of the range that needs no data, or an ``--out`` that is,
+    or lies under, an existing file; then, once every value is parsed, a
+    file the subcommand reads that does not exist is a data error. All of
+    this comes before any file is read. A flag the subcommand does not use
+    goes unchecked, so one config serves the chain.
     """
     config = _load_config_file(args.config)
+    command = SUBCOMMANDS[args.command]
 
-    def merged(key, default=None):
-        value = getattr(args, key, None)
-        return value if value is not None else config.get(key, default)
+    def merged(key):
+        value = getattr(args, key)
+        return value if value is not None else config.get(key, FLAGS[key].default)
 
-    needed, optional = COMMAND_FLAGS[args.command]
-    for key in needed:
-        if merged(key) is None:
+    def used(key):
+        return merged(key) if key in command.needs + command.reads else None
+
+    for key in command.needs:
+        if used(key) is None:
             raise UsageError(f"missing required flag: --{key}")
     input_paths = {  # in the order the files are checked
-        "players" if key == "input" else key: Path(merged(key))
+        "players" if key == "input" else key: Path(path)
         for key in ("model", "input", "membership", "winpct")
-        if key in needed + optional and merged(key) is not None
+        if (path := used(key)) is not None
     }
-    for key, default in (("k", DEFAULT_K), ("top", DEFAULT_TOP)):
-        if key in optional and merged(key, default) < 1:
-            raise ParameterError(f"{key} must be >= 1, got {merged(key, default)}")
-    output_dir = Path(merged("out"))
+    for key in ("k", "top"):
+        if used(key) is not None and used(key) < 1:
+            raise ParameterError(f"{key} must be >= 1, got {used(key)}")
+    output_dir = Path(used("out"))
     existing = next(path for path in (output_dir, *output_dir.parents) if path.exists())
     if not existing.is_dir():
         raise UsageError(f"output directory {output_dir}: {existing} is not a directory")
 
-    components = merged("components") if "components" in optional else None
-    weights = merged("weights") if "weights" in optional else None
-
-    schema = tuple(config.get(SCHEMA_KEY, ingest.DEFAULT_SCHEMA))
+    schema = tuple(config.get("schema", ingest.DEFAULT_SCHEMA))
     ingest._roles(schema)  # 4 or 5 names, none repeated
+    # a filter setting that is not given is left to FilterPolicy's default
+    given = {**config, "min_games": merged("min_games")}
+    settings = ("min_games", "column_mode", "excluded_column_patterns")
+    policy = ingest.FilterPolicy(**{s: given[s] for s in settings if given.get(s) is not None})
+    components, weights = used("components"), used("weights")
 
     resolved = RunConfig(
         input_paths=input_paths,
-        filter=ingest.FilterPolicy(
-            min_games=merged("min_games", 41),
-            column_mode=config.get("column_mode", "all"),
-            excluded_column_patterns=config.get("excluded_column_patterns", []),
-        ),
-        k=merged("k", DEFAULT_K),
+        filter=policy,
+        k=used("k"),
         components_for_sdi=None if components is None else _parse_components(components),
         output_dir=output_dir,
-        output_format=merged("format", "csv"),
+        output_format=merged("format"),
         schema=schema,
-        query=merged("query"),
-        top=merged("top", DEFAULT_TOP),
-        weights={} if weights is None else _parse_weights(weights),
+        query=used("query"),
+        top=used("top"),
+        weights=None if weights is None else _parse_weights(weights),
     )
     for role, path in input_paths.items():
         if not path.exists():
@@ -374,7 +365,16 @@ def _emit(config: RunConfig, stem: str, columns: dict) -> None:
     files.write_table(_out_file(config, stem), columns, config.output_format)
 
 
-def _write_scree(config: RunConfig, spectrum, total: float) -> None:
+def cmd_fit(config: RunConfig) -> int:
+    """Fit and save the model, then write the scree data. ``scree`` runs
+    this too: it reads no ``k``, so it fits no model."""
+    table = _load_table(config)
+    params, standardized = pca.standardize(table, drop_constant=True)
+    if config.k is not None:
+        model = pca.fit_pca(standardized, config.k, params)
+        pca.save_model(model, _out_file(config, "model", "json"))
+    spectrum = pca.component_spectrum(standardized)
+    total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()
     cumulative = list(accumulate(variance, initial=0.0))[1:]
     _emit(
@@ -386,23 +386,6 @@ def _write_scree(config: RunConfig, spectrum, total: float) -> None:
             "cumulative_ratio": [c / total for c in cumulative],
         },
     )
-
-
-def cmd_fit(config: RunConfig) -> int:
-    table = _load_table(config)
-    params, standardized = pca.standardize(table, drop_constant=True)
-    model = pca.fit_pca(standardized, config.k, params)
-    pca.save_model(model, _out_file(config, "model", "json"))
-    spectrum = pca.component_spectrum(standardized)
-    _write_scree(config, spectrum, float(spectrum.sum()))
-    return 0
-
-
-def cmd_scree(config: RunConfig) -> int:
-    table = _load_table(config)
-    _, standardized = pca.standardize(table, drop_constant=True)
-    spectrum = pca.component_spectrum(standardized)
-    _write_scree(config, spectrum, float(spectrum.sum()))
     return 0
 
 
@@ -418,10 +401,6 @@ def _score_players(config: RunConfig) -> tuple[list[str], pca.ScoreSet]:
         _checked_weights(config.weights, model.k)
     table = _load_table(config)
     return table.entity_names, pca.transform(model, table)
-
-
-def _pc_names(k: int) -> list[str]:
-    return [f"PC{i + 1}" for i in range(k)]
 
 
 def cmd_scores(config: RunConfig) -> int:
@@ -488,7 +467,7 @@ def cmd_regress(config: RunConfig) -> int:
     fit = regression.fit_ols(
         teams.scores,
         teams.win_pct,
-        term_names=_pc_names(teams.k),
+        term_names=[f"PC{i + 1}" for i in range(teams.k)],
     )
     txt_path = _out_file(config, "regression", "txt")
     files.write_text(txt_path, regression.summary_text(fit))
@@ -500,13 +479,28 @@ def cmd_regress(config: RunConfig) -> int:
     return 0
 
 
-COMMANDS = {
-    "fit": cmd_fit,
-    "scree": cmd_scree,
-    "scores": cmd_scores,
-    "teams": cmd_teams,
-    "similar": cmd_similar,
-    "regress": cmd_regress,
+SUBCOMMANDS = {
+    "fit": Subcommand(
+        cmd_fit, "fit a component model and write model + scree data", ("out", "input"), ("k",)
+    ),
+    "scree": Subcommand(
+        cmd_fit, "write per-component variance data without saving a model", ("out", "input")
+    ),
+    "scores": Subcommand(
+        cmd_scores, "project players onto a fitted model", ("out", "input", "model")
+    ),
+    "teams": Subcommand(
+        cmd_teams, "aggregate player scores into minutes-weighted team scores",
+        ("out", "input", "model", "membership"), ("winpct", "weights"),
+    ),
+    "similar": Subcommand(
+        cmd_similar, "rank entities by statistical similarity to a query",
+        ("out", "input", "model", "query"), ("top", "components"),
+    ),
+    "regress": Subcommand(
+        cmd_regress, "regress winning percentage on team component scores",
+        ("out", "input", "model", "membership", "winpct"),
+    ),
 }
 
 
@@ -515,7 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         config = resolve_config(args)
-        return COMMANDS[args.command](config)
+        return SUBCOMMANDS[args.command].run(config)
     except StatspaceError as exc:
         return _fail(exc, exc.exit_code)
     except OSError as exc:

@@ -8,6 +8,7 @@ how traded players' minutes split across teams is the caller's call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -119,6 +120,7 @@ def regression_weighted_score(
     """Weighted sum of selected components per team.
 
     Components without a weight contribute nothing; an empty map gives zeros.
+    Every weight must be a finite number.
     """
     _checked_weights(weights, teams.k)
     vector = np.zeros(teams.k)
@@ -131,6 +133,9 @@ def _checked_weights(weights: Mapping[int, float], k: int) -> None:
     bad = [c for c in weights if not 0 <= c < k]
     if bad:
         raise ParameterError(f"weight component indices {sorted(bad)} out of range for k={k}")
+    bad = [c for c, w in weights.items() if not math.isfinite(w)]
+    if bad:
+        raise ParameterError(f"weights of component indices {sorted(bad)} are not finite")
 
 
 def load_membership(source: files.Target) -> dict[str, str]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import statspace
 from statspace import cli, ingest, pca, scoring
@@ -632,7 +633,7 @@ class TestEmit:
             cli._emit(config, "scores", columns)
             return 0
 
-        monkeypatch.setitem(cli.COMMANDS, "fit", emit_bad)
+        monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", emit_bad)
         code, err = run(
             capsys,
             "fit", "--input", str(players_csv), "--out", str(out), "--format", "json",
@@ -1124,6 +1125,90 @@ class TestConfigFile:
         assert code == 2
         assert "mystery" in json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("key", list(cli.FLAGS))
+    def test_flag_and_config_key_resolve_alike(self, players_csv, tmp_path, key):
+        # one subcommand that reads the flag; min_games and format every one reads
+        command = next(
+            (name for name, sub in cli.SUBCOMMANDS.items() if key in sub.needs + sub.reads),
+            "fit",
+        )
+        path = str(players_csv)  # resolve_config only checks that the file is there
+        values = {
+            "input": path, "model": path, "min_games": 30, "k": 3, "components": "1,3",
+            "top": 2, "query": "p01", "membership": path, "winpct": path,
+            "weights": "2=0.5", "out": str(tmp_path / "o"), "format": "json",
+        }
+        needs = cli.SUBCOMMANDS[command].needs
+        given = [arg for need in needs if need != key for arg in (f"--{need}", str(values[need]))]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: values[key]}), encoding="utf-8")
+
+        def resolved(*argv):
+            args = cli.build_parser(command).parse_args([command, *given, *argv])
+            return cli.resolve_config(args)
+
+        by_flag = resolved("--" + key.replace("_", "-"), str(values[key]))
+        assert by_flag == resolved("--config", str(config))
+        if key not in needs:
+            assert by_flag != resolved()  # the value was read
+
+    # Any JSON value, with the text and numbers most likely to slip through.
+    json_values = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=-(2**70), max_value=2**70)
+        | st.floats()
+        | st.text(max_size=6)
+        | st.sampled_from(["\0", "a\0b", "all", "rate-only", "json", "1,2", "2=0.5", "*_total"]),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner),
+        max_leaves=8,
+    )
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        doc=st.dictionaries(
+            st.sampled_from([*cli.FLAGS, *cli.CONFIG_ONLY, "mystery"]), json_values, max_size=4
+        )
+    )
+    @example(doc={"out": "\0"})
+    @example(doc={"schema": ["player_id", "player_name", "team", "games_played", "\0"]})
+    def test_any_config_ends_in_a_documented_exit(self, players_csv, tmp_path, capsys, doc):
+        """``fit`` on any config object exits 0, 2 or 3, with one JSON line on a failure."""
+        out = tmp_path / "fuzz"
+        argv = ["fit", "--input", str(players_csv)]
+        if isinstance(doc.get("out"), str):  # kept under tmp_path, whatever its text
+            doc["out"] = f"{out}/o{doc['out'].replace('/', '_')}"
+        else:
+            argv += ["--out", str(out / "o")]
+        config = tmp_path / "fuzz.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run(capsys, *argv, "--config", str(config))
+        assert code in (0, 2, 3), err
+        if code:
+            assert _one_error_line(err)["exit_code"] == code
+
+
+def test_readme_flags_table_matches_the_tables():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def names(commands):
+        return "all" if len(commands) == len(cli.SUBCOMMANDS) else ", ".join(commands) or "—"
+
+    for key, flag in cli.FLAGS.items():
+        # a filter setting's default is FilterPolicy's
+        default = flag.default or getattr(ingest.FilterPolicy(), key, None)
+        needed = [name for name, sub in cli.SUBCOMMANDS.items() if key in sub.needs]
+        read = [name for name, sub in cli.SUBCOMMANDS.items() if key in sub.reads]
+        if not needed and not read:  # read by every subcommand
+            read = list(cli.SUBCOMMANDS)
+        name = "--" + key.replace("_", "-")
+        assert f"| `{name}` | {default or '—'} | {names(needed)} | {names(read)} |" in readme
+
 
 def _no_parse(*args, **kwargs):
     raise AssertionError("the players CSV was parsed")
@@ -1190,6 +1275,16 @@ class TestBadFiles:
         assert code == 2
         assert "not valid JSON" in _one_error_line(err)["error"]
 
+    def test_config_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"k": 1' + "0" * 5000 + "}", encoding="utf-8")
+        code, err = run(
+            capsys, "fit", "--config", str(config),
+            "--input", str(players_csv), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "not valid JSON" in _one_error_line(err)["error"]
+
     def test_model_nan_loading(self, players_csv, tmp_path, capsys):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         doc["loadings"][0][0] = float("nan")
@@ -1221,6 +1316,35 @@ class TestBadFiles:
         assert code == 2
         assert key in _one_error_line(err)["error"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", [*cli.FLAGS, *cli.CONFIG_ONLY])
+    def test_each_config_key_refuses_another_type(self, players_csv, tmp_path, capsys, key):
+        kind = cli.FLAGS[key].type if key in cli.FLAGS else cli.CONFIG_ONLY[key]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 1 if kind is str else "1"}), encoding="utf-8")
+        code, err = run(
+            capsys, "fit", "--config", str(config),
+            "--input", str(players_csv), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert f"config key {key!r} has a value of the wrong type" in _one_error_line(err)["error"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out", "o\0x"), ("excluded_column_patterns", ["*_total", "a\0"])],
+    )
+    def test_config_nul_character(self, players_csv, tmp_path, capsys, monkeypatch, key, value):
+        if key == "out":
+            value = str(tmp_path / value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        argv = ["fit", "--config", str(config), "--input", str(players_csv)]
+        code, err = run(capsys, *argv, *([] if key == "out" else ["--out", str(tmp_path / "o")]))
+        assert code == 2
+        assert _one_error_line(err)["error"] == f"config key {key!r} holds a NUL character"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "players.csv"]
 
     @pytest.mark.parametrize(
         "flag, text",
@@ -1307,7 +1431,7 @@ class TestLastResort:
         def broken(config):
             raise RuntimeError("not a StatspaceError")
 
-        monkeypatch.setitem(cli.COMMANDS, "fit", broken)
+        monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", broken)
         code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "Traceback" not in err

@@ -182,6 +182,11 @@ class TestRegressionWeightedScore:
         with pytest.raises(ParameterError):
             regression_weighted_score(self._teams(), {7: 1.0})
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ParameterError, match=r"indices \[1\] are not finite"):
+            regression_weighted_score(self._teams(), {0: 0.5, 1: weight})
+
 
 class TestLoaders:
     def test_membership_with_and_without_header(self):
