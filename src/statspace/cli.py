@@ -57,7 +57,6 @@ SCREE_COMPONENTS = 10
 # CSV cell holds), the minutes and the values.
 TABLE_CACHE = ".statspace-table"
 _CACHED_LABELS = ("entity_ids", "entity_names", "stat_names")
-_HASH_BLOCK = 1 << 20  # bytes per read of a hashed file
 
 
 @dataclass
@@ -284,18 +283,25 @@ def _load_table(config: RunConfig) -> ingest.StatTable:
     """The players table: read from the output directory's table cache when
     its key matches, else parsed, filtered and built, then cached there.
 
-    Only a regular players file is cached: the digest of a pipe or device
-    would drain it before the parse reads it.
+    The players file is read once, and its bytes serve the key and the
+    parse, so the table cached is the one the key names. A hit frees them
+    before it loads the table; only if that cache then proves damaged is
+    the file read again. Only a regular file is cached.
     """
     players = config.input_paths["players"]
+    data = files.read_bytes(players)
     cached = players.is_file()
     if cached:
         path = config.output_dir / TABLE_CACHE
-        key = _table_key(config)
-        table = _cached_table(path, key)
-        if table is not None:
-            return table
-    records = ingest.parse_csv(players, config.schema, config.filter)
+        key = _table_key(config, data)
+        if _holds_key(path, key):
+            data.clear()  # a hit needs the bytes no more
+            table = _cached_table(path)
+            if table is not None:
+                return table
+            data = files.read_bytes(players)  # the cache is damaged: key what is parsed
+            key = _table_key(config, data)
+    records = ingest.parse_csv(data, config.schema, config.filter)  # empties data
     records = ingest.apply_filter(records, config.filter)
     table = ingest.build_table(records)
     if cached:
@@ -303,27 +309,32 @@ def _load_table(config: RunConfig) -> ingest.StatTable:
     return table
 
 
-def _table_key(config: RunConfig) -> str:
+def _table_key(config: RunConfig, players: bytearray) -> str:
     """A digest of all that decides the table: the players file's bytes,
     the schema and filter policy, the numpy and Python versions, and the
     sources that parse the file and read and write the cache."""
     doc = [list(config.schema), asdict(config.filter), np.__version__, sys.version]
-    for path in (config.input_paths["players"], ingest.__file__, files.__file__, __file__):
-        digest = blake2b(digest_size=32)
-        with files.opened(path, "rb") as fh:
-            while block := fh.read(_HASH_BLOCK):
-                digest.update(block)
-        doc.append(digest.hexdigest())
+    sources = (files.read_bytes(path) for path in (ingest.__file__, files.__file__, __file__))
+    for data in (players, *sources):
+        doc.append(blake2b(data, digest_size=32).hexdigest())
     return blake2b(json.dumps(doc).encode(), digest_size=32).hexdigest()
 
 
-def _cached_table(path: Path, key: str) -> ingest.StatTable | None:
-    """The table cached at ``path`` under ``key``; None when there is none,
-    or the file cannot be read or does not hold a valid table."""
+def _holds_key(path: Path, key: str) -> bool:
+    """Whether the table cache at ``path`` begins with ``key``'s line."""
     try:
         with files.opened(path, "rb") as fh:
-            if fh.readline() != f"{key}\n".encode():
-                return None
+            return fh.readline() == f"{key}\n".encode()
+    except OSError:
+        return False
+
+
+def _cached_table(path: Path) -> ingest.StatTable | None:
+    """The table cached at ``path``, after its key line; None when the file
+    cannot be read or does not hold a valid table."""
+    try:
+        with files.opened(path, "rb") as fh:
+            fh.readline()
             labels = {
                 name: np.load(fh, allow_pickle=False).tobytes().decode().split("\0")
                 for name in _CACHED_LABELS

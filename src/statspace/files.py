@@ -20,14 +20,19 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 from .errors import ParseError
 
 Target = str | Path | IO[str]
-_READ_BLOCK = 1 << 16  # characters per read of read_lines
+_READ_BLOCK = 1 << 16  # bytes per read of read_bytes
+# Characters of lines per NUL check of csv_rows. A text file decodes 8 KB at
+# a time; a block about that size meets a byte that is not UTF-8 at most one
+# decode sooner than reading line by line, so a fault well before it wins.
+_LINE_BLOCK = 1 << 13
 
 
 @contextmanager
@@ -83,16 +88,16 @@ def _replacing(path: Path, mode: str) -> Iterator[IO]:
         raise
 
 
-def csv_rows(lines: Iterable[str], what: str) -> Iterator[tuple[int, list[str]]]:
+def csv_rows(stream: IO[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, cells)`` for each row a strict ``csv.reader`` reads
-    from ``lines``, blank rows (no cells) included. The number is that of
-    the row's last line.
+    from the text ``stream``, blank rows (no cells) included. The number is
+    that of the row's last line.
 
     A NUL byte or a quoting fault raises :class:`ParseError` naming ``what``
     and the line. ``csv.reader`` refuses NUL on Python 3.10 but keeps it in
     the cell from 3.11 on; here it is an error on every version.
     """
-    reader = csv.reader(_nul_free(lines, what), strict=True)
+    reader = csv.reader(chain.from_iterable(_nul_free(stream, what)), strict=True)
     try:
         for row in reader:
             yield reader.line_num, row
@@ -100,11 +105,18 @@ def csv_rows(lines: Iterable[str], what: str) -> Iterator[tuple[int, list[str]]]
         raise ParseError(f"malformed {what} at line {reader.line_num}: {exc}") from None
 
 
-def _nul_free(lines: Iterable[str], what: str) -> Iterator[str]:
-    for number, line in enumerate(lines, 1):
-        if "\x00" in line:
-            raise ParseError(f"{what} line {number}: NUL byte")
-        yield line
+def _nul_free(stream: IO[str], what: str) -> Iterator[list[str]]:
+    """The lines of ``stream``, a block at a time. Each block is checked for
+    NUL once; the line that holds one is found only then, and the error is
+    raised once the lines before it are read, as a fault there comes first."""
+    number = 0  # lines before the block
+    while block := stream.readlines(_LINE_BLOCK):
+        if "\x00" in "".join(block):
+            at = next(i for i, line in enumerate(block) if "\x00" in line)
+            yield block[:at]
+            raise ParseError(f"{what} line {number + at + 1}: NUL byte")
+        number += len(block)
+        yield block
 
 
 def read_text(source: Target) -> str:
@@ -112,17 +124,17 @@ def read_text(source: Target) -> str:
         return fh.read()
 
 
-def read_lines(source: Target) -> list[str]:
-    """``read_text(source).split("\\n")``, read a block at a time: the whole
-    text is never held, so a large file touches about half the memory."""
-    lines: list[str] = []
-    tail = ""
-    with opened(source) as fh:
+def read_bytes(source: Target) -> bytearray:
+    """The bytes of ``source``, read once: a path's file, or the UTF-8
+    encoding of a text stream's text. The result is mutable, so its reader
+    can free it while others still hold it."""
+    if isinstance(source, io.TextIOBase):
+        return bytearray(read_text(source), "utf-8")
+    data = bytearray()
+    with opened(source, "rb") as fh:
         while block := fh.read(_READ_BLOCK):
-            lines += (tail + block).split("\n")
-            tail = lines.pop()
-    lines.append(tail)
-    return lines
+            data += block
+    return data
 
 
 def write_text(destination: Target, text: str) -> None:

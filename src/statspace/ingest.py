@@ -18,9 +18,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from itertools import islice
-from pathlib import Path
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,7 +179,7 @@ def _parse_stat(cell: str) -> float:
 
 
 def parse_csv(
-    source: files.Target,
+    source: files.Target | bytearray,
     schema: Sequence[str] = DEFAULT_SCHEMA,
     policy: FilterPolicy | None = None,
 ) -> RawTable:
@@ -195,28 +194,27 @@ def parse_csv(
     :class:`ParseError` with the line number, and the first fault in the
     file is the one reported.
 
-    The text is read once, a block at a time, into its lines: the whole
-    text is never held, and the fast path drops the lines before it copies
-    the statistics out. numpy's C reader parses it
-    wherever it reads the text as the strict ``files.csv_rows`` does;
-    elsewhere, and on every faulty file, a loop over that reader parses it and
-    reports the fault. A path that is not UTF-8 is read again by the loop,
-    line by line, so a fault before the bad byte is still the one reported.
+    ``source`` is a path or an open text stream, or a bytearray holding a
+    players file's bytes as already read. Everything reads one buffer of
+    UTF-8 bytes (a path's file is read once; a stream's text is encoded),
+    and the parse empties it: the buffer's memory goes before the statistics
+    are copied out, even where the caller still holds it. numpy's C reader
+    parses the buffer wherever it reads it as the strict ``files.csv_rows``
+    does; elsewhere, and on every faulty file, a loop over that reader
+    parses it and reports the fault. The loop decodes as it reads, so a
+    fault before a byte that is not UTF-8 is still the one reported.
     """
     roles = _roles(schema)
+    data = source if isinstance(source, bytearray) else files.read_bytes(source)
     try:
-        lines = files.read_lines(source)  # "\n".join(lines) is the text again
-    except ParseError:  # not UTF-8
-        if not isinstance(source, (str, Path)):
-            raise
-        with files.opened(source) as stream:
-            return _parse_rows(stream, roles, policy)
-    try:
-        table = _parse_fast(lines, roles, policy)
-    except ValueError:  # a row or cell loadtxt rejects; the loop decides
+        table = _parse_fast(data, roles, policy)
+    except ValueError:  # a row or cell loadtxt rejects, or bytes that are not UTF-8
         table = None
     if table is None:
-        table = _parse_rows(io.StringIO("\n".join(lines), newline=""), roles, policy)
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        data.clear()  # the stream holds its own copy
+        with files.opened(stream):  # a byte that is not UTF-8 raises ParseError
+            table = _parse_rows(stream, roles, policy)
     return table
 
 
@@ -246,35 +244,67 @@ def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy | None) -> list[
 
 # A non-empty quoted field as files.csv_rows (strict) reads one: the quote
 # opens a field, quotes inside it are doubled, and the closing quote ends
-# the field. A quoted empty field keeps its quotes, and so declines.
-_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")+"(?![^,\r\n])')
+# the field on the same line. A quoted empty field keeps its quotes, and so
+# declines.
+_QUOTED_FIELD = re.compile(rb'"(?<![^,\r\n]")(?:[^"\n]|"")+"(?![^,\r\n])')
+_INNER_CR = re.compile(rb"\r(?!\n|\Z)")  # a "\r" that does not end its line
+_NOT_BLANK = re.compile(rb"[^\r\n]")
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1, "skiprows": 1}
 _COUNT_LIMIT = 2.0**63  # games_played is stored as int64
-_SCAN_LINES = 128  # lines per numpy pass; a block's masks stay in cache
+_SCAN_BYTES = 1 << 16  # bytes per block of lines; a block's masks stay in cache
 
 
-def _has_empty_field(lines: list[str]) -> bool:
-    """Whether a comma in the text of ``lines`` meets another comma, a line
-    end or an end of the text.
+def _blocks(data: bytearray) -> Iterator[bytearray]:
+    """``data`` a block of whole lines at a time: ``_SCAN_BYTES`` bytes or
+    more, up to a ``"\\n"``, which is in no block."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _SCAN_BYTES)
+        end = len(data) if end < 0 else end
+        yield data[start:end]
+        start = end + 1
 
-    That is an empty field, or text like one inside a quoted field. numpy
-    scans the UTF-8 bytes of ``_SCAN_LINES`` lines at a time, with a line
-    end put before and after each block; ``",," in text`` and the like take
-    several times as long.
+
+def _scan(data: bytearray) -> bool:
+    """Whether no block of ``data`` holds what the C reader could read
+    otherwise than the strict ``files.csv_rows``, or would raise on only
+    once it has parsed the rows before it.
+
+    That is a NUL byte, an empty field (a comma that meets another comma, a
+    line end or an end of the text, which text inside quotes can look like),
+    a line longer than ``csv.field_size_limit()`` bytes, a quote that csv
+    would reject, or a ``"\\r"`` outside quotes that does not end its line.
+    Each block is checked by numpy and regular expressions, so no mask as
+    large as the file is ever built.
     """
-    for start in range(0, len(lines), _SCAN_LINES):
-        block = "\n" + "\n".join(lines[start : start + _SCAN_LINES]) + "\n"
-        chars = np.frombuffer(block.encode(), np.uint8)
+    limit = csv.field_size_limit()
+    for block in _blocks(data):
+        if b"\x00" in block:
+            return False
+        chars = np.frombuffer(block, np.uint8)
         comma = chars == ord(",")
         sep = comma | (chars == ord("\n")) | (chars == ord("\r"))
-        if (comma[1:] & sep[:-1]).any() or (comma[:-1] & sep[1:]).any():
-            return True
-    return False
+        if comma[0] or comma[-1] or (comma[1:] & sep[:-1]).any() or (comma[:-1] & sep[1:]).any():
+            return False
+        if len(block) > limit:
+            ends = np.flatnonzero(chars == ord("\n"))
+            if np.diff(ends, prepend=-1, append=len(block)).max() > limit + 1:
+                return False
+        if b'"' in block or b"\r" in block:
+            unquoted = _QUOTED_FIELD.sub(b"", block)
+            if b'"' in unquoted or _INNER_CR.search(unquoted):
+                return False
+    return True
 
 
-def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> RawTable | None:
-    """The table ``np.loadtxt`` reads from the text's ``lines`` (the text
-    split at ``"\\n"``), or None to decline.
+def _lines(data: bytearray) -> Iterator[str]:
+    """The text of ``data`` split at ``"\\n"``, decoded a block at a time."""
+    return chain.from_iterable(block.decode().split("\n") for block in _blocks(data))
+
+
+def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> RawTable | None:
+    """The table ``np.loadtxt`` reads from the players file's bytes
+    ``data``, or None to decline.
 
     One loadtxt pass reads every column into a structured array: the id,
     name and team cells as str objects, games, minutes and the stat columns
@@ -282,45 +312,38 @@ def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> 
     count is the header's, so loadtxt raises ValueError on a row with other
     cells than the header's outside quotes; it raises too on a cell it
     cannot convert (``n/a`` or ``1_000`` in a float column, a character
-    beyond Latin-1 in a one-byte one), but only once it has parsed the rows
-    before it. Its float parser accepts a subset of what ``float()`` does,
-    with the same values.
+    beyond Latin-1 in a one-byte one), or on bytes that are not UTF-8, but
+    only once it has parsed the rows before it. Its float parser accepts a
+    subset of what ``float()`` does, with the same values.
 
     loadtxt is looser than the strict ``files.csv_rows`` in other ways, so
-    this declines wherever the two could read the text differently: a NUL
-    byte (the loop refuses it), a header that is not one physical line
-    without quotes, no data rows (loadtxt warns), a quote csv would reject,
-    a quoted line end or a ``"\\r"`` inside a row, or a line longer than
-    ``csv.field_size_limit()``. Only lines holding a quote or a ``"\\r"`` are
-    looked at one by one. It also declines on a count that is not finite,
-    whole and non-negative, or a games count of 2**63 or more, so the loop
-    reports those. It declines first of all on an empty cell, the usual
-    missing value, or on text that looks like one inside quotes, so that
-    such a file costs the loop one scan more.
+    this declines wherever the two could read the text differently: what
+    :func:`_scan` finds, a header that is not one physical line of UTF-8
+    without quotes, or no data rows (loadtxt warns). It also declines on a
+    count that is not finite, whole and non-negative, or a games count of
+    2**63 or more, so the loop reports those. An empty cell, the usual
+    missing value, declines before loadtxt runs, so such a file costs the
+    loop one scan more.
 
-    Once the table is certain, ``lines`` is emptied, so the text is gone
+    Once the table is certain, ``data`` is emptied, so its memory is free
     before the stats are copied out; a decline or a ValueError leaves it
     whole.
     """
-    if any("\x00" in line for line in lines):
+    if not _scan(data):
         return None
-    if _has_empty_field(lines):
-        return None  # loadtxt would raise on an empty cell, after the rows before it
-    if max(map(len, lines)) > csv.field_size_limit():
+    header_end = data.find(b"\n")
+    try:
+        header_line = (data[:header_end] if header_end >= 0 else data).decode()
+    except UnicodeDecodeError:
         return None
-    header_line = lines[0].removesuffix("\r")
+    header_line = header_line.removesuffix("\r")
     if '"' in header_line or "\r" in header_line:
         return None
     header = header_line.split(",")
     if len(set(header)) != len(header) or any(c not in header for c in roles if c is not None):
         return None  # the loop raises the SchemaError
-    if all(line in ("", "\r") for line in islice(lines, 1, None)):
+    if header_end < 0 or _NOT_BLANK.search(data, header_end) is None:
         return None  # no data rows; blank lines both skip
-    for line in lines:
-        if '"' in line or "\r" in line:
-            unquoted = _QUOTED_FIELD.sub("", line)
-            if '"' in unquoted or unquoted.find("\r", 0, -1) >= 0:
-                return None  # csv would reject the quote, or read a line end inside the row
 
     id_col, name_col, team_col, games_col, minutes_col = roles
     stat_names = _kept_stats([name for name in header if name not in roles], policy)
@@ -328,7 +351,7 @@ def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> 
     numbers = {games_col, minutes_col, *stat_names}
     field = {name: f"c{j}" for j, name in enumerate(header)}
     rows = np.loadtxt(
-        lines,
+        _lines(data),
         dtype=[
             (field[name], object if name in labels else "f8" if name in numbers else "S1")
             for name in header
@@ -338,7 +361,7 @@ def _parse_fast(lines: list[str], roles: Roles, policy: FilterPolicy | None) -> 
     games, minutes = rows[field[games_col]], rows[field[minutes_col]]
     if not _loop_takes_counts(games, minutes):
         return None
-    lines.clear()  # the table is certain; the text goes before the copies
+    data.clear()  # the table is certain; the bytes go before the copies
     kept = [field[name] for name in stat_names]
     # one packed copy of the kept floats, viewed as the n x p matrix
     stats = rows[kept].astype([(f, "f8") for f in kept]) if kept else np.empty((len(rows), 0))
@@ -369,14 +392,14 @@ def _loop_takes_counts(games: np.ndarray, minutes: np.ndarray) -> bool:
     )
 
 
-def _parse_rows(lines: Iterable[str], roles: Roles, policy: FilterPolicy | None) -> RawTable:
-    """Parse ``lines`` row by row through :func:`files.csv_rows`.
+def _parse_rows(stream: IO[str], roles: Roles, policy: FilterPolicy | None) -> RawTable:
+    """Parse the text ``stream`` row by row through :func:`files.csv_rows`.
 
     The reference parse, and the one that reports every fault.
     """
     id_col, name_col, team_col, games_col, minutes_col = roles
     schema = [c for c in roles if c is not None]
-    rows = files.csv_rows(lines, "players CSV")
+    rows = files.csv_rows(stream, "players CSV")
     try:
         _, header = next(rows)
     except StopIteration:

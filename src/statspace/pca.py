@@ -64,7 +64,11 @@ class StandardizationParams:
             raise ZeroVarianceError(f"non-positive std dev for columns: {bad}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.means) / self.std_devs
+        """``(values - means) / std_devs`` in a new array, divided in place,
+        so that no second n x p temporary is made."""
+        standardized = np.asarray(values, dtype=float) - self.means
+        standardized /= self.std_devs
+        return standardized
 
 
 @dataclass
@@ -181,7 +185,8 @@ def standardize(
 
 
 def _check_centered(standardized: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(standardized).max()))
+    # the largest magnitude, without an n x p array of magnitudes
+    scale = max(1.0, float(max(standardized.max(), -standardized.min())))
     worst = float(np.abs(standardized.mean(axis=0)).max())
     if worst > 1e-8 * scale:
         raise ParameterError(
@@ -411,7 +416,7 @@ def model_from_json(text: str) -> PcaModel:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         raise SchemaError(f"model is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("model must be a JSON object")

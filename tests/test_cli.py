@@ -855,12 +855,31 @@ class TestTableCache:
         code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
         assert (code, err) == (0, "")
 
+    def test_players_file_read_once_per_command(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        # the key and the parse read the same bytes: a file changed between
+        # two reads would have its new table cached under the old key
+        real_open, opened = open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        out = tmp_path / "out"
+        for command in ("fit", "scree"):  # a miss, then a hit
+            opened.clear()
+            code, err = run(capsys, command, "--input", str(players_csv), "--out", str(out))
+            assert (code, err) == (0, "")
+            assert opened.count(str(players_csv)) == 1, command
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_players_from_a_pipe_are_read_once_and_not_cached(
         self, players_csv, tmp_path, capsys
     ):
-        # a digest would drain the pipe, and the parse would then wait for
-        # a writer that never comes; so a pipe is parsed and never cached
+        # one read of the pipe serves the parse, which must not wait for a
+        # writer that never comes; a pipe is never cached
         pipe = tmp_path / "players.pipe"
         os.mkfifo(pipe)
         feed = threading.Thread(target=pipe.write_bytes, args=(players_csv.read_bytes(),))
@@ -1284,6 +1303,22 @@ class TestBadFiles:
         )
         assert code == 2
         assert "not valid JSON" in _one_error_line(err)["error"]
+
+    def test_model_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
+        fit = tmp_path / "fit"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fit))[0] == 0
+        text = (fit / "model.json").read_text(encoding="utf-8")
+        model = tmp_path / "long_model.json"
+        long = '"n_samples": 1' + "0" * 5000  # beyond Python's 4300-digit limit
+        model.write_text(re.sub(r'"n_samples": \d+', long, text), encoding="utf-8")
+        code, err = run(
+            capsys,
+            "scores", "--input", str(players_csv), "--model", str(model),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        diagnostic = _one_error_line(err)
+        assert diagnostic["category"] == "data" and "not valid JSON" in diagnostic["error"]
 
     def test_model_nan_loading(self, players_csv, tmp_path, capsys):
         doc = self._model_doc(players_csv, tmp_path, capsys)

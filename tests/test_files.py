@@ -48,7 +48,8 @@ class TestReadLines:
                 "path": path,
                 "text": io.StringIO(text, newline=""),
             }[kind]
-            assert files.read_lines(source) == text.split("\n"), (block, kind, text)
+            lines = files.read_bytes(source).decode().split("\n")
+            assert lines == text.split("\n"), (block, kind, text)
 
 
 class TestCsvRows:
@@ -77,6 +78,21 @@ class TestCsvRows:
         with pytest.raises(ParseError) as raised:
             next(rows)
         assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    def test_nul_found_at_its_line_after_the_rows_before_it(self, monkeypatch, block):
+        # the text is checked a block of lines at a time; the line is found only on a fault
+        monkeypatch.setattr(files, "_LINE_BLOCK", block)
+        text = "a,b\r\nc,d\n\ne,f\rg\x00,h\ni,j\n"
+        rows = files.csv_rows(io.StringIO(text, newline=""), "t CSV")
+        assert [next(rows) for _ in range(4)] == [
+            (1, ["a", "b"]), (2, ["c", "d"]), (3, []), (4, ["e", "f"])
+        ]
+        with pytest.raises(ParseError, match="^t CSV line 5: NUL byte$"):
+            next(rows)
+        text = 'a,b\n"x\ny\x00"\n'  # in the second line of a quoted field
+        with pytest.raises(ParseError, match="^t CSV line 3: NUL byte$"):
+            list(files.csv_rows(io.StringIO(text, newline=""), "t CSV"))
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -177,7 +177,7 @@ QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
 def _fast(text, roles=ROLES5, policy=None):
     """The fast path's table, or None where it declines or raises."""
     try:
-        return ingest._parse_fast(text.split("\n"), roles, policy)
+        return ingest._parse_fast(bytearray(text.encode()), roles, policy)
     except ValueError:
         return None
 
@@ -425,7 +425,7 @@ class TestFastPath:
             raise AssertionError("loadtxt ran")
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        assert ingest._parse_fast(text.split("\n"), ROLES5, None) is None
+        assert ingest._parse_fast(bytearray(text.encode()), ROLES5, None) is None
         _assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
 
     @pytest.mark.parametrize("missing", ["n/a", "NA"])
@@ -494,13 +494,13 @@ class TestFastPath:
         assert len(table) == 0 and table.values.shape == (0, 1)
 
     def test_empty_field_scan_sees_pairs_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_SCAN_LINES", 1)
+        monkeypatch.setattr(ingest, "_SCAN_BYTES", 1)
         empty = ["a,,b", "ab,,", "abc,,d", "abcd,\n", "ab\n,c", "ab\r,c", "a,\r\nb"]
         empty += [",a", "a,", "é,,"]
         for text in empty:
-            assert ingest._has_empty_field(text.split("\n")), text
+            assert not ingest._scan(bytearray(text.encode())), text
         for text in ["", "a", "a,b", "ab,cd,ef\n", "a\n\nb,c\r\n", "é,b"]:
-            assert not ingest._has_empty_field(text.split("\n")), text
+            assert ingest._scan(bytearray(text.encode())), text
 
     def test_fault_before_non_utf8_byte_reported_first(self, tmp_path):
         # the bad byte lies many decoder chunks (8 KB) after the ragged row

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ class TestStandardize:
         table = make_table({"s1": [1.0, 5.0, 2.0], "s2": [1.0, 5.0, 2.0]})
         _, Z = standardize(table)
         np.testing.assert_array_equal(Z[:, 0], Z[:, 1])
+
+    def test_with_transform_makes_one_temporary(self):
+        # standardize and transform each build their n x p output in place,
+        # so the two hold one n x p array beyond what they return
+        rng = np.random.default_rng(5)
+        n, p = 4000, 120
+        table = make_table({f"s{j}": list(rng.normal(j, 1.0 + j, size=n)) for j in range(p)})
+        params, Z = standardize(table)
+        model = fit_pca(Z, 4, params)
+        del Z
+        tracemalloc.start()
+        try:
+            params, Z = standardize(table)
+            scores = transform(model, table).scores
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = n * p * 8
+        extra = peak - Z.nbytes - scores.nbytes
+        assert extra <= 1.25 * block, f"{extra / block:.2f} n x p arrays beyond the outputs"
+        # the bits of the two-temporary expression
+        want = (table.values - params.means) / params.std_devs
+        assert Z.tobytes() == want.tobytes()
+        assert scores.tobytes() == (want @ model.loadings.T).tobytes()
 
 
 class TestFitPca:
