@@ -28,9 +28,9 @@ from .errors import (
 # The rest of the API is imported on first use (PEP 562), so that importing
 # the package imports no numpy: the CLI sets numpy's BLAS threads first.
 _EXPORTS = {
-    "ingest": ("RawRecord", "RawTable", "StatTable", "apply_filter", "build_table", "parse_csv"),
+    "ingest": ("RawRecord", "RawTable", "apply_filter", "build_table", "parse_csv"),
     "pca": (
-        "PcaModel", "ScoreSet", "StandardizationParams", "component_spectrum",
+        "PcaModel", "StandardizationParams", "component_spectrum",
         "explained_variance_ratio", "fit_pca", "load_model", "model_from_json",
         "model_to_json", "save_model", "standardize", "top_loadings", "transform",
     ),
@@ -41,6 +41,7 @@ _EXPORTS = {
         "team_scores", "with_win_pct",
     ),
     "similarity": ("SdiRanking", "rank_similar", "sdi"),
+    "table": ("ScoreSet", "StatTable"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_MODULE_OF)

@@ -44,7 +44,8 @@ from .errors import (
 from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
 
 if TYPE_CHECKING:
-    from . import ingest, scoring
+    from . import scoring
+    from .table import StatTable
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and
@@ -146,10 +147,14 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     config_path = Path(path)
-    if not config_path.exists():
-        raise UsageError(f"config file not found: {config_path}")
     try:
-        raw = json.loads(files.read_text(config_path))
+        text = files.read_bytes(config_path).decode()
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {config_path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes not UTF-8
+        raise UsageError(f"config file {config_path} cannot be read: {exc}") from None
+    try:
+        raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -277,41 +282,40 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_players(config: RunConfig) -> tuple[bytearray, str | None]:
-    """The players file's bytes, read once, and the table key they give;
-    the key is None, and nothing is cached, unless it is a regular file."""
-    players = config.input_paths["players"]
-    data = files.read_bytes(players)
-    key = cache.table_key(config.schema, config.filter, data) if players.is_file() else None
-    return data, key
+def _players(config: RunConfig) -> cache.Players:
+    return cache.Players(
+        config.input_paths["players"], config.output_dir, config.schema, config.filter
+    )
 
 
-def _load_table(
-    config: RunConfig, data: bytearray, key: str | None
-) -> tuple[ingest.StatTable, str | None]:
+def _load_table(config: RunConfig, players: cache.Players) -> StatTable:
     """The players table, read from the output directory's table cache when
-    it holds ``key``, else parsed from the players file's bytes ``data``,
-    filtered and built, then cached there; and the key of that table.
+    it holds the players' key, else parsed from the players file's bytes,
+    filtered and built, then cached there under the key of those bytes.
 
-    The bytes serve the key and the parse, so the table cached is the one
-    the key names. A hit frees them before it loads the table; only if that
-    cache then proves damaged is the file read again.
+    The file is read only on a miss, or where its key was not recorded, and
+    then once: the bytes serve the key and the parse, so the table cached
+    is the one the key names. A hit frees them before it loads the table;
+    only if that cache then proves damaged is the file read again.
     """
+    path = config.output_dir / cache.TABLE
+    if players.key is not None and cache.holds_key(path, players.key):
+        players.data = None  # a hit needs the bytes no more
+        table = cache.load_table(path, players.key)
+        if table is not None:
+            players.remember()
+            return table
+    if players.data is None:  # keyed from the record, or freed for a damaged cache
+        players.read()
     from . import ingest
 
-    path = config.output_dir / cache.TABLE
-    if key is not None and cache.holds_key(path, key):
-        data.clear()  # a hit needs the bytes no more
-        table = cache.load_table(path, key)
-        if table is not None:
-            return table, key
-        data, key = _read_players(config)  # the cache is damaged: key what is parsed
-    records = ingest.parse_csv(data, config.schema, config.filter)  # empties data
+    records = ingest.parse_csv(players.data, config.schema, config.filter)  # empties data
     records = ingest.apply_filter(records, config.filter)
     table = ingest.build_table(records)
-    if key is not None:
-        cache.save_table(path, key, table)
-    return table, key
+    if players.key is not None:
+        cache.save_table(path, players.key, table)
+        players.remember()
+    return table
 
 
 def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:
@@ -330,15 +334,16 @@ def cmd_fit(config: RunConfig) -> int:
     fits no model."""
     from . import pca
 
-    table, key = _load_table(config, *_read_players(config))
+    players = _players(config)
+    table = _load_table(config, players)
     params, standardized = pca.standardize(table, drop_constant=True)
     if config.k is not None:
         model = pca.fit_pca(standardized, config.k, params)
         model_path = _out_file(config, "model", "json")
         pca.save_model(model, model_path)
-        if key is not None:
+        if players.key is not None:
             scores = pca.project(model, table, standardized)
-            key = cache.scores_key(key, files.read_bytes(model_path))
+            key = cache.scores_key(players.key, files.read_bytes(model_path))
             cache.save_scores(config.output_dir / cache.SCORES, key, table.entity_names, scores)
     spectrum = pca.component_spectrum(standardized)
     total = float(spectrum.sum())
@@ -365,23 +370,25 @@ def _score_players(config: RunConfig) -> cache.Projection:
     any parse; a hit has the k of the model it was projected on.
     """
     model_data = files.read_bytes(config.input_paths["model"])
-    data, key = _read_players(config)
+    players = _players(config)
     path = config.output_dir / cache.SCORES
-    if key is not None:
-        projection = cache.load_scores(path, cache.scores_key(key, model_data))
+    if players.key is not None:
+        projection = cache.load_scores(path, cache.scores_key(players.key, model_data))
         if projection is not None:
             _check_components(config, projection.k)
+            players.remember()
             return projection
     from . import pca
 
     model = pca.load_model(model_data)
     _check_components(config, model.k)
-    table, key = _load_table(config, data, key)
+    table = _load_table(config, players)
     scores = pca.transform(model, table)
-    if key is not None:
-        cache.save_scores(path, cache.scores_key(key, model_data), table.entity_names, scores)
+    if players.key is not None:
+        key = cache.scores_key(players.key, model_data)
+        cache.save_scores(path, key, table.entity_names, scores)
     return cache.Projection(
-        scores.entity_ids, table.entity_names, scores.minutes, scores.scores.tolist()
+        scores.entity_ids, table.entity_names, scores.minutes, memoryview(scores.scores)
     )
 
 
@@ -411,9 +418,11 @@ def cmd_scores(config: RunConfig) -> int:
 
 
 def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
-    from . import pca, scoring
+    from . import scoring
+    from .table import ScoreSet
+
     players = _score_players(config)
-    scores = pca.ScoreSet(players.entity_ids, players.minutes, players.scores)
+    scores = ScoreSet(players.entity_ids, players.minutes, players.scores)
     membership = scoring.load_membership(config.input_paths["membership"])
     teams = scoring.team_scores(scores, membership)
     if "winpct" in config.input_paths:

@@ -127,16 +127,18 @@ def read_text(source: Target) -> str:
         return fh.read()
 
 
-def read_bytes(source: Target) -> bytearray:
-    """The bytes of ``source``, read once: a path's file, or the UTF-8
-    encoding of a text stream's text. The result is mutable, so its reader
-    can free it while others still hold it."""
-    if isinstance(source, io.TextIOBase):
-        return bytearray(read_text(source), "utf-8")
+def read_bytes(path: str | Path) -> bytearray:
+    """The bytes of the file at ``path``, read once. The result is mutable,
+    so its reader can free it while others still hold it."""
+    with opened(path, "rb") as fh:
+        return read_all(fh)
+
+
+def read_all(stream: IO[bytes]) -> bytearray:
+    """The bytes left in the binary ``stream``, read a block at a time."""
     data = bytearray()
-    with opened(source, "rb") as fh:
-        while block := fh.read(_READ_BLOCK):
-            data += block
+    while block := stream.read(_READ_BLOCK):
+        data += block
     return data
 
 
@@ -162,9 +164,9 @@ def write_records(destination: Target, records: Sequence[Mapping[str, object]]) 
 def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) -> None:
     """Write a table, given column by column, as ``fmt`` ("csv" or "json").
 
-    Each column holds one value per row: a str, int or float, or for the
-    component scores a list of k floats. A numpy array is taken as its
-    ``tolist()``, so a 2-D one gives such lists. JSON is
+    Each column holds one value per row: a str, int or float; a 1-D numpy
+    array is taken as its ``tolist()``. The component scores are an n x k
+    numpy array or memoryview of floats, taken a component at a time. JSON is
     ``json.dumps(rows, indent=2) + "\\n"`` of the row dicts, byte for byte; a
     NaN or infinite float raises ValueError before anything is written. CSV
     has a header of the keys, the score lists spread over ``PC1..PCk``, then
@@ -178,17 +180,17 @@ def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) 
     numbers: list[list[float]] = []  # the cells that hold floats
     for key, column in columns.items():
         name = "    " + encode_basestring_ascii(key).replace("%", "%%") + ": "
-        if hasattr(column, "tolist"):
-            column = column.tolist()
-        if column and isinstance(column[0], list):
-            k = len(column[0])
+        if getattr(column, "ndim", 1) == 2:
+            k = column.shape[1]
             header += [f"PC{j + 1}" for j in range(k)]
             items = "[\n      " + ",\n      ".join(["%r"] * k) + "\n    ]" if k else "[]"
             fields.append(name + items)
-            scores = list(zip(*column))  # one tuple per component
+            scores = _components(column)
             cells += scores
             numbers += scores
         else:
+            if hasattr(column, "tolist"):
+                column = column.tolist()
             values, is_float = _cells(column, fmt)
             header.append(key)
             fields.append(name + ("%r" if is_float else "%s"))
@@ -208,6 +210,15 @@ def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) 
     template = "  {\n" + ",\n".join(fields) + "\n  }"
     rows = ",\n".join([template % row for row in zip(*cells)])
     write_text(destination, "[\n" + rows + "\n]\n" if n else "[]\n")
+
+
+def _components(matrix) -> list[list[float]]:
+    """The columns of an n x k numpy array or memoryview of floats, one
+    list per component, with no list per row."""
+    if isinstance(matrix, memoryview):
+        flat = matrix.cast("B").cast("d").tolist()
+        return [flat[j :: matrix.shape[1]] for j in range(matrix.shape[1])]
+    return matrix.T.tolist()
 
 
 def _cells(column: Sequence, fmt: str) -> tuple[Sequence, bool]:

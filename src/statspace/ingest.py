@@ -16,33 +16,46 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from itertools import chain
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from . import files
 from .errors import ParseError, SchemaError, ValidationError, listed
 from .policy import DEFAULT_SCHEMA, FilterPolicy, Roles, _roles  # noqa: F401 (part of this API)
+from .table import StatTable, _duplicates
 
 COMBINED_TEAM_CODE = "TOT"
 
 
-@dataclass
 class RawRecord:
     """One player row as parsed from CSV; stat values may be missing (None)."""
 
-    player_id: str
-    player_name: str
-    team_code: str
-    games_played: int
-    minutes_total: float
-    stats: dict[str, float | None]
+    __slots__ = ("player_id", "player_name", "team_code", "games_played", "minutes_total", "stats")
 
-    def __post_init__(self):
-        _check_counts(self.player_id, self.games_played, self.minutes_total)
+    def __init__(
+        self,
+        player_id: str,
+        player_name: str,
+        team_code: str,
+        games_played: int,
+        minutes_total: float,
+        stats: dict[str, float | None],
+    ):
+        _check_counts(player_id, games_played, minutes_total)
+        self.player_id = player_id
+        self.player_name = player_name
+        self.team_code = team_code
+        self.games_played = games_played
+        self.minutes_total = minutes_total
+        self.stats = stats
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RawRecord:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _check_counts(player_id: str, games_played: int, minutes_total: float) -> None:
@@ -56,7 +69,6 @@ def _check_counts(player_id: str, games_played: int, minutes_total: float) -> No
         )
 
 
-@dataclass(eq=False)
 class RawTable(Sequence[RawRecord]):
     """Parsed players table, column-major: metadata vectors plus an n x p matrix.
 
@@ -65,13 +77,28 @@ class RawTable(Sequence[RawRecord]):
     None), so the table reads as a sequence of records.
     """
 
-    player_ids: list[str]
-    player_names: list[str]
-    team_codes: list[str]
-    games_played: np.ndarray  # int, length n
-    minutes_total: np.ndarray  # float, length n
-    stat_names: list[str]
-    values: np.ndarray  # float, n x p
+    __slots__ = (
+        "player_ids", "player_names", "team_codes", "games_played", "minutes_total",
+        "stat_names", "values",
+    )
+
+    def __init__(
+        self,
+        player_ids: list[str],
+        player_names: list[str],
+        team_codes: list[str],
+        games_played: np.ndarray,  # int, length n
+        minutes_total: np.ndarray,  # float, length n
+        stat_names: list[str],
+        values: np.ndarray,  # float, n x p
+    ):
+        self.player_ids = player_ids
+        self.player_names = player_names
+        self.team_codes = team_codes
+        self.games_played = games_played
+        self.minutes_total = minutes_total
+        self.stat_names = stat_names
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.player_ids)
@@ -88,65 +115,6 @@ class RawTable(Sequence[RawRecord]):
                 for name, value in zip(self.stat_names, self.values[i].tolist())
             },
         )
-
-
-@dataclass
-class StatTable:
-    """Clean entities-by-statistics matrix with minutes metadata.
-
-    All values are finite; rows keep their input order and columns keep the
-    CSV header order, which fixes component coefficient order downstream.
-    """
-
-    entity_ids: list[str]
-    entity_names: list[str]
-    minutes: list[float]
-    stat_names: list[str]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n, p = len(self.entity_ids), len(self.stat_names)
-        if n < 2:
-            raise ValidationError(f"need at least 2 entities, got {n}")
-        if p < 1:
-            raise ValidationError("need at least 1 statistic column")
-        if len(self.entity_names) != n or len(self.minutes) != n:
-            raise ValidationError("entity_ids, entity_names, minutes lengths differ")
-        if self.values.shape != (n, p):
-            raise ValidationError(
-                f"values shape {self.values.shape} does not match ({n}, {p})"
-            )
-        if any(m < 0 for m in self.minutes):
-            raise ValidationError("minutes must be >= 0")
-        if len(set(self.entity_ids)) != n:
-            dupes = sorted(_duplicates(self.entity_ids))
-            raise ValidationError(f"duplicate entity_ids: {listed(dupes)}")
-        if not np.isfinite(self.values).all():
-            bad = np.argwhere(~np.isfinite(self.values))
-            i, j = bad[0]
-            raise ValidationError(
-                f"non-finite value for ({self.entity_ids[i]!r}, "
-                f"{self.stat_names[j]!r}) and {len(bad) - 1} more"
-            )
-
-    @property
-    def n_entities(self) -> int:
-        return len(self.entity_ids)
-
-    @property
-    def n_stats(self) -> int:
-        return len(self.stat_names)
-
-
-def _duplicates(items: Iterable[str]) -> set[str]:
-    seen: set[str] = set()
-    dupes: set[str] = set()
-    for item in items:
-        if item in seen:
-            dupes.add(item)
-        seen.add(item)
-    return dupes
 
 
 def _parse_stat(cell: str) -> float:

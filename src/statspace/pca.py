@@ -19,20 +19,22 @@ from __future__ import annotations
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import files
 from .errors import (
     ConvergenceError,
-    EntityLookupError,
     ParameterError,
     SchemaError,
     ValidationError,
     ZeroVarianceError,
 )
-from .ingest import StatTable
+from .table import ScoreSet
+
+if TYPE_CHECKING:
+    from .table import StatTable
 
 MODEL_FORMAT_VERSION = 1
 
@@ -43,25 +45,23 @@ POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
 
 
-@dataclass
 class StandardizationParams:
     """Per-column centering and scaling learned from the fitting sample."""
 
-    stat_names: list[str]
-    means: np.ndarray
-    std_devs: np.ndarray
+    __slots__ = ("stat_names", "means", "std_devs")
 
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.std_devs = np.asarray(self.std_devs, dtype=float)
-        p = len(self.stat_names)
-        if len(set(self.stat_names)) != p:
-            repeated = sorted({n for n in self.stat_names if self.stat_names.count(n) > 1})
+    def __init__(self, stat_names: list[str], means: np.ndarray, std_devs: np.ndarray):
+        self.stat_names = stat_names
+        self.means = means = np.asarray(means, dtype=float)
+        self.std_devs = std_devs = np.asarray(std_devs, dtype=float)
+        p = len(stat_names)
+        if len(set(stat_names)) != p:
+            repeated = sorted({n for n in stat_names if stat_names.count(n) > 1})
             raise SchemaError(f"stat_names lists a column more than once: {repeated}")
-        if self.means.shape != (p,) or self.std_devs.shape != (p,):
+        if means.shape != (p,) or std_devs.shape != (p,):
             raise ValidationError("means/std_devs lengths do not match stat_names")
-        if not (self.std_devs > 0).all():
-            bad = [self.stat_names[j] for j in np.flatnonzero(self.std_devs <= 0)]
+        if not (std_devs > 0).all():
+            bad = [stat_names[j] for j in np.flatnonzero(std_devs <= 0)]
             raise ZeroVarianceError(f"non-positive std dev for columns: {bad}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -72,7 +72,6 @@ class StandardizationParams:
         return standardized
 
 
-@dataclass
 class PcaModel:
     """Fitted components: loadings are rows, ordered by variance captured.
 
@@ -80,73 +79,52 @@ class PcaModel:
     shared freely across threads.
     """
 
-    standardization: StandardizationParams
-    loadings: np.ndarray  # k x p, unit-norm rows
-    component_variances: np.ndarray  # length k, non-increasing
-    total_variance: float
-    n_samples: int
+    __slots__ = (
+        "standardization", "loadings", "component_variances", "total_variance", "n_samples"
+    )
 
-    def __post_init__(self):
-        self.loadings = np.asarray(self.loadings, dtype=float)
-        self.component_variances = np.asarray(self.component_variances, dtype=float)
-        k, p = self.loadings.shape
-        if p != len(self.standardization.stat_names):
+    def __init__(
+        self,
+        standardization: StandardizationParams,
+        loadings: np.ndarray,  # k x p, unit-norm rows
+        component_variances: np.ndarray,  # length k, non-increasing
+        total_variance: float,
+        n_samples: int,
+    ):
+        self.standardization = standardization
+        self.loadings = loadings = np.asarray(loadings, dtype=float)
+        self.component_variances = variances = np.asarray(component_variances, dtype=float)
+        self.total_variance = total_variance
+        self.n_samples = n_samples
+        k, p = loadings.shape
+        if p != len(standardization.stat_names):
             raise ValidationError("loading length does not match stat_names")
-        if self.component_variances.shape != (k,):
+        if variances.shape != (k,):
             raise ValidationError("component_variances length does not match loadings")
-        if self.total_variance <= 0:
+        if total_variance <= 0:
             raise ValidationError("total_variance must be positive")
-        if self.n_samples < 2:
+        if n_samples < 2:
             raise ValidationError("n_samples must be >= 2")
 
-        norms = np.linalg.norm(self.loadings, axis=1)
+        norms = np.linalg.norm(loadings, axis=1)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ValidationError("loading vectors must have unit norm")
-        gram = self.loadings @ self.loadings.T
+        gram = loadings @ loadings.T
         if np.abs(gram - np.eye(k)).max() > 1e-8:
             raise ValidationError("loading vectors must be pairwise orthogonal")
-        if (self.component_variances < 0).any():
+        if (variances < 0).any():
             raise ValidationError("component variances must be nonnegative")
-        drops = np.diff(self.component_variances)
-        slack = 1e-10 * max(1.0, float(self.component_variances[0]))
+        drops = np.diff(variances)
+        slack = 1e-10 * max(1.0, float(variances[0]))
         if drops.size and drops.max() > slack:  # rounding slack only
             raise ValidationError("component variances must be non-increasing")
 
-        self.loadings.setflags(write=False)
-        self.component_variances.setflags(write=False)
+        loadings.setflags(write=False)
+        variances.setflags(write=False)
 
     @property
     def k(self) -> int:
         return self.loadings.shape[0]
-
-
-@dataclass
-class ScoreSet:
-    """Per-entity component scores plus the minutes needed for aggregation."""
-
-    entity_ids: list[str]
-    minutes: list[float]
-    scores: np.ndarray  # n x k
-    row_index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        n = len(self.entity_ids)
-        if len(self.minutes) != n or self.scores.shape[0] != n:
-            raise ValidationError("entity_ids, minutes, scores lengths differ")
-        # entity id -> its row; built back to front so a repeated id maps to
-        # its first row, as a scan from the front would find it
-        self.row_index = dict(zip(reversed(self.entity_ids), range(n - 1, -1, -1)))
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[1]
-
-    def row(self, entity_id: str) -> np.ndarray:
-        try:
-            return self.scores[self.row_index[entity_id]]
-        except KeyError:
-            raise EntityLookupError(f"unknown entity id {entity_id!r}") from None
 
 
 def standardize(

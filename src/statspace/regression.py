@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,32 +35,35 @@ RANK_TOL = 1e-10
 INTERCEPT_NAME = "intercept"
 
 
-@dataclass
 class RegressionFit:
     """Coefficient table plus fit summary for one OLS regression."""
 
-    term_names: list[str]
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    p_values: np.ndarray
-    r_squared: float
-    df_residual: int
+    __slots__ = (
+        "term_names", "coefficients", "std_errors", "p_values", "r_squared", "df_residual"
+    )
 
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        self.std_errors = np.asarray(self.std_errors, dtype=float)
-        self.p_values = np.asarray(self.p_values, dtype=float)
-        q = len(self.term_names)
-        for name, arr in (
-            ("coefficients", self.coefficients),
-            ("std_errors", self.std_errors),
-            ("p_values", self.p_values),
-        ):
-            if arr.shape != (q,):
+    def __init__(
+        self,
+        term_names: list[str],
+        coefficients: np.ndarray,
+        std_errors: np.ndarray,
+        p_values: np.ndarray,
+        r_squared: float,
+        df_residual: int,
+    ):
+        self.term_names = term_names
+        self.coefficients = np.asarray(coefficients, dtype=float)
+        self.std_errors = np.asarray(std_errors, dtype=float)
+        self.p_values = np.asarray(p_values, dtype=float)
+        self.r_squared = r_squared
+        self.df_residual = df_residual
+        q = len(term_names)
+        for name in ("coefficients", "std_errors", "p_values"):
+            if getattr(self, name).shape != (q,):
                 raise ValidationError(f"{name} length does not match term_names")
-        if self.df_residual <= 0:
+        if df_residual <= 0:
             raise ValidationError("df_residual must be positive")
-        if not 0.0 <= self.r_squared <= 1.0:
+        if not 0.0 <= r_squared <= 1.0:
             raise ValidationError("r_squared must lie in [0, 1]")
 
 

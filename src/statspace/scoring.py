@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -25,29 +24,36 @@ from .errors import (
     ValidationError,
     listed,
 )
-from .pca import ScoreSet
+
+if TYPE_CHECKING:
+    from .table import ScoreSet
 
 
-@dataclass
 class TeamScoreSet:
     """Per-team component scores, total minutes, optional winning percentage."""
 
-    team_codes: list[str]
-    scores: np.ndarray  # T x k
-    total_minutes: list[float]
-    win_pct: list[float] | None = None
+    __slots__ = ("team_codes", "scores", "total_minutes", "win_pct")
 
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        t = len(self.team_codes)
-        if self.scores.shape[0] != t or len(self.total_minutes) != t:
+    def __init__(
+        self,
+        team_codes: list[str],
+        scores: np.ndarray,  # T x k
+        total_minutes: list[float],
+        win_pct: list[float] | None = None,
+    ):
+        self.team_codes = team_codes
+        self.scores = scores = np.asarray(scores, dtype=float)
+        self.total_minutes = total_minutes
+        self.win_pct = win_pct
+        t = len(team_codes)
+        if scores.shape[0] != t or len(total_minutes) != t:
             raise ValidationError("team_codes, scores, total_minutes lengths differ")
-        if any(m <= 0 for m in self.total_minutes):
+        if any(m <= 0 for m in total_minutes):
             raise ValidationError("total_minutes must be positive per team")
-        if self.win_pct is not None:
-            if len(self.win_pct) != t:
+        if win_pct is not None:
+            if len(win_pct) != t:
                 raise ValidationError("win_pct length does not match team_codes")
-            if any(not 0.0 <= w <= 1.0 for w in self.win_pct):
+            if any(not 0.0 <= w <= 1.0 for w in win_pct):
                 raise ValidationError("win_pct values must lie in [0, 1]")
 
     @property

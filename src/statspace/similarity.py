@@ -83,8 +83,8 @@ def rank_similar(
 ) -> SdiRanking:
     """The ``top`` entities with the smallest index against the query.
 
-    ``scores`` holds ``entity_ids`` and their ``scores``, an n x k array or
-    n lists of k floats. Ties break lexicographically by entity id, so the
+    ``scores`` holds ``entity_ids`` and their ``scores``: an n x k numpy
+    array or memoryview, whose rows are built here, or n lists of k floats. Ties break lexicographically by entity id, so the
     ranking is independent of input row order. The query itself is
     excluded; an id given twice is ranked by its first row.
     """

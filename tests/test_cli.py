@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import statspace
-from statspace import cache, cli, ingest, pca, scoring
+from statspace import cache, cli, files, ingest, pca, scoring
 from statspace.cli import main
 
 from conftest import membership_csv_text, players_csv_text
@@ -463,8 +465,8 @@ class TestInputFiles:
         for command in ("fit", "scree", "scores", "similar"):
             assert run(capsys, command, "--config", str(config)) == (0, ""), command
         assert sorted(p.name for p in out.iterdir()) == [
-            ".statspace-scores", ".statspace-table", "model.json", "scores.csv", "scree.csv",
-            "similar.csv",
+            ".statspace-players", ".statspace-scores", ".statspace-table", "model.json",
+            "scores.csv", "scree.csv", "similar.csv",
         ]
 
 
@@ -676,17 +678,53 @@ def _run_chain(capsys, argvs) -> None:
 
 CACHE = ".statspace-table"
 SCORES = ".statspace-scores"
+RECORD = ".statspace-players"
 
 
 def _chain_files(fmt: str) -> list[str]:
-    """The names of the files a chain writes, the two caches included."""
+    """The names of the files a chain writes, the two caches and the
+    players file's record included."""
     stems = ("regression", "scores", "scree", "similar", "teams")
-    files = [CACHE, SCORES, "model.json", "regression.txt"]
+    files = [CACHE, SCORES, RECORD, "model.json", "regression.txt"]
     return sorted(files + [f"{s}.{fmt}" for s in stems])
 
 
 def _files(out: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def _settle(path: Path) -> None:
+    """Wait until a file written now gets a later modification time than
+    ``path``'s last change, so that a record written from now on vouches
+    for it."""
+    probe = path.with_name(".probe")
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > path.stat().st_ctime_ns:
+            break
+        time.sleep(0.001)
+    probe.unlink()
+
+
+def _forge_record(record: Path, digest: str, status: os.stat_result, written_ns: int) -> None:
+    """Write the players file's record: ``digest`` beside the identity in
+    ``status``, under a good CRC, with the modification time ``written_ns``."""
+    fields = (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+    line = " ".join([digest, *map(str, fields)]).encode()
+    record.write_bytes(line + b" %08x\n" % zlib.crc32(line))
+    os.utime(record, ns=(written_ns, written_ns))
+
+
+def _count_opens(monkeypatch) -> list[str]:
+    """The paths ``open`` is called with from now on."""
+    real_open, opened = open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
 
 
 class TestReproducibility:
@@ -764,7 +802,7 @@ class TestTableCache:
             code, err = run(capsys, *argv, "--out", str(tmp_path / name))
             assert (code, err) == (0, ""), name
         out, fresh = tmp_path / "out", tmp_path / "fresh"
-        for name in (output, CACHE):
+        for name in (output, CACHE, RECORD):
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def _fit(self, capsys, players: Path, out: Path, *extra: str) -> None:
@@ -772,7 +810,9 @@ class TestTableCache:
         assert (code, err) == (0, "")
 
     def test_input_rewritten_in_place_at_the_same_size(self, players_csv, tmp_path, capsys):
+        # with its old modification time put back, as `touch -r` does
         out = tmp_path / "out"
+        _settle(players_csv)
         self._fit(capsys, players_csv, out)
         before = players_csv.stat()
         text = players_csv.read_text(encoding="utf-8")
@@ -858,7 +898,7 @@ class TestTableCache:
         out = tmp_path / "out"
         code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(out), "--k", "7")
         assert code == 2
-        assert sorted(p.name for p in out.iterdir()) == [CACHE]
+        assert sorted(p.name for p in out.iterdir()) == [RECORD, CACHE]
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
         assert (code, err) == (0, "")
@@ -867,20 +907,139 @@ class TestTableCache:
         self, players_csv, tmp_path, capsys, monkeypatch
     ):
         # the key and the parse read the same bytes: a file changed between
-        # two reads would have its new table cached under the old key
-        real_open, opened = open, []
-
-        def counting_open(file, *args, **kwargs):
-            opened.append(str(file))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", counting_open)
+        # two reads would have its new table cached under the old key; and a
+        # hit keys from the digest recorded beside the caches, opening the
+        # file not at all, unless the record is gone
+        opened = _count_opens(monkeypatch)
         out = tmp_path / "out"
-        for command in ("fit", "scree"):  # a miss, then a hit
+        _settle(players_csv)
+        for command, count in (("fit", 1), ("scree", 0), ("no record", 1), ("scree", 0)):
+            if command == "no record":
+                (out / RECORD).unlink()
+                command = "scree"
             opened.clear()
             code, err = run(capsys, command, "--input", str(players_csv), "--out", str(out))
             assert (code, err) == (0, "")
-            assert opened.count(str(players_csv)) == 1, command
+            assert opened.count(str(players_csv)) == count, command
+
+    @pytest.mark.parametrize("change", ["in-place", "rename"])
+    def test_players_file_changed_at_the_same_size(self, players_csv, tmp_path, capsys, change):
+        # a rewrite through the same inode, and another file renamed onto
+        # the path with the old modification time, both at the same size
+        out = tmp_path / "out"
+        _settle(players_csv)
+        self._fit(capsys, players_csv, out)
+        before = players_csv.stat()
+        text = players_csv.read_text(encoding="utf-8").replace("Player 01", "Player 0A")
+        if change == "in-place":
+            players_csv.write_text(text, encoding="utf-8")
+        else:
+            other = tmp_path / "other.csv"
+            other.write_text(text, encoding="utf-8")
+            os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.replace(other, players_csv)
+        assert players_csv.stat().st_size == before.st_size
+        argv = ["scores", "--input", str(players_csv), "--model", str(out / "model.json")]
+        self._like_fresh(capsys, tmp_path, argv, "scores.csv")
+        assert "Player 0A" in (out / "scores.csv").read_text(encoding="utf-8")
+
+    def test_racily_clean_players_file_is_read(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        # A file rewritten within the timestamp step in which its digest was
+        # recorded keeps all five fields the record holds. Such a record is
+        # forged here: the old digest beside the rewritten file's fields.
+        out = tmp_path / "out"
+        _settle(players_csv)
+        self._fit(capsys, players_csv, out)
+        digest = (out / RECORD).read_text(encoding="utf-8").split(" ")[0]
+        text = players_csv.read_text(encoding="utf-8").replace("Player 01", "Player 0A")
+        players_csv.write_text(text, encoding="utf-8")
+        now = players_csv.stat()
+        step = max(now.st_mtime_ns, now.st_ctime_ns)
+        opened = _count_opens(monkeypatch)
+        argv = ["scores", "--input", str(players_csv), "--model", str(out / "model.json")]
+        # written one nanosecond after the file's last change, the record is
+        # trusted, and the scores cached for the old bytes are a hit
+        _forge_record(out / RECORD, digest, now, written_ns=step + 1)
+        assert run(capsys, *argv, "--out", str(out)) == (0, "")
+        assert opened.count(str(players_csv)) == 0
+        assert "Player 0A" not in (out / "scores.csv").read_text(encoding="utf-8")
+        # written in the same step, it is not
+        _forge_record(out / RECORD, digest, now, written_ns=step)
+        self._like_fresh(capsys, tmp_path, argv, "scores.csv")
+        assert "Player 0A" in (out / "scores.csv").read_text(encoding="utf-8")
+
+    def test_whole_second_times_need_two_seconds(self, players_csv, tmp_path, capsys, monkeypatch):
+        # a whole-second modification time marks a file system with coarse times
+        out = tmp_path / "out"
+        whole = (time.time_ns() // 10**9 - 60) * 10**9
+        os.utime(players_csv, ns=(whole, whole))
+        _settle(players_csv)
+        self._fit(capsys, players_csv, out)
+        now = players_csv.stat()
+        assert now.st_mtime_ns == whole
+        digest = (out / RECORD).read_text(encoding="utf-8").split(" ")[0]
+        opened = _count_opens(monkeypatch)
+        step = max(now.st_mtime_ns, now.st_ctime_ns)
+        for written_ns, count in ((step + 10**9, 1), (step + 2 * 10**9, 0)):
+            _forge_record(out / RECORD, digest, now, written_ns=written_ns)
+            opened.clear()
+            assert run(capsys, "scree", "--input", str(players_csv), "--out", str(out)) == (0, "")
+            assert opened.count(str(players_csv)) == count, written_ns
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "empty", "flipped", "foreign", "directory"]
+    )
+    def test_damaged_or_foreign_record_is_a_miss(
+        self, players_csv, tmp_path, capsys, monkeypatch, damage
+    ):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        foreign = tmp_path / "foreign.csv"  # the same bytes, another file
+        foreign.write_bytes(players_csv.read_bytes())
+        for path in (players_csv, foreign):
+            _settle(path)
+        self._fit(capsys, players_csv, out)
+        self._fit(capsys, foreign, elsewhere)
+        good, scree = (out / RECORD).read_bytes(), (out / "scree.csv").read_bytes()
+        flipped = bytearray(good)
+        flipped[3] ^= 0x01  # a hex digit of the digest, in a record of the right layout
+        (out / RECORD).unlink()
+        if damage == "directory":
+            (out / RECORD).mkdir()
+        else:
+            (out / RECORD).write_bytes(
+                {
+                    "truncated": good[: len(good) // 2],
+                    "garbage": bytes(range(256)),
+                    "empty": b"",
+                    "flipped": bytes(flipped),
+                    "foreign": (elsewhere / RECORD).read_bytes(),
+                }[damage]
+            )
+        (out / "scree.csv").unlink()
+        opened = _count_opens(monkeypatch)
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)  # the table is still cached
+        assert run(capsys, "scree", "--input", str(players_csv), "--out", str(out)) == (0, "")
+        assert opened.count(str(players_csv)) == 1
+        assert (out / "scree.csv").read_bytes() == scree
+        if damage != "directory":
+            assert (out / RECORD).read_bytes() == good
+
+    def test_players_file_changed_while_read_is_not_recorded(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        real_read_all = files.read_all
+
+        def read_then_change(stream):
+            data = real_read_all(stream)
+            os.utime(players_csv, ns=(10**9 + 1, 10**9 + 1))  # a new ctime too
+            return data
+
+        monkeypatch.setattr(files, "read_all", read_then_change)
+        out = tmp_path / "out"
+        self._fit(capsys, players_csv, out)
+        assert (out / CACHE).exists() and not (out / RECORD).exists()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_players_from_a_pipe_are_read_once_and_not_cached(
@@ -1025,7 +1184,7 @@ class TestProjectionCache:
     def test_written_by_fit_as_a_miss_writes_it(self, players_csv, tmp_path, capsys):
         fit, miss = tmp_path / "fit", tmp_path / "miss"
         self._fit(capsys, players_csv, fit)
-        listing = [SCORES, CACHE, "model.json", "scree.csv"]
+        listing = [RECORD, SCORES, CACHE, "model.json", "scree.csv"]
         assert sorted(p.name for p in fit.iterdir()) == listing
         miss.mkdir()
         (miss / "model.json").write_bytes((fit / "model.json").read_bytes())
@@ -1036,7 +1195,7 @@ class TestProjectionCache:
     def test_scree_writes_none(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(capsys, "scree", "--input", str(players_csv), "--out", str(out)) == (0, "")
-        assert sorted(p.name for p in out.iterdir()) == [CACHE, "scree.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [RECORD, CACHE, "scree.csv"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_players_from_a_pipe_write_no_projection(self, players_csv, tmp_path, capsys):
@@ -1307,6 +1466,41 @@ class TestColdStart:
         assert json.loads(done.stdout.splitlines()[-1]) == [code, []]
         assert _files(out) == written
 
+    @pytest.mark.parametrize("command", ["scree", "teams", "regress"])
+    def test_warm_hit_loads_no_dataclasses_or_parse_code(
+        self, players_csv, membership_csv, tmp_path, capsys, command
+    ):
+        # a warm --out holds the table and the projection; these commands
+        # compute from them with numpy, but need neither the parse nor
+        # dataclasses, nor (but for scree) the fitting code, and key from
+        # the players file's record
+        out = tmp_path / "out"
+        _settle(players_csv)
+        argvs = {argv[0]: argv for argv in _chain(players_csv, membership_csv, tmp_path, out, "csv")}
+        _run_chain(capsys, argvs.values())
+        script = textwrap.dedent(
+            """
+            import builtins, json, sys
+            from statspace import cli
+            argv, players = json.loads(sys.argv[1]), sys.argv[2]
+            real_open, opened = open, []
+            def counting_open(file, *args, **kwargs):
+                opened.append(str(file))
+                return real_open(file, *args, **kwargs)
+            builtins.open = counting_open
+            code = cli.main(argv)
+            unwanted = ("dataclasses", "statspace.ingest", "statspace.pca")
+            loaded = sorted(m for m in unwanted if m in sys.modules)
+            print(json.dumps([code, loaded, opened.count(players), "numpy" in sys.modules]))
+            """
+        )
+        written = _files(out)
+        done = _python("-c", script, json.dumps(argvs[command]), str(players_csv))
+        assert done.returncode == 0, done.stderr
+        fitting = ["statspace.pca"] if command == "scree" else []
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, fitting, 0, True]
+        assert _files(out) == written
+
     @pytest.mark.parametrize(
         "caller, numpy_first, want",
         [
@@ -1532,6 +1726,33 @@ class TestBadFiles:
         )
         assert code == 2
         assert "not valid JSON" in _one_error_line(err)["error"]
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing", "config file not found: "),
+            ("directory", "cannot be read: "),
+            ("not-utf8", "cannot be read: "),
+            ("bad-json", "is not valid JSON: "),
+        ],
+    )
+    def test_config_file_that_cannot_be_read(self, players_csv, tmp_path, capsys, case, message):
+        # every failure to read the config file is a usage error that names it
+        config = tmp_path / "config.json"
+        if case == "directory":
+            config.mkdir()
+        elif case == "not-utf8":
+            config.write_bytes(b'{"k": "\xff"}')
+        elif case == "bad-json":
+            config.write_text("{k: 4}", encoding="utf-8")
+        code, err = run(
+            capsys, "fit", "--config", str(config),
+            "--input", str(players_csv), "--out", str(tmp_path / "o"),
+        )
+        diagnostic = _one_error_line(err)
+        assert (code, diagnostic["category"]) == (2, "usage")
+        assert str(config) in diagnostic["error"] and message in diagnostic["error"]
+        assert not (tmp_path / "o").exists()
 
     def test_config_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -38,18 +38,19 @@ class TestAtomicWrite:
 
 class TestReadLines:
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
-    @pytest.mark.parametrize("kind", ["path", "text"])
+    @pytest.mark.parametrize("kind", ["path", "stream"])
     def test_same_lines_as_the_whole_text_split(self, tmp_path, monkeypatch, block, kind):
         monkeypatch.setattr(files, "_READ_BLOCK", block)
         for text in ["", "\n", "a", "ab\ncd\n", "a\r\nb\r\n\n", "\u00e9\u674e\nx\n\ny", "a\rb\n"]:
             path = tmp_path / "t.csv"
             path.write_bytes(text.encode())
-            source = {
-                "path": path,
-                "text": io.StringIO(text, newline=""),
-            }[kind]
-            lines = files.read_bytes(source).decode().split("\n")
-            assert lines == text.split("\n"), (block, kind, text)
+            if kind == "path":
+                data = files.read_bytes(path)
+            else:  # what is left of a binary stream, as the players file is read
+                stream = io.BytesIO(b"skipped\n" + text.encode())
+                stream.readline()
+                data = files.read_all(stream)
+            assert data.decode().split("\n") == text.split("\n"), (block, kind, text)
 
 
 class TestCsvRows:
