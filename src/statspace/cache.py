@@ -4,8 +4,8 @@ record that lets it key them without reading the players file.
 ``.statspace-table`` holds the players table: the players file parsed,
 filtered and built. ``.statspace-scores`` holds one model's projection of
 that table: the entity ids, names and minutes, and the n x k player scores.
-A subcommand that finds the key it would compute reads the file instead of
-doing the work again.
+A process asks one ``Store`` for both; where it finds the key it would
+compute, it reads the file instead of doing the work again.
 
 Both files have one format. The first line is the key (a BLAKE2b digest of
 what decides the contents) and a CRC-32 of the rest of the file. Then come
@@ -42,7 +42,7 @@ import zlib
 from array import array
 from _blake2 import blake2b  # what hashlib.blake2b is; hashlib itself loads OpenSSL
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import files
 
@@ -57,7 +57,7 @@ PLAYERS = ".statspace-players"
 _HERE = Path(__file__).parent
 # the sources that parse the players file, build the table, and read and
 # write this format; found by path, so that no module is imported for its key
-_TABLE_SOURCES = ("ingest.py", "policy.py", "table.py", "files.py", "cache.py", "cli.py")
+_TABLE_SOURCES = ("ingest.py", "policy.py", "table.py", "files.py", "cache.py")
 _LABELS = "|u1"
 _FLOATS = "<f8" if sys.byteorder == "little" else ">f8"
 _ITEM_BYTES = {_LABELS: 1, _FLOATS: 8}
@@ -69,21 +69,6 @@ _HEADER = re.compile(
 # what identifies the players file's contents in the record, in its order
 _STAT_FIELDS = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 _SECOND_NS = 10**9
-
-
-class Projection(NamedTuple):
-    """Player scores without numpy: an id, name and minutes per player, and
-    the n x k component scores as one 2-D memoryview of floats, whose
-    ``tolist()`` gives a list of k floats per player."""
-
-    entity_ids: list[str]
-    entity_names: list[str]
-    minutes: list[float]
-    scores: memoryview
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[1]
 
 
 def _digest(data) -> str:
@@ -119,7 +104,7 @@ def scores_key(table: str, model: bytearray) -> str:
     return _digest(json.dumps(doc).encode())
 
 
-def holds_key(path: Path, key: str) -> bool:
+def _holds_key(path: Path, key: str) -> bool:
     """Whether the cache file at ``path`` was written under ``key``."""
     try:
         with files.opened(path, "rb") as fh:
@@ -252,21 +237,18 @@ def save_scores(path: Path, key: str, names: list[str], scores: ScoreSet) -> Non
     )
 
 
-def load_scores(path: Path, key: str) -> Projection | None:
-    """The projection cached at ``path`` under ``key``, or None. Its scores
-    are a view of the file's bytes as read."""
+def load_scores(path: Path, key: str) -> tuple[list[str], ScoreSet] | None:
+    """The players' names and the projection cached at ``path`` under
+    ``key``, or None. The scores are a 2-D memoryview of the file's bytes as
+    read, so neither numpy nor a copy is needed."""
+    from .table import ScoreSet
+
     try:
         descrs = [_LABELS] * 2 + [_FLOATS] * 2
         ids, names, minutes, (shape, values) = _read(path, key, descrs)
-        n, k = shape
-        projection = Projection(
-            entity_ids=_split(ids[1]),
-            entity_names=_split(names[1]),
-            minutes=minutes[1].cast("d").tolist(),
-            scores=values.cast("d", shape),
-        )
-        columns = (projection.entity_ids, projection.entity_names, projection.minutes)
-        return projection if k and {len(column) for column in columns} == {n} else None
+        scores = ScoreSet(_split(ids[1]), minutes[1].cast("d").tolist(), values.cast("d", shape))
+        names = _split(names[1])
+        return (names, scores) if scores.k and len(names) == len(scores.entity_ids) else None
     except Exception:  # whatever the fault in a damaged or foreign file, a miss
         return None
 
@@ -275,41 +257,107 @@ def _split(labels: memoryview) -> list[str]:
     return bytes(labels).decode().split("\0")
 
 
-class Players:
-    """The players file as the table cache sees it: ``key``, its table key
-    (None unless it is a regular file), from the digest recorded in the
-    output directory ``out`` where that record vouches for the file, else
-    from the file's bytes, which are then kept in ``data`` for the parse."""
+class Store:
+    """The caches in the output directory ``out`` for the players file at
+    ``players``, read under ``schema`` and ``policy``: what a process asks
+    for the players table and the players' scores.
 
-    def __init__(self, path: Path, out: Path, schema: Sequence[str], policy: FilterPolicy):
-        self.path, self.record, self._decides = path, out / PLAYERS, (schema, policy)
-        self.data: bytearray | None = None
+    The file is keyed by the digest recorded in ``out`` where that record
+    vouches for it, else by its bytes, which are then kept for the parse.
+    Only a regular file is cached. The record is written once a cache is
+    written or found, so that a command that fails in the parse leaves
+    nothing behind.
+    """
+
+    def __init__(self, players: Path, out: Path, schema: Sequence[str], policy: FilterPolicy):
+        self._path, self._out, self._decides = players, out, (schema, policy)
+        self._data: bytearray | None = None
         self._to_record: tuple[int, ...] | None = None  # to record, once digested
-        self._digest = _recorded(self.record, path)
+        self._digest = _recorded(out / PLAYERS, players)
         if self._digest is None:
-            self.read()
+            self._read()
         else:
-            self.key = table_key(schema, policy, self._digest)
+            self._key = table_key(schema, policy, self._digest)
 
-    def read(self) -> None:
-        """Read the file's bytes into ``data``, once, and key them."""
-        with files.opened(self.path, "rb") as fh:
+    def _read(self) -> None:
+        """Read the file's bytes into ``_data``, once, and key them."""
+        with files.opened(self._path, "rb") as fh:
             before = _identity(os.fstat(fh.fileno()))
-            self.data = files.read_all(fh)
+            self._data = files.read_all(fh)
             after = _identity(os.fstat(fh.fileno()))
-        self._digest = None if before is None else _digest(self.data)
-        self.key = None if before is None else table_key(*self._decides, self._digest)
+        self._digest = None if before is None else _digest(self._data)
+        self._key = None if before is None else table_key(*self._decides, self._digest)
         self._to_record = before if before == after else None  # not if changed while read
 
-    def remember(self) -> None:
+    def _remember(self) -> None:
         """Record the digest for later processes, if this one computed it
-        from a regular file that did not change while it was read. Called
-        once a cache is written or found, so that a command that fails in
-        the parse leaves nothing behind."""
+        from a regular file that did not change while it was read."""
         if self._to_record is not None:
             line = " ".join([self._digest, *map(str, self._to_record)]).encode()
-            _put(self.record, [line, b" %08x\n" % zlib.crc32(line)])
+            _put(self._out / PLAYERS, [line, b" %08x\n" % zlib.crc32(line)])
             self._to_record = None
+
+    def table(self) -> StatTable:
+        """The players table: the cached one if the table cache holds the
+        file's key, else the file's bytes parsed, filtered and built, then
+        cached under the key of those bytes.
+
+        The file is read only on a miss, or where its key was not recorded,
+        and then once: the bytes serve the key and the parse, so the table cached
+        is the one the key names. A hit frees them before it loads the table;
+        only if that cache then proves damaged is the file read again.
+        """
+        path = self._out / TABLE
+        if self._key is not None and _holds_key(path, self._key):
+            self._data = None  # a hit needs the bytes no more
+            table = load_table(path, self._key)
+            if table is not None:
+                self._remember()
+                return table
+        if self._data is None:  # keyed from the record, or freed for a damaged cache
+            self._read()
+        from . import ingest  # called through the module, where a tracer can wrap it
+
+        schema, policy = self._decides
+        records = ingest.parse_csv(self._data, schema, policy)  # empties the bytes
+        records = ingest.apply_filter(records, policy)
+        table = ingest.build_table(records)
+        if self._key is not None:
+            save_table(path, self._key, table)
+            self._remember()
+        return table
+
+    def scores(self, model: bytearray, check: Callable[[int], None]) -> tuple[list[str], ScoreSet]:
+        """The players' names and their scores on the model file's bytes
+        ``model``: the cached ones if the projection cache holds the key of
+        the players file and ``model``, else the table projected and cached.
+
+        ``check`` is given the model's k before the table is built; a hit
+        has the k of the model it was projected on.
+        """
+        if self._key is not None:
+            found = load_scores(self._out / SCORES, scores_key(self._key, model))
+            if found is not None:
+                check(found[1].k)
+                self._remember()
+                return found
+        from . import pca
+
+        fitted = pca.load_model(model)
+        check(fitted.k)
+        table = self.table()
+        scores = pca.transform(fitted, table)
+        if self._key is not None:
+            key = scores_key(self._key, model)
+            save_scores(self._out / SCORES, key, table.entity_names, scores)
+        return table.entity_names, scores
+
+    def keep_scores(self, model: Path, table: StatTable, project: Callable[[], ScoreSet]) -> None:
+        """Cache ``project()``, the scores of ``table`` on the model saved at
+        ``model``, if the players file is cached; else read and call nothing."""
+        if self._key is not None:
+            key = scores_key(self._key, files.read_bytes(model))
+            save_scores(self._out / SCORES, key, table.entity_names, project())
 
 
 def _identity(status: os.stat_result) -> tuple[int, ...] | None:

@@ -45,7 +45,7 @@ from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
 
 if TYPE_CHECKING:
     from . import scoring
-    from .table import StatTable
+    from .table import ScoreSet
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and
@@ -208,6 +208,8 @@ def _parse_weights(text: str) -> dict[int, float]:
         if component in weights:
             raise ParameterError(f"--weights gives component {component + 1} more than once")
         weights[component] = weight
+    if not weights:
+        raise ParameterError(f"--weights needs entries like 2=0.17, got {text!r}")
     if any(c < 0 for c in weights):
         raise ParameterError("--weights needs 1-based component numbers")
     if not all(math.isfinite(w) for w in weights.values()):
@@ -221,7 +223,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     A flag the subcommand needs that neither gives is a usage error, and so
     is a value out of the range that needs no data, or an ``--out`` that is,
     or lies under, an existing file; then, once every value is parsed, a
-    file the subcommand reads that does not exist is a data error. All of
+    file the subcommand reads that does not exist, or is a directory, is a
+    data error. All of
     this comes before any file is read. A flag the subcommand does not use
     goes unchecked, so one config serves the chain.
     """
@@ -274,6 +277,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for role, path in input_paths.items():
         if not path.exists():
             raise DataError(f"{role} file not found: {path}")
+        if path.is_dir():  # not `is_file()`: a pipe such as `<(zcat ...)` is read
+            raise DataError(f"{role} file is a directory: {path}")
     return resolved
 
 
@@ -282,40 +287,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _players(config: RunConfig) -> cache.Players:
-    return cache.Players(
+def _store(config: RunConfig) -> cache.Store:
+    return cache.Store(
         config.input_paths["players"], config.output_dir, config.schema, config.filter
     )
-
-
-def _load_table(config: RunConfig, players: cache.Players) -> StatTable:
-    """The players table, read from the output directory's table cache when
-    it holds the players' key, else parsed from the players file's bytes,
-    filtered and built, then cached there under the key of those bytes.
-
-    The file is read only on a miss, or where its key was not recorded, and
-    then once: the bytes serve the key and the parse, so the table cached
-    is the one the key names. A hit frees them before it loads the table;
-    only if that cache then proves damaged is the file read again.
-    """
-    path = config.output_dir / cache.TABLE
-    if players.key is not None and cache.holds_key(path, players.key):
-        players.data = None  # a hit needs the bytes no more
-        table = cache.load_table(path, players.key)
-        if table is not None:
-            players.remember()
-            return table
-    if players.data is None:  # keyed from the record, or freed for a damaged cache
-        players.read()
-    from . import ingest
-
-    records = ingest.parse_csv(players.data, config.schema, config.filter)  # empties data
-    records = ingest.apply_filter(records, config.filter)
-    table = ingest.build_table(records)
-    if players.key is not None:
-        cache.save_table(path, players.key, table)
-        players.remember()
-    return table
 
 
 def _out_file(config: RunConfig, stem: str, suffix: str | None = None) -> Path:
@@ -334,17 +309,14 @@ def cmd_fit(config: RunConfig) -> int:
     fits no model."""
     from . import pca
 
-    players = _players(config)
-    table = _load_table(config, players)
+    store = _store(config)
+    table = store.table()
     params, standardized = pca.standardize(table, drop_constant=True)
     if config.k is not None:
         model = pca.fit_pca(standardized, config.k, params)
         model_path = _out_file(config, "model", "json")
         pca.save_model(model, model_path)
-        if players.key is not None:
-            scores = pca.project(model, table, standardized)
-            key = cache.scores_key(players.key, files.read_bytes(model_path))
-            cache.save_scores(config.output_dir / cache.SCORES, key, table.entity_names, scores)
+        store.keep_scores(model_path, table, lambda: pca.project(model, table, standardized))
     spectrum = pca.component_spectrum(standardized)
     total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()
@@ -361,35 +333,12 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _score_players(config: RunConfig) -> cache.Projection:
-    """The players' scores on the model: read from the output directory's
-    projection cache when it holds the key of this players file, config and
-    model file, else projected from the table and cached there.
-
-    Flags that name components are checked against the model's k before
-    any parse; a hit has the k of the model it was projected on.
-    """
-    model_data = files.read_bytes(config.input_paths["model"])
-    players = _players(config)
-    path = config.output_dir / cache.SCORES
-    if players.key is not None:
-        projection = cache.load_scores(path, cache.scores_key(players.key, model_data))
-        if projection is not None:
-            _check_components(config, projection.k)
-            players.remember()
-            return projection
-    from . import pca
-
-    model = pca.load_model(model_data)
-    _check_components(config, model.k)
-    table = _load_table(config, players)
-    scores = pca.transform(model, table)
-    if players.key is not None:
-        key = cache.scores_key(players.key, model_data)
-        cache.save_scores(path, key, table.entity_names, scores)
-    return cache.Projection(
-        scores.entity_ids, table.entity_names, scores.minutes, memoryview(scores.scores)
-    )
+def _score_players(config: RunConfig) -> tuple[list[str], ScoreSet]:
+    """The players' names and scores on the model, cached or projected.
+    ``--components`` and ``--weights`` are checked against the model's k
+    before any parse."""
+    model = files.read_bytes(config.input_paths["model"])
+    return _store(config).scores(model, lambda k: _check_components(config, k))
 
 
 def _check_components(config: RunConfig, k: int) -> None:
@@ -403,13 +352,13 @@ def _check_components(config: RunConfig, k: int) -> None:
 
 
 def cmd_scores(config: RunConfig) -> int:
-    players = _score_players(config)
+    names, players = _score_players(config)
     _emit(
         config,
         "scores",
         {
             "entity_id": players.entity_ids,
-            "entity_name": players.entity_names,
+            "entity_name": names,
             "minutes": players.minutes,
             "scores": players.scores,
         },
@@ -419,12 +368,10 @@ def cmd_scores(config: RunConfig) -> int:
 
 def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
     from . import scoring
-    from .table import ScoreSet
 
-    players = _score_players(config)
-    scores = ScoreSet(players.entity_ids, players.minutes, players.scores)
+    _, players = _score_players(config)
     membership = scoring.load_membership(config.input_paths["membership"])
-    teams = scoring.team_scores(scores, membership)
+    teams = scoring.team_scores(players, membership)
     if "winpct" in config.input_paths:
         teams = scoring.with_win_pct(
             teams, scoring.load_win_pct(config.input_paths["winpct"])
@@ -450,11 +397,11 @@ def cmd_teams(config: RunConfig) -> int:
 
 def cmd_similar(config: RunConfig) -> int:
     from . import similarity
-    players = _score_players(config)
+    names, players = _score_players(config)
     ranking = similarity.rank_similar(
         players, config.query, config.top, config.components_for_sdi
     )
-    names = dict(zip(players.entity_ids, players.entity_names))
+    names = dict(zip(players.entity_ids, names))
     path = _out_file(config, "similar")
     if config.output_format == "json":
         files.write_text(path, similarity.ranking_to_json(ranking, names))

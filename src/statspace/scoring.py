@@ -91,6 +91,7 @@ def team_scores(
 
     codes = sorted(members)
     minutes = np.array(players.minutes)
+    scores = np.asarray(players.scores)  # a memoryview's bytes, viewed with no copy
     rows = []
     totals = []
     for team in codes:
@@ -99,7 +100,7 @@ def team_scores(
         total = float(m.sum())
         if total <= 0:
             raise AggregationError(f"team {team!r} has zero total minutes")
-        rows.append((m @ players.scores[idx]) / total)
+        rows.append((m @ scores[idx]) / total)
         totals.append(total)
 
     return TeamScoreSet(

@@ -16,8 +16,7 @@ from . import files
 from .errors import EntityLookupError, ParameterError
 
 if TYPE_CHECKING:
-    from .cache import Projection
-    from .pca import ScoreSet
+    from .table import ScoreSet
 
 
 class SdiRanking(NamedTuple):
@@ -76,22 +75,20 @@ def _sums(query: list[float], rows: list[list[float]], comps: tuple[int, ...]) -
 
 
 def rank_similar(
-    scores: ScoreSet | Projection,
+    scores: ScoreSet,
     query_id: str,
     top: int,
     components: Iterable[int] | None = None,
 ) -> SdiRanking:
     """The ``top`` entities with the smallest index against the query.
 
-    ``scores`` holds ``entity_ids`` and their ``scores``: an n x k numpy
-    array or memoryview, whose rows are built here, or n lists of k floats. Ties break lexicographically by entity id, so the
-    ranking is independent of input row order. The query itself is
-    excluded; an id given twice is ranked by its first row.
+    Ties break lexicographically by entity id, so the ranking is
+    independent of input row order. The query itself is excluded; an id
+    given twice is ranked by its first row.
     """
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
-    rows = scores.scores
-    rows = rows.tolist() if hasattr(rows, "tolist") else rows
+    rows = scores.scores.tolist()  # numpy array or memoryview, as lists of floats
     try:
         query = rows[scores.entity_ids.index(query_id)]
     except ValueError:

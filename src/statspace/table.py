@@ -4,16 +4,18 @@ players' component scores.
 ``ingest`` builds the first from a players file, and ``pca`` the second
 from a model; each re-exports its own. The caches rebuild them from their
 files, so a process that finds them cached imports neither the parse code
-nor the fitting code.
+nor the fitting code. numpy is imported only by what needs it: a
+``ScoreSet`` over a memoryview, as the projection cache gives, needs none.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ValidationError, listed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StatTable:
@@ -33,6 +35,8 @@ class StatTable:
         stat_names: list[str],
         values: np.ndarray,
     ):
+        import numpy as np
+
         self.entity_ids = entity_ids
         self.entity_names = entity_names
         self.minutes = minutes
@@ -70,14 +74,24 @@ class StatTable:
 
 
 class ScoreSet:
-    """Per-entity component scores plus the minutes needed for aggregation."""
+    """Per-entity component scores plus the minutes needed for aggregation.
+
+    ``scores`` is n x k: a 2-D memoryview of floats is kept as given, and
+    anything else becomes a float numpy array.
+    """
 
     __slots__ = ("entity_ids", "minutes", "scores")
 
-    def __init__(self, entity_ids: list[str], minutes: list[float], scores: np.ndarray):
+    def __init__(
+        self, entity_ids: list[str], minutes: list[float], scores: np.ndarray | memoryview
+    ):
+        if not isinstance(scores, memoryview):
+            import numpy as np
+
+            scores = np.asarray(scores, dtype=float)
         self.entity_ids = entity_ids
         self.minutes = minutes
-        self.scores = scores = np.asarray(scores, dtype=float)  # n x k
+        self.scores = scores
         n = len(entity_ids)
         if len(minutes) != n or scores.shape[0] != n:
             raise ValidationError("entity_ids, minutes, scores lengths differ")

@@ -437,6 +437,35 @@ class TestInputFiles:
             "exit_code": 3,
         }
 
+    @pytest.mark.parametrize("flag", ["input", "model", "membership", "winpct"])
+    def test_directory_found_before_players_parse(
+        self, players_csv, membership_csv, tmp_path, capsys, monkeypatch, flag
+    ):
+        # into a cold --out, where no cache hit can stand in for the parse
+        fitted, out = tmp_path / "fitted", tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        winpct = tmp_path / "winpct.csv"
+        winpct.write_text("ATL,0.5\n", encoding="utf-8")
+        paths = {
+            "input": players_csv,
+            "model": fitted / "model.json",
+            "membership": membership_csv,
+            "winpct": winpct,
+        }
+        paths[flag] = tmp_path / "a-directory"
+        paths[flag].mkdir()
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        given = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
+        code, err = run(capsys, "regress", *given, "--out", str(out))
+        role = "players" if flag == "input" else flag
+        assert code == 3
+        assert _one_error_line(err) == {
+            "error": f"{role} file is a directory: {paths[flag]}",
+            "category": "data",
+            "exit_code": 3,
+        }
+        assert not out.exists()
+
     def test_bad_flag_value_reported_before_missing_file(self, players_csv, tmp_path, capsys):
         code, err = run(
             capsys,
@@ -484,8 +513,16 @@ class TestValueChecks:
                 ["teams", "--membership", "m.csv", "--weights", "2=1,2=3"],
                 "--weights gives component 2 more than once",
             ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", ""],
+                "--weights needs entries like 2=0.17, got ''",
+            ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", " , "],
+                "--weights needs entries like 2=0.17, got ' , '",
+            ),
         ],
-        ids=["top", "k", "min-games", "repeated-weight"],
+        ids=["top", "k", "min-games", "repeated-weight", "empty-weights", "only-commas"],
     )
     def test_before_any_input_is_read(
         self, players_csv, tmp_path, capsys, monkeypatch, argv, message
@@ -501,6 +538,23 @@ class TestValueChecks:
         )
         assert code == 2
         assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+
+    def test_weights_from_config_with_no_entries(self, players_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ingest, "parse_csv", _no_parse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weights": ","}), encoding="utf-8")
+        code, err = run(
+            capsys,
+            "teams", "--config", str(config), "--input", str(players_csv),
+            "--model", str(tmp_path / "none.json"), "--membership", "m.csv",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert _one_error_line(err) == {
+            "error": "--weights needs entries like 2=0.17, got ','",
+            "category": "usage",
+            "exit_code": 2,
+        }
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1465,6 +1519,33 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [code, []]
         assert _files(out) == written
+
+    def test_scores_from_a_memoryview_need_no_numpy(self):
+        # a fresh process in which any numpy import fails builds the scores
+        # as the projection cache gives them, and ranks them
+        script = textwrap.dedent(
+            """
+            import importlib.abc, json, sys
+            from array import array
+
+            class NoNumpy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "numpy":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, NoNumpy())
+            from statspace import ScoreSet, rank_similar
+            cells = memoryview(array("d", [0.0, 0.0, 1.0, 0.0, 0.0, 3.0]).tobytes())
+            players = ScoreSet(["q", "a", "b"], [1.0, 2.0, 3.0], cells.cast("d", (3, 2)))
+            ranking = rank_similar(players, "q", top=2)
+            print(json.dumps([players.k, players.scores.tolist(), ranking.entries]))
+            """
+        )
+        done = _python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [
+            2, [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], [["a", 1.0], ["b", 9.0]]
+        ]
 
     @pytest.mark.parametrize("command", ["scree", "teams", "regress"])
     def test_warm_hit_loads_no_dataclasses_or_parse_code(

@@ -108,6 +108,19 @@ class TestTeamScores:
             assert (teams.scores[t] >= member_scores.min(axis=0) - 1e-12).all()
             assert (teams.scores[t] <= member_scores.max(axis=0) + 1e-12).all()
 
+    def test_same_bits_from_a_memoryview(self):
+        # the projection cache gives the scores as a 2-D memoryview of its bytes
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(40, 4))
+        ids = [f"p{i}" for i in range(40)]
+        minutes = rng.uniform(1.0, 3000.0, size=40).tolist()
+        membership = {pid: "ABC"[i % 3] for i, pid in enumerate(ids)}
+        cached = memoryview(values.tobytes()).cast("d", values.shape)
+        want = team_scores(ScoreSet(ids, minutes, values), membership)
+        got = team_scores(ScoreSet(ids, minutes, cached), membership)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.total_minutes == want.total_minutes
+
     def test_split_player_leaves_score_unchanged(self):
         base = make_scores(
             {"p1": (200.0, [1.0, -2.0]), "p2": (300.0, [0.5, 4.0])}

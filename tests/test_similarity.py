@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,9 +178,10 @@ class TestSameBitsAsNumpy:
         ordered = tuple(sorted(range(values.shape[1]) if comps is None else comps))
         totals = _numpy_sums(values[q], values, ordered).tolist()
         want = sorted((t, e) for t, e in zip(totals, ids) if e != ids[q])
+        cached = memoryview(values.tobytes()).cast("d", values.shape)  # as the cache holds them
         for scores in (
             ScoreSet(entity_ids=ids, minutes=[1.0] * len(ids), scores=values),
-            SimpleNamespace(entity_ids=ids, scores=values.tolist()),  # as the cache holds them
+            ScoreSet(entity_ids=ids, minutes=[1.0] * len(ids), scores=cached),
         ):
             ranking = rank_similar(scores, ids[q], top=len(ids), components=comps)
             got = [(value, entity_id) for entity_id, value in ranking.entries]
