@@ -37,8 +37,8 @@ _EXPORTS = {
     "policy": ("DEFAULT_SCHEMA", "FilterPolicy"),
     "regression": ("RegressionFit", "fit_ols", "t_cdf"),
     "scoring": (
-        "TeamScoreSet", "load_membership", "load_win_pct", "regression_weighted_score",
-        "team_scores", "with_win_pct",
+        "load_membership", "load_win_pct", "regression_weighted_score", "team_scores",
+        "team_win_pct",
     ),
     "similarity": ("SdiRanking", "rank_similar", "sdi"),
     "table": ("ScoreSet", "StatTable"),

@@ -40,11 +40,11 @@ from .errors import (
     ParameterError,
     StatspaceError,
     UsageError,
+    listed,
 )
 from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
 
 if TYPE_CHECKING:
-    from . import scoring
     from .table import ScoreSet
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
@@ -162,7 +162,7 @@ def _load_config_file(path: str | None) -> dict:
     types = {key: flag.type for key, flag in FLAGS.items()} | CONFIG_ONLY
     unknown = set(raw) - set(types)
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys: {listed(sorted(unknown))}")
     for key, value in raw.items():
         if not _is_a(value, types[key]):
             raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
@@ -366,29 +366,29 @@ def cmd_scores(config: RunConfig) -> int:
     return 0
 
 
-def _team_scores(config: RunConfig) -> scoring.TeamScoreSet:
+def _team_scores(config: RunConfig) -> tuple[ScoreSet, list[float] | None]:
+    """The teams' profiles, and their win% where ``--winpct`` is given."""
     from . import scoring
 
     _, players = _score_players(config)
     membership = scoring.load_membership(config.input_paths["membership"])
     teams = scoring.team_scores(players, membership)
-    if "winpct" in config.input_paths:
-        teams = scoring.with_win_pct(
-            teams, scoring.load_win_pct(config.input_paths["winpct"])
-        )
-    return teams
+    if "winpct" not in config.input_paths:
+        return teams, None
+    win_pct = scoring.load_win_pct(config.input_paths["winpct"])
+    return teams, scoring.team_win_pct(teams, win_pct)
 
 
 def cmd_teams(config: RunConfig) -> int:
     from . import scoring
-    teams = _team_scores(config)
+    teams, win_pct = _team_scores(config)
     columns = {
-        "team_code": teams.team_codes,
-        "total_minutes": teams.total_minutes,
+        "team_code": teams.entity_ids,
+        "total_minutes": teams.minutes,
         "scores": teams.scores,
     }
-    if teams.win_pct is not None:
-        columns["win_pct"] = teams.win_pct
+    if win_pct is not None:
+        columns["win_pct"] = win_pct
     if config.weights:
         columns["weighted_score"] = scoring.regression_weighted_score(teams, config.weights)
     _emit(config, "teams", columns)
@@ -412,10 +412,10 @@ def cmd_similar(config: RunConfig) -> int:
 
 def cmd_regress(config: RunConfig) -> int:
     from . import regression
-    teams = _team_scores(config)
+    teams, win_pct = _team_scores(config)
     fit = regression.fit_ols(
         teams.scores,
-        teams.win_pct,
+        win_pct,
         term_names=[f"PC{i + 1}" for i in range(teams.k)],
     )
     txt_path = _out_file(config, "regression", "txt")

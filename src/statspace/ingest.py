@@ -346,10 +346,10 @@ def _parse_rows(stream: IO[str], roles: Roles, policy: FilterPolicy | None) -> R
 
     dupes = _duplicates(header)
     if dupes:
-        raise SchemaError(f"duplicate header names: {sorted(dupes)}")
+        raise SchemaError(f"duplicate header names: {listed(sorted(dupes))}")
     missing = [c for c in schema if c not in header]
     if missing:
-        raise SchemaError(f"header is missing metadata columns: {missing}")
+        raise SchemaError(f"header is missing metadata columns: {listed(missing)}")
 
     col_index = {name: i for i, name in enumerate(header)}
     stat_names = _kept_stats([name for name in header if name not in schema], policy)

@@ -26,10 +26,12 @@ import numpy as np
 from . import files
 from .errors import (
     ConvergenceError,
+    NumericalError,
     ParameterError,
     SchemaError,
     ValidationError,
     ZeroVarianceError,
+    listed,
 )
 from .table import ScoreSet
 
@@ -57,19 +59,21 @@ class StandardizationParams:
         p = len(stat_names)
         if len(set(stat_names)) != p:
             repeated = sorted({n for n in stat_names if stat_names.count(n) > 1})
-            raise SchemaError(f"stat_names lists a column more than once: {repeated}")
+            raise SchemaError(f"stat_names lists a column more than once: {listed(repeated)}")
         if means.shape != (p,) or std_devs.shape != (p,):
             raise ValidationError("means/std_devs lengths do not match stat_names")
         if not (std_devs > 0).all():
             bad = [stat_names[j] for j in np.flatnonzero(std_devs <= 0)]
-            raise ZeroVarianceError(f"non-positive std dev for columns: {bad}")
+            raise ZeroVarianceError(f"non-positive std dev for columns: {listed(bad)}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``(values - means) / std_devs`` in a new array, divided in place,
-        so that no second n x p temporary is made."""
-        standardized = np.asarray(values, dtype=float) - self.means
-        standardized /= self.std_devs
-        return standardized
+        so that no second n x p temporary is made. A value that overflows
+        raises :class:`NumericalError`."""
+        with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
+            standardized = np.asarray(values, dtype=float) - self.means
+            standardized /= self.std_devs
+        return _finite(standardized, "standardization", self.stat_names)
 
 
 class PcaModel:
@@ -106,8 +110,10 @@ class PcaModel:
         if n_samples < 2:
             raise ValidationError("n_samples must be >= 2")
 
-        norms = np.linalg.norm(loadings, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-10:
+        # no entry of a unit-norm row exceeds 1; a larger one could overflow the norm
+        if np.abs(loadings).max(initial=0.0) > 1.0 + 1e-10 or (
+            np.abs(np.linalg.norm(loadings, axis=1) - 1.0).max() > 1e-10
+        ):
             raise ValidationError("loading vectors must have unit norm")
         gram = loadings @ loadings.T
         if np.abs(gram - np.eye(k)).max() > 1e-8:
@@ -140,11 +146,12 @@ def standardize(
     if table.n_entities < 2:
         raise ValidationError("standardization needs at least 2 rows")
     values = table.values
-    stds = values.std(axis=0, ddof=1)
-    constant = np.flatnonzero(stds == 0.0)
     names = table.stat_names
+    with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
+        stds = _finite(values.std(axis=0, ddof=1), "standard deviation", names)
+    constant = np.flatnonzero(stds == 0.0)
     if constant.size:
-        bad = [names[j] for j in constant]
+        bad = listed([names[j] for j in constant])
         if not drop_constant:
             raise ZeroVarianceError(f"zero-variance columns: {bad}")
         warnings.warn(f"dropping zero-variance columns: {bad}", stacklevel=2)
@@ -334,7 +341,7 @@ def transform(model: PcaModel, table: StatTable) -> ScoreSet:
         position = {name: j for j, name in enumerate(table.stat_names)}
         missing = [name for name in expected if name not in position]
         if missing:
-            raise SchemaError(f"table lacks model columns: {missing}")
+            raise SchemaError(f"table lacks model columns: {listed(missing)}")
         values = values[:, [position[name] for name in expected]]
     return project(model, table, model.standardization.apply(values))
 
@@ -343,11 +350,24 @@ def project(model: PcaModel, table: StatTable, standardized: np.ndarray) -> Scor
     """The scores of ``table``'s rows from ``standardized``, its values in
     the model's columns standardized by the model's parameters: what
     :func:`standardize` returned for the table the model was fit on."""
+    with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
+        scores = standardized @ model.loadings.T
+    components = [f"PC{i + 1}" for i in range(model.k)]
     return ScoreSet(
         entity_ids=list(table.entity_ids),
         minutes=list(table.minutes),
-        scores=standardized @ model.loadings.T,
+        scores=_finite(scores, "projection", components),
     )
+
+
+def _finite(values: np.ndarray, stage: str, columns: list[str]) -> np.ndarray:
+    """``values`` (a row, or rows, of ``columns``) if every entry is finite;
+    else a :class:`NumericalError` that names ``stage`` and the columns."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = [columns[j] for j in np.flatnonzero(~finite.reshape(-1, len(columns)).all(0))]
+        raise NumericalError(f"{stage} overflows to a non-finite value in {listed(bad)}")
+    return values
 
 
 def top_loadings(

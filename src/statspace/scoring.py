@@ -3,14 +3,16 @@
 A team's score on each component is the minutes-weighted average of its
 members' scores, so every team score is a convex combination bounded by the
 member extremes. Membership (player id -> team code) is supplied explicitly:
-how traded players' minutes split across teams is the caller's call.
+how traded players' minutes split across teams is the caller's call. Team
+profiles are ``ScoreSet``s, as players' are, so ``similarity`` ranks and
+compares teams with no code of its own for them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,47 +26,13 @@ from .errors import (
     ValidationError,
     listed,
 )
-
-if TYPE_CHECKING:
-    from .table import ScoreSet
+from .table import ScoreSet
 
 
-class TeamScoreSet:
-    """Per-team component scores, total minutes, optional winning percentage."""
-
-    __slots__ = ("team_codes", "scores", "total_minutes", "win_pct")
-
-    def __init__(
-        self,
-        team_codes: list[str],
-        scores: np.ndarray,  # T x k
-        total_minutes: list[float],
-        win_pct: list[float] | None = None,
-    ):
-        self.team_codes = team_codes
-        self.scores = scores = np.asarray(scores, dtype=float)
-        self.total_minutes = total_minutes
-        self.win_pct = win_pct
-        t = len(team_codes)
-        if scores.shape[0] != t or len(total_minutes) != t:
-            raise ValidationError("team_codes, scores, total_minutes lengths differ")
-        if any(m <= 0 for m in total_minutes):
-            raise ValidationError("total_minutes must be positive per team")
-        if win_pct is not None:
-            if len(win_pct) != t:
-                raise ValidationError("win_pct length does not match team_codes")
-            if any(not 0.0 <= w <= 1.0 for w in win_pct):
-                raise ValidationError("win_pct values must lie in [0, 1]")
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[1]
-
-
-def team_scores(
-    players: ScoreSet, membership: Mapping[str, str]
-) -> TeamScoreSet:
-    """Minutes-weighted average of member scores, per team.
+def team_scores(players: ScoreSet, membership: Mapping[str, str]) -> ScoreSet:
+    """Minutes-weighted average of member scores, per team: a profile per
+    team code, with the team's total minutes, that ranks and compares as a
+    player's does.
 
     Teams come out in sorted team-code order. Players absent from the
     membership map are excluded and reported once via ``warnings``; ids in the
@@ -103,27 +71,22 @@ def team_scores(
         rows.append((m @ scores[idx]) / total)
         totals.append(total)
 
-    return TeamScoreSet(
-        team_codes=codes, scores=np.array(rows), total_minutes=totals
-    )
+    return ScoreSet(entity_ids=codes, minutes=totals, scores=np.array(rows))
 
 
-def with_win_pct(teams: TeamScoreSet, win_pct: Mapping[str, float]) -> TeamScoreSet:
-    """Attach winning percentages; every team must be covered."""
-    missing = [code for code in teams.team_codes if code not in win_pct]
+def team_win_pct(teams: ScoreSet, win_pct: Mapping[str, float]) -> list[float]:
+    """The winning percentage of each of ``teams``, in their order; every
+    team must be covered, by a value in [0, 1]."""
+    missing = [code for code in teams.entity_ids if code not in win_pct]
     if missing:
-        raise EntityLookupError(f"win_pct missing for teams: {missing}")
-    return TeamScoreSet(
-        team_codes=list(teams.team_codes),
-        scores=teams.scores.copy(),
-        total_minutes=list(teams.total_minutes),
-        win_pct=[float(win_pct[code]) for code in teams.team_codes],
-    )
+        raise EntityLookupError(f"win_pct missing for teams: {listed(missing)}")
+    values = [float(win_pct[code]) for code in teams.entity_ids]
+    if not all(0.0 <= value <= 1.0 for value in values):
+        raise ValidationError("win_pct values must lie in [0, 1]")
+    return values
 
 
-def regression_weighted_score(
-    teams: TeamScoreSet, weights: Mapping[int, float]
-) -> list[float]:
+def regression_weighted_score(teams: ScoreSet, weights: Mapping[int, float]) -> list[float]:
     """Weighted sum of selected components per team.
 
     Components without a weight contribute nothing; an empty map gives zeros.
@@ -133,7 +96,7 @@ def regression_weighted_score(
     vector = np.zeros(teams.k)
     for component, weight in weights.items():
         vector[component] = weight
-    return [float(v) for v in teams.scores @ vector]
+    return [float(v) for v in np.asarray(teams.scores) @ vector]
 
 
 def _checked_weights(weights: Mapping[int, float], k: int) -> None:

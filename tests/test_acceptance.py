@@ -290,11 +290,11 @@ def test_criterion_8_reference_dataset_claims():
     assert morrow.entries[0][0] == names["Klay Thompson"]
     assert abs(morrow.entries[0][1] - 2.3) <= 0.3
 
-    from statspace import load_membership, load_win_pct, with_win_pct
+    from statspace import load_membership, load_win_pct, team_win_pct
 
     teams = team_scores(scores, load_membership(os.path.join(root, "membership.csv")))
-    teams = with_win_pct(teams, load_win_pct(os.path.join(root, "winpct.csv")))
-    fit = fit_ols(teams.scores, teams.win_pct)
+    win_pct = team_win_pct(teams, load_win_pct(os.path.join(root, "winpct.csv")))
+    fit = fit_ols(teams.scores, win_pct)
     assert abs(fit.r_squared - 0.59) <= 0.05
     published = (0.35, -0.01, 0.17, -0.20, 0.09)
     for got, ref in zip(fit.coefficients, published):

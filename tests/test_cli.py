@@ -19,7 +19,7 @@ import statspace
 from statspace import cache, cli, files, ingest, pca, scoring
 from statspace.cli import main
 
-from conftest import membership_csv_text, players_csv_text
+from conftest import STATS, membership_csv_text, players_csv_text
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -308,7 +308,7 @@ class TestRegress:
         winpct.write_text(
             "".join(
                 f"{code},{float(outcome[t])!r}\n"
-                for t, code in enumerate(teams.team_codes)
+                for t, code in enumerate(teams.entity_ids)
             ),
             encoding="utf-8",
         )
@@ -2069,3 +2069,140 @@ class TestNumericalExit:
         assert _one_error_line(err) == {
             "error": "Singular matrix", "category": "numerical", "exit_code": 4,
         }
+
+
+class TestOverflow:
+    """A model or players file whose standardization or projection overflows
+    exits 4 with one JSON line, before any output or projection is written,
+    and with no numpy warning on the way."""
+
+    def _model_with(self, players_csv, tmp_path, capsys, change) -> Path:
+        fitted = tmp_path / "fitted"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        doc = json.loads((fitted / "model.json").read_text(encoding="utf-8"))
+        change(doc)
+        model = tmp_path / "changed_model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        return model
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["scores", "teams", "similar"])
+    def test_model_std_devs_too_small(
+        self, players_csv, membership_csv, tmp_path, capsys, recwarn, command, fmt
+    ):
+        def tiny(doc):
+            std = doc["standardization"]
+            std["std_devs"] = [5e-324] * len(std["std_devs"])  # positive, so the model loads
+
+        model = self._model_with(players_csv, tmp_path, capsys, tiny)
+        recwarn.clear()
+        extra = {
+            "scores": [],
+            "teams": ["--membership", str(membership_csv)],
+            "similar": ["--query", "p01"],
+        }[command]
+        out = tmp_path / "out"
+        code, err = run(
+            capsys,
+            command, "--input", str(players_csv), "--model", str(model), *extra,
+            "--out", str(out), "--format", fmt,
+        )
+        assert code == 4
+        assert _one_error_line(err) == {
+            "error": f"standardization overflows to a non-finite value in {STATS}",
+            "category": "numerical",
+            "exit_code": 4,
+        }
+        assert not recwarn.list
+        # the table cache stands; no output and no projection is written
+        assert sorted(path.name for path in out.iterdir()) == [
+            cache.PLAYERS, cache.TABLE
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_projection(self, tmp_path, capsys, recwarn, fmt):
+        players = tmp_path / "players.csv"
+        players.write_text(
+            "player_id,player_name,team,games_played,minutes,a,b\n"
+            "p1,P1,BOS,50,100.0,1.5e308,1.5e308\n"
+            "p2,P2,BOS,50,100.0,1.0,2.0\n"
+            "p3,P3,NYK,50,100.0,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "model.json"
+        model.write_text(
+            pca.model_to_json(
+                pca.PcaModel(
+                    pca.StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 1.0]),
+                    [[0.6, 0.8]], [1.0], 2.0, 3,
+                )
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code, err = run(
+            capsys,
+            "scores", "--input", str(players), "--model", str(model), "--out", str(out),
+            "--format", fmt,
+        )
+        assert code == 4
+        assert _one_error_line(err)["error"] == (
+            "projection overflows to a non-finite value in ['PC1']"
+        )
+        assert not recwarn.list
+        assert sorted(path.name for path in out.iterdir()) == [cache.PLAYERS, cache.TABLE]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["fit", "scree"])
+    def test_players_column_of_huge_values(self, tmp_path, capsys, recwarn, command, fmt):
+        lines = players_csv_text().splitlines()
+        header = lines[0].split(",")
+        column = header.index(STATS[0])
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[column] = "1e308" if i % 2 else "-1e308"
+            lines[i] = ",".join(cells)
+        players = tmp_path / "players.csv"
+        players.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run(
+            capsys, command, "--input", str(players), "--out", str(out), "--format", fmt
+        )
+        assert code == 4
+        assert _one_error_line(err)["error"] == (
+            f"standard deviation overflows to a non-finite value in ['{STATS[0]}']"
+        )
+        assert not recwarn.list
+        assert sorted(path.name for path in out.iterdir()) == [cache.PLAYERS, cache.TABLE]
+
+    def test_huge_loadings(self, players_csv, tmp_path, capsys, recwarn):
+        def huge(doc):
+            doc["loadings"] = [[1e308] * len(row) for row in doc["loadings"]]
+
+        model = self._model_with(players_csv, tmp_path, capsys, huge)
+        recwarn.clear()
+        out = tmp_path / "out"
+        code, err = run(
+            capsys, "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out)
+        )
+        assert code == 3
+        assert _one_error_line(err)["error"] == "loading vectors must have unit norm"
+        assert not recwarn.list
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fresh_process_prints_one_line(self, players_csv, tmp_path, capsys, fmt):
+        # numpy's warnings would reach a real stderr
+        def tiny(doc):
+            std = doc["standardization"]
+            std["std_devs"] = [5e-324] * len(std["std_devs"])
+
+        model = self._model_with(players_csv, tmp_path, capsys, tiny)
+        out = tmp_path / "out"
+        done = _python(
+            "-m", "statspace.cli", "scores", "--input", str(players_csv), "--model", str(model),
+            "--out", str(out), "--format", fmt,
+        )
+        assert (done.returncode, done.stdout) == (4, "")
+        assert _one_error_line(done.stderr)["category"] == "numerical"
+        assert not (out / f"scores.{fmt}").exists() and not (out / cache.SCORES).exists()

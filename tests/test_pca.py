@@ -9,7 +9,10 @@ from conftest import STATS
 from statspace import pca
 from statspace import (
     ConvergenceError,
+    NumericalError,
     ParameterError,
+    PcaModel,
+    StandardizationParams,
     SchemaError,
     StatTable,
     ValidationError,
@@ -86,6 +89,20 @@ class TestStandardize:
             params, Z = standardize(table, drop_constant=True)
         assert params.stat_names == ["s1"]
         assert Z.shape == (3, 1)
+
+    def test_overflowing_std_dev_is_a_numerical_error(self, recwarn):
+        table = make_table({"s1": [1.0, 2.0, 3.0], "huge": [1e308, -1e308, 1e308]})
+        with pytest.raises(NumericalError) as raised:
+            standardize(table)
+        assert str(raised.value) == "standard deviation overflows to a non-finite value in ['huge']"
+        assert not recwarn.list  # no numpy warning on the way
+
+    def test_overflowing_value_is_a_numerical_error(self, recwarn):
+        params = StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 5e-324])
+        with pytest.raises(NumericalError) as raised:
+            params.apply(np.array([[1.0, 0.0], [2.0, 1.0]]))
+        assert str(raised.value) == "standardization overflows to a non-finite value in ['b']"
+        assert not recwarn.list
 
     def test_identical_columns_standardize_identically(self):
         table = make_table({"s1": [1.0, 5.0, 2.0], "s2": [1.0, 5.0, 2.0]})
@@ -264,6 +281,15 @@ class TestTransform:
             transform(model, renamed)
         assert "bogus" not in str(caught.value)
 
+    def test_overflowing_projection_is_a_numerical_error(self, recwarn):
+        params = StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 1.0])
+        model = PcaModel(params, [[0.6, 0.8]], [1.0], 2.0, 3)
+        table = make_table({"a": [1.5e308, 1.0, 0.0], "b": [1.5e308, 2.0, 0.0]})
+        with pytest.raises(NumericalError) as raised:
+            transform(model, table)
+        assert str(raised.value) == "projection overflows to a non-finite value in ['PC1']"
+        assert not recwarn.list
+
     def test_column_reorder_gives_identical_scores(self, fitted_pipeline):
         table, _, _, model = fitted_pipeline
         names = list(table.stat_names)
@@ -392,6 +418,12 @@ class TestModelSerialization:
         field = [key for key in path if isinstance(key, str)][-1]
         with pytest.raises(error, match=field):
             model_from_json(json.dumps(doc))
+
+    def test_huge_loadings_are_not_unit_norm_and_do_not_overflow(self, recwarn):
+        params = StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValidationError, match="unit norm"):
+            PcaModel(params, [[1e308, 1e308]], [1.0], 2.0, 3)
+        assert not recwarn.list  # taking the norm would overflow
 
     def test_not_json(self):
         with pytest.raises(SchemaError, match="JSON"):

@@ -12,9 +12,11 @@ from statspace import (
     ValidationError,
     load_membership,
     load_win_pct,
+    rank_similar,
     regression_weighted_score,
+    sdi,
     team_scores,
-    with_win_pct,
+    team_win_pct,
 )
 
 
@@ -32,10 +34,10 @@ class TestTeamScores:
             {"p1": (100.0, [1.0, 0.0]), "p2": (300.0, [2.0, 4.0])}
         )
         teams = team_scores(scores, {"p1": "BOS", "p2": "BOS"})
-        assert teams.team_codes == ["BOS"]
+        assert teams.entity_ids == ["BOS"]
         assert teams.scores[0, 0] == 1.75
         assert teams.scores[0, 1] == 3.0
-        assert teams.total_minutes == [400.0]
+        assert teams.minutes == [400.0]
 
     def test_single_member_team(self):
         scores = make_scores({"p1": (500.0, [1.5, -2.0])})
@@ -58,7 +60,7 @@ class TestTeamScores:
             {"p1": (10.0, [1.0]), "p2": (10.0, [2.0]), "p3": (10.0, [3.0])}
         )
         teams = team_scores(scores, {"p1": "NYK", "p2": "ATL", "p3": "CHI"})
-        assert teams.team_codes == ["ATL", "CHI", "NYK"]
+        assert teams.entity_ids == ["ATL", "CHI", "NYK"]
 
     def test_zero_total_minutes_names_team(self):
         scores = make_scores({"p1": (0.0, [1.0]), "p2": (10.0, [2.0])})
@@ -74,7 +76,7 @@ class TestTeamScores:
         scores = make_scores({"p1": (10.0, [1.0]), "p2": (10.0, [9.0])})
         with pytest.warns(UserWarning, match="p2"):
             teams = team_scores(scores, {"p1": "BOS"})
-        assert teams.team_codes == ["BOS"]
+        assert teams.entity_ids == ["BOS"]
         assert teams.scores[0, 0] == 1.0
 
     def test_long_lists_of_players_are_cut(self):
@@ -102,7 +104,7 @@ class TestTeamScores:
         )
         membership = {pid: ("AAA" if i < 7 else "BBB") for i, pid in enumerate(ids)}
         teams = team_scores(scores, membership)
-        for t, code in enumerate(teams.team_codes):
+        for t, code in enumerate(teams.entity_ids):
             idx = [i for i, pid in enumerate(ids) if membership[pid] == code]
             member_scores = scores.scores[idx]
             assert (teams.scores[t] >= member_scores.min(axis=0) - 1e-12).all()
@@ -119,7 +121,7 @@ class TestTeamScores:
         want = team_scores(ScoreSet(ids, minutes, values), membership)
         got = team_scores(ScoreSet(ids, minutes, cached), membership)
         assert got.scores.tobytes() == want.scores.tobytes()
-        assert got.total_minutes == want.total_minutes
+        assert got.minutes == want.minutes
 
     def test_split_player_leaves_score_unchanged(self):
         base = make_scores(
@@ -152,20 +154,66 @@ class TestWinPct:
     def test_attach(self):
         scores = make_scores({"p1": (10.0, [1.0]), "p2": (10.0, [2.0])})
         teams = team_scores(scores, {"p1": "ATL", "p2": "BOS"})
-        teams = with_win_pct(teams, {"ATL": 0.5, "BOS": 0.75, "XXX": 0.1})
-        assert teams.win_pct == [0.5, 0.75]
+        assert team_win_pct(teams, {"ATL": 0.5, "BOS": 0.75, "XXX": 0.1}) == [0.5, 0.75]
 
     def test_missing_team(self):
-        scores = make_scores({"p1": (10.0, [1.0])})
-        teams = team_scores(scores, {"p1": "ATL"})
-        with pytest.raises(EntityLookupError, match="ATL"):
-            with_win_pct(teams, {"BOS": 0.5})
+        scores = make_scores({"p1": (10.0, [1.0]), "p2": (10.0, [2.0])})
+        teams = team_scores(scores, {"p1": "ATL", "p2": "CHI"})
+        with pytest.raises(EntityLookupError) as raised:
+            team_win_pct(teams, {"BOS": 0.5, "CHI": 0.5})
+        assert str(raised.value) == "win_pct missing for teams: ['ATL']"
 
     def test_out_of_range_rejected(self):
         scores = make_scores({"p1": (10.0, [1.0])})
         teams = team_scores(scores, {"p1": "ATL"})
-        with pytest.raises(ValidationError):
-            with_win_pct(teams, {"ATL": 1.5})
+        for value in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValidationError, match=r"in \[0, 1\]"):
+                team_win_pct(teams, {"ATL": value})
+
+
+class TestTeamsAsProfiles:
+    """Team profiles are ``ScoreSet``s, so the similarity code takes them as
+    it takes players'."""
+
+    def _teams(self):
+        scores = make_scores(
+            {
+                "p1": (100.0, [1.0, 0.0, 2.0]),
+                "p2": (300.0, [2.0, 4.0, -1.0]),
+                "p3": (200.0, [0.5, 1.0, 1.0]),
+                "p4": (50.0, [-3.0, 2.0, 0.0]),
+                "p5": (400.0, [1.0, 1.0, 1.0]),
+            }
+        )
+        membership = {"p1": "NYK", "p2": "NYK", "p3": "BOS", "p4": "CHI", "p5": "ATL"}
+        return team_scores(scores, membership)
+
+    def test_ranked_by_rank_similar(self):
+        teams = self._teams()
+        nyk = teams.scores[teams.entity_ids.index("NYK")]
+        want = sorted(
+            (float(((teams.scores[t] - nyk) ** 2).sum()), code)
+            for t, code in enumerate(teams.entity_ids)
+            if code != "NYK"
+        )
+        ranking = rank_similar(teams, "NYK", top=2)
+        assert ranking.query_id == "NYK"
+        assert ranking.entries == [(code, value) for value, code in want[:2]]
+        assert ranking.components_used == frozenset({0, 1, 2})
+        only_first = rank_similar(teams, "NYK", top=3, components={0})
+        assert [code for code, _ in only_first.entries] == ["ATL", "BOS", "CHI"]
+
+    def test_sdi_between_two_teams(self):
+        teams = self._teams()
+        row = dict(zip(teams.entity_ids, teams.scores.tolist()))
+        # NYK is (1.75, 3.0, -0.25) and ATL (1.0, 1.0, 1.0)
+        assert sdi(row["NYK"], row["ATL"]) == 0.75**2 + 2.0**2 + 1.25**2
+        assert sdi(row["NYK"], row["ATL"], components=[1]) == 4.0
+        assert sdi(row["ATL"], row["NYK"]) == sdi(row["NYK"], row["ATL"])
+
+    def test_unknown_team_query(self):
+        with pytest.raises(EntityLookupError, match="LAL"):
+            rank_similar(self._teams(), "LAL", top=1)
 
 
 class TestRegressionWeightedScore:
