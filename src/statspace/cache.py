@@ -8,13 +8,17 @@ A process asks one ``Store`` for both; where it finds the key it would
 compute, it reads the file instead of doing the work again.
 
 Both files have one format. The first line is the key (a BLAKE2b digest of
-what decides the contents) and a CRC-32 of the rest of the file. Then come
-arrays in ``.npy`` format (version 1.0), each payload starting at a
-multiple of 64 bytes from the file's start: a list of labels as the UTF-8
-bytes of the labels joined by NUL (which no CSV cell holds), and floats in
-native byte order. A file whose key, CRC or layout does not match is a
-miss, whatever the damage. This module reads and writes the format without
-numpy, so a process that finds the projection cached never imports it.
+what decides the contents) and a CRC-32 of the rest of the file. The second
+holds the sizes in bytes of five arrays, padded with spaces so that the
+first array starts at a multiple of 64 bytes from the file's start. Then
+come the arrays, each padded with zero bytes to a multiple of 64: the
+entity ids, the names and the column names, each list as the UTF-8 bytes
+of its labels joined by NUL (which no CSV cell holds); the n minutes; and
+the n x p values, row by row. Floats are in native byte order, which the
+key records. The projection cache names its columns ``PC1`` to ``PCk``. A
+file whose key, CRC or layout does not match is a miss, whatever the
+damage. This module reads and writes the format without numpy, so a
+process that finds the projection cached never imports it.
 
 The keys are digests of content, and the players file is the one large
 input. So whoever digests it writes ``.statspace-players`` beside the
@@ -33,9 +37,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import math
 import os
-import re
 import stat
 import sys
 import zlib
@@ -58,14 +60,7 @@ _HERE = Path(__file__).parent
 # the sources that parse the players file, build the table, and read and
 # write this format; found by path, so that no module is imported for its key
 _TABLE_SOURCES = ("ingest.py", "policy.py", "table.py", "files.py", "cache.py")
-_LABELS = "|u1"
-_FLOATS = "<f8" if sys.byteorder == "little" else ">f8"
-_ITEM_BYTES = {_LABELS: 1, _FLOATS: 8}
 _ALIGN = 64
-_MAGIC = b"\x93NUMPY\x01\x00"
-_HEADER = re.compile(
-    rb"\{'descr': '([^']*)', 'fortran_order': False, 'shape': \(((?:\d+, )*\d*,?)\), \} *\n"
-)
 # what identifies the players file's contents in the record, in its order
 _STAT_FIELDS = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 _SECOND_NS = 10**9
@@ -89,10 +84,10 @@ def _numpy_identity() -> str:
 
 def table_key(schema: Sequence[str], policy: FilterPolicy, players: str) -> str:
     """A digest of all that decides the table: ``players``, the digest of
-    the players file's bytes; the schema and filter policy, numpy and
-    Python, and the sources that parse the file and read and write the
-    caches."""
-    doc = [list(schema), vars(policy), _numpy_identity(), sys.version, players]
+    the players file's bytes; the schema and filter policy, numpy, Python
+    and the byte order of the floats, and the sources that parse the file
+    and read and write the caches."""
+    doc = [list(schema), vars(policy), _numpy_identity(), sys.version, sys.byteorder, players]
     doc += [_digest((_HERE / name).read_bytes()) for name in _TABLE_SOURCES]
     return _digest(json.dumps(doc).encode())
 
@@ -113,18 +108,21 @@ def _holds_key(path: Path, key: str) -> bool:
         return False
 
 
-def _write(path: Path, key: str, arrays: list[tuple[str, tuple[int, ...], object]]) -> None:
-    """Write ``(descr, shape, payload)`` arrays to ``path`` under ``key``;
-    a payload is any C-contiguous buffer. A write that fails is passed
-    over, since the cache only saves work."""
-    pieces = []
-    offset = len(key) + 10  # the key line: key, space, 8 hex digits, newline
-    for descr, shape, payload in arrays:
-        text = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (descr, shape)
-        text += " " * (-(offset + len(_MAGIC) + 2 + len(text) + 1) % _ALIGN) + "\n"
-        header = _MAGIC + len(text).to_bytes(2, "little") + text.encode()
-        pieces += [header, payload]
-        offset += len(header) + memoryview(payload).nbytes
+def _save(path: Path, key: str, ids, names, minutes, columns, values) -> None:
+    """Write ``path`` under ``key``: the n ``ids`` and ``names``, the p
+    ``columns``, the n ``minutes`` and the n x p ``values``, any buffer of
+    floats. Each label list is joined into one string: encoding the labels
+    one by one (as JSON does) leaves small objects behind that raise the
+    process's peak memory."""
+    view = memoryview(values)
+    arrays = ["\0".join(labels).encode() for labels in (ids, names, columns)]
+    arrays.append(memoryview(array("d", minutes)).cast("B"))
+    arrays.append(view.cast("B") if view.c_contiguous else view.tobytes())
+    sizes = " ".join(str(len(data)) for data in arrays)
+    used = len(key) + 10 + len(sizes) + 1  # the key line is the key, a space, 8 hex digits, "\n"
+    pieces = [(sizes + " " * (-used % _ALIGN) + "\n").encode()]
+    for data in arrays:
+        pieces += [data, bytes(-len(data) % _ALIGN)]
     crc = 0
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
@@ -144,97 +142,52 @@ def _put(path: Path, pieces: list) -> None:
         pass
 
 
-def _read(path: Path, key: str, descrs: Sequence[str]) -> list[tuple[tuple[int, ...], memoryview]]:
-    """The ``(shape, payload)`` of each array of the cache file at ``path``,
-    which must hold arrays of ``descrs`` in turn, under ``key``. Raises
-    ValueError or OSError on any other file."""
+def _load(path: Path, key: str) -> tuple[list[str], list[str], list[float], list[str], memoryview]:
+    """The ids, names, minutes, columns and values (a 2-D memoryview of the
+    bytes as read) that ``_save`` wrote to ``path`` under ``key``. Raises
+    ValueError, TypeError or OSError on any other file; only the count of
+    the minutes is left to the caller to check."""
     data = files.read_bytes(path)
     start = data.find(b"\n") + 1
     if not data.startswith(f"{key} ".encode()):
         raise ValueError("written under another key")
     if data[:start] != f"{key} {zlib.crc32(memoryview(data)[start:]):08x}\n".encode():
         raise ValueError("damaged")
+    first = end = data.index(b"\n", start) + 1
     arrays = []
-    for descr in descrs:
-        size = int.from_bytes(data[start + 8 : start + 10], "little")
-        header = _HEADER.fullmatch(data, start + 10, start + 10 + size)
-        if data[start : start + 8] != _MAGIC or not header or header[1].decode() != descr:
-            raise ValueError("not an array of the expected type")
-        shape = tuple(int(n) for n in header[2].split(b",") if n.strip())
-        start += 10 + size
-        end = start + math.prod(shape) * _ITEM_BYTES[descr]
-        arrays.append((shape, memoryview(data)[start:end]))
-        start = end
-    if start != len(data):
-        raise ValueError("not the expected arrays")
-    return arrays
-
-
-def _labels(names: list[str]) -> tuple[str, tuple[int, ...], bytes]:
-    text = "\0".join(names).encode()
-    return _LABELS, (len(text),), text
-
-
-def _floats(values: list[float]) -> tuple[str, tuple[int, ...], memoryview]:
-    return _FLOATS, (len(values),), memoryview(array("d", values))
-
-
-def _matrix(values) -> tuple[str, tuple[int, ...], object]:
-    """A 2-D float array, C-contiguous as written."""
-    return _FLOATS, values.shape, values if values.flags.c_contiguous else values.copy()
+    for size in map(int, data[start:end].split()):
+        arrays.append(memoryview(data)[end : end + size])
+        end += size + -size % _ALIGN
+    ids, names, columns, minutes, values = arrays
+    ids, names, columns = (bytes(labels).decode().split("\0") for labels in (ids, names, columns))
+    if first % _ALIGN or end != len(data) or len(names) != len(ids):
+        raise ValueError("not the expected layout")
+    shape = (len(ids), len(columns))
+    return ids, names, minutes.cast("d").tolist(), columns, values.cast("d", shape)
 
 
 def save_table(path: Path, key: str, table: StatTable) -> None:
-    """Write ``table`` to ``path`` under ``key``. The labels are joined into
-    one string each: encoding them one by one (as JSON does) leaves small
-    objects behind that raise the process's peak memory."""
-    _write(
-        path,
-        key,
-        [
-            _labels(table.entity_ids),
-            _labels(table.entity_names),
-            _labels(table.stat_names),
-            _floats(table.minutes),
-            _matrix(table.values),
-        ],
-    )
+    """Write ``table`` to ``path`` under ``key``."""
+    ids, names = table.entity_ids, table.entity_names
+    _save(path, key, ids, names, table.minutes, table.stat_names, table.values)
 
 
 def load_table(path: Path, key: str) -> StatTable | None:
     """The table cached at ``path`` under ``key``, or None. Its values are
     a view of the file's bytes as read, so the table costs no copy."""
-    import numpy as np
-
     from .table import StatTable
 
     try:
-        descrs = [_LABELS] * 3 + [_FLOATS] * 2
-        ids, names, stats, minutes, (shape, values) = _read(path, key, descrs)
-        return StatTable(
-            entity_ids=_split(ids[1]),
-            entity_names=_split(names[1]),
-            stat_names=_split(stats[1]),
-            minutes=minutes[1].cast("d").tolist(),
-            values=np.frombuffer(values, float).reshape(shape),
-        )
+        return StatTable(*_load(path, key))
     except Exception:  # whatever the fault in a damaged or foreign file, a miss
         return None
 
 
 def save_scores(path: Path, key: str, names: list[str], scores: ScoreSet) -> None:
     """Write the projection ``scores`` of the players ``names`` to ``path``
-    under ``key``."""
-    _write(
-        path,
-        key,
-        [
-            _labels(scores.entity_ids),
-            _labels(names),
-            _floats(scores.minutes),
-            _matrix(scores.scores),
-        ],
-    )
+    under ``key``, with ``PC1`` to ``PCk`` as its columns."""
+    columns = [f"PC{i + 1}" for i in range(scores.k)]
+    _save(path, key, scores.entity_ids, names, scores.minutes, columns, scores.scores)
 
 
 def load_scores(path: Path, key: str) -> tuple[list[str], ScoreSet] | None:
@@ -244,17 +197,10 @@ def load_scores(path: Path, key: str) -> tuple[list[str], ScoreSet] | None:
     from .table import ScoreSet
 
     try:
-        descrs = [_LABELS] * 2 + [_FLOATS] * 2
-        ids, names, minutes, (shape, values) = _read(path, key, descrs)
-        scores = ScoreSet(_split(ids[1]), minutes[1].cast("d").tolist(), values.cast("d", shape))
-        names = _split(names[1])
-        return (names, scores) if scores.k and len(names) == len(scores.entity_ids) else None
+        ids, names, minutes, _, scores = _load(path, key)
+        return names, ScoreSet(ids, minutes, scores)
     except Exception:  # whatever the fault in a damaged or foreign file, a miss
         return None
-
-
-def _split(labels: memoryview) -> list[str]:
-    return bytes(labels).decode().split("\0")
 
 
 class Store:

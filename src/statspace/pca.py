@@ -154,10 +154,10 @@ def standardize(
         bad = listed([names[j] for j in constant])
         if not drop_constant:
             raise ZeroVarianceError(f"zero-variance columns: {bad}")
-        warnings.warn(f"dropping zero-variance columns: {bad}", stacklevel=2)
         keep = np.flatnonzero(stds != 0.0)
         if keep.size == 0:
             raise ZeroVarianceError("all columns have zero variance")
+        warnings.warn(f"dropping zero-variance columns: {bad}", stacklevel=2)
         values = values[:, keep]
         stds = stds[keep]
         names = [names[j] for j in keep]

@@ -20,6 +20,7 @@ from . import files
 from .errors import (
     AggregationError,
     EntityLookupError,
+    NumericalError,
     ParameterError,
     ParseError,
     SchemaError,
@@ -90,13 +91,19 @@ def regression_weighted_score(teams: ScoreSet, weights: Mapping[int, float]) -> 
     """Weighted sum of selected components per team.
 
     Components without a weight contribute nothing; an empty map gives zeros.
-    Every weight must be a finite number.
+    Every weight must be a finite number; a weighted score that overflows
+    to a non-finite value is a :class:`NumericalError`.
     """
     _checked_weights(weights, teams.k)
     vector = np.zeros(teams.k)
     for component, weight in weights.items():
         vector[component] = weight
-    return [float(v) for v in np.asarray(teams.scores) @ vector]
+    with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
+        weighted = np.asarray(teams.scores) @ vector
+    if not np.isfinite(weighted).all():
+        bad = listed([f"PC{c + 1}" for c in sorted(weights)])
+        raise NumericalError(f"weighted score of {bad} overflows to a non-finite value")
+    return [float(v) for v in weighted]
 
 
 def _checked_weights(weights: Mapping[int, float], k: int) -> None:

@@ -27,6 +27,21 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+CATEGORIES = {1: "internal", 2: "usage", 3: "data", 4: "numerical"}
+
+
+def fails(capsys, code: int, *argv) -> dict:
+    """Run ``argv``, which must fail as the CLI promises: exit ``code``,
+    write nothing on stdout and one JSON line on stderr, which gives that
+    exit code and its category. Returns the line, parsed."""
+    got = main(list(argv))
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, ""), captured.err
+    diagnostic = _one_error_line(captured.err)
+    assert (diagnostic["exit_code"], diagnostic["category"]) == (code, CATEGORIES[code])
+    return diagnostic
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -53,19 +68,16 @@ class TestFit:
 
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
-        code, err = run(capsys, "fit", "--input", str(missing), "--out", str(tmp_path / "o"))
-        assert code == 3
-        diagnostic = json.loads(err.strip())
+        diagnostic = fails(capsys, 3, "fit", "--input", str(missing), "--out", str(tmp_path / "o"))
         assert diagnostic["exit_code"] == 3
         assert "nope.csv" in diagnostic["error"]
 
     def test_k_larger_than_p_is_usage_error(self, players_csv, tmp_path, capsys):
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "fit", "--input", str(players_csv), "--out", str(tmp_path / "o"), "--k", "7",
         )
-        assert code == 2
-        assert json.loads(err.strip())["category"] == "usage"
+        assert diagnostic["category"] == "usage"
 
     def test_matches_library_composition(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -169,6 +181,28 @@ class TestDroppedColumn:
         assert np.array_equal(np.array([[float(v) for v in row[3:]] for row in rows]), expected)
         assert len(read_rows(out / "similar.csv")) - 1 == 5
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["fit", "scree"])
+    def test_every_column_constant(self, tmp_path, capsys, recwarn, command, fmt):
+        # an error, with no warning about the columns dropped before it
+        players = _every_stat_constant(tmp_path)
+        out = tmp_path / "out"
+        diagnostic = fails(
+            capsys, 3, command, "--input", str(players), "--out", str(out), "--format", fmt
+        )
+        assert diagnostic["error"] == "all columns have zero variance"
+        assert not recwarn.list
+        assert not (out / "scree.csv").exists() and not (out / "model.json").exists()
+
+
+def _every_stat_constant(tmp_path) -> Path:
+    """The test players file with every stat cell 5."""
+    lines = players_csv_text().splitlines()
+    rows = [lines[0]] + [",".join(line.split(",")[:5] + ["5"] * len(STATS)) for line in lines[1:]]
+    path = tmp_path / "players_constant.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
 
 class TestTeams:
     def _fit(self, players_csv, tmp_path, capsys):
@@ -218,14 +252,13 @@ class TestTeams:
         self, players_csv, membership_csv, tmp_path, capsys, weights
     ):
         out = self._fit(players_csv, tmp_path, capsys)
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
             "--membership", str(membership_csv), "--weights", weights,
             "--format", "json", "--out", str(out),
         )
-        assert code == 2
-        assert "finite" in _one_error_line(err)["error"]
+        assert "finite" in diagnostic["error"]
         assert not (out / "teams.json").exists()
 
 
@@ -261,13 +294,12 @@ class TestSimilar:
     def test_unknown_query(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
         run(capsys, "fit", "--input", str(players_csv), "--out", str(out))
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 3,
             "similar", "--input", str(players_csv), "--model", str(out / "model.json"),
             "--query", "nobody", "--out", str(out),
         )
-        assert code == 3
-        assert "nobody" in json.loads(err.strip())["error"]
+        assert "nobody" in diagnostic["error"]
 
     def test_component_subset(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -342,13 +374,12 @@ class TestRegress:
     def test_requires_winpct(self, players_csv, membership_csv, tmp_path, capsys):
         out = tmp_path / "out"
         run(capsys, "fit", "--input", str(players_csv), "--out", str(out))
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "regress", "--input", str(players_csv), "--model", str(out / "model.json"),
             "--membership", str(membership_csv), "--out", str(out),
         )
-        assert code == 2
-        assert "winpct" in json.loads(err.strip())["error"]
+        assert "winpct" in diagnostic["error"]
 
 
 class TestRequiredFlags:
@@ -367,13 +398,12 @@ class TestRequiredFlags:
         # none of these files is readable: reading any of them would exit 3
         players = tmp_path / "players.csv"
         players.write_text("player_id,player_name\np01\n", encoding="utf-8")
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             command, "--input", str(players), "--model", str(tmp_path / "none.json"),
             "--out", str(tmp_path / "out"), *given,
         )
-        assert code == 2
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": f"missing required flag: --{flag}",
             "category": "usage",
             "exit_code": 2,
@@ -427,11 +457,10 @@ class TestInputFiles:
 
         monkeypatch.setattr(ingest, "parse_csv", parse_csv)
         given = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
-        code, err = run(
-            capsys, command, "--input", str(players_csv), "--out", str(out), *given
+        diagnostic = fails(
+            capsys, 3, command, "--input", str(players_csv), "--out", str(out), *given
         )
-        assert code == 3
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": f"{flag} file not found: {missing}",
             "category": "data",
             "exit_code": 3,
@@ -456,10 +485,9 @@ class TestInputFiles:
         paths[flag].mkdir()
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         given = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
-        code, err = run(capsys, "regress", *given, "--out", str(out))
+        diagnostic = fails(capsys, 3, "regress", *given, "--out", str(out))
         role = "players" if flag == "input" else flag
-        assert code == 3
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": f"{role} file is a directory: {paths[flag]}",
             "category": "data",
             "exit_code": 3,
@@ -467,14 +495,13 @@ class TestInputFiles:
         assert not out.exists()
 
     def test_bad_flag_value_reported_before_missing_file(self, players_csv, tmp_path, capsys):
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "teams", "--input", str(players_csv), "--model", str(tmp_path / "none.json"),
             "--membership", str(tmp_path / "none.csv"), "--weights", "2=nan",
             "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        assert "finite" in _one_error_line(err)["error"]
+        assert "finite" in diagnostic["error"]
 
     def test_files_a_subcommand_does_not_read_are_not_checked(
         self, players_csv, tmp_path, capsys
@@ -531,26 +558,24 @@ class TestValueChecks:
             raise AssertionError("the players CSV was parsed")
 
         monkeypatch.setattr(ingest, "parse_csv", parse_csv)
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             *argv, "--input", str(players_csv), "--model", str(tmp_path / "none.json"),
             "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+        assert diagnostic == {"error": message, "category": "usage", "exit_code": 2}
 
     def test_weights_from_config_with_no_entries(self, players_csv, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"weights": ","}), encoding="utf-8")
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "teams", "--config", str(config), "--input", str(players_csv),
             "--model", str(tmp_path / "none.json"), "--membership", "m.csv",
             "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": "--weights needs entries like 2=0.17, got ','",
             "category": "usage",
             "exit_code": 2,
@@ -582,13 +607,12 @@ class TestValueChecks:
             raise AssertionError("the players CSV was parsed")
 
         monkeypatch.setattr(ingest, "parse_csv", parse_csv)
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             *argv, "--input", str(players_csv), "--model", str(out / "model.json"),
             "--out", str(out),
         )
-        assert code == 2
-        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+        assert diagnostic == {"error": message, "category": "usage", "exit_code": 2}
 
     @pytest.mark.parametrize(
         "schema, message",
@@ -612,13 +636,12 @@ class TestValueChecks:
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"schema": schema}), encoding="utf-8")
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             "scores", "--config", str(config), "--input", str(players_csv),
             "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+        assert diagnostic == {"error": message, "category": "usage", "exit_code": 2}
 
     def test_values_a_subcommand_does_not_read_are_not_checked(
         self, players_csv, tmp_path, capsys
@@ -637,9 +660,8 @@ class TestValueChecks:
         taken = tmp_path / "taken"
         taken.write_text("keep\n", encoding="utf-8")
         out = taken / "sub" if under else taken
-        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(out))
-        assert code == 2
-        assert _one_error_line(err) == {
+        diagnostic = fails(capsys, 2, "fit", "--input", str(players_csv), "--out", str(out))
+        assert diagnostic == {
             "error": f"output directory {out}: {taken} is not a directory",
             "category": "usage",
             "exit_code": 2,
@@ -659,13 +681,7 @@ class TestArgparseErrors:
         ids=["unknown-flag", "not-an-int", "bad-choice", "no-subcommand"],
     )
     def test_one_json_line(self, capsys, argv, message):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        diagnostic = _one_error_line(captured.err)
-        assert diagnostic["error"].startswith(message)
-        assert (diagnostic["category"], diagnostic["exit_code"]) == ("usage", 2)
+        assert fails(capsys, 2, *argv)["error"].startswith(message)
 
     @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
     def test_help_keeps_its_text(self, capsys, argv):
@@ -692,12 +708,10 @@ class TestEmit:
             return 0
 
         monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", emit_bad)
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 4,
             "fit", "--input", str(players_csv), "--out", str(out), "--format", "json",
         )
-        assert code == 4
-        diagnostic = _one_error_line(err)
         assert diagnostic["category"] == "numerical"
         assert "not JSON compliant" in diagnostic["error"]
         assert (out / "scores.json").read_bytes() == b"old\n"
@@ -745,6 +759,46 @@ def _chain_files(fmt: str) -> list[str]:
 
 def _files(out: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def _last_value(cached: bytes) -> int:
+    """Where the last float of the values array starts in the cache file
+    ``cached``: the arrays follow the sizes line, each padded to 64 bytes."""
+    key_line, sizes, _ = cached.split(b"\n", 2)
+    start = len(key_line) + len(sizes) + 2
+    for size in map(int, sizes.split()):
+        start += size + -size % 64
+    return start - -size % 64 - 8
+
+
+def _resealed(cached: bytes) -> bytes:
+    """The cache file ``cached`` with the CRC in its first line written anew
+    for the rest, so that only the layout check can find a fault."""
+    key_line, rest = cached.split(b"\n", 1)
+    return key_line[:-8] + b"%08x\n" % zlib.crc32(rest) + rest
+
+
+def _relaid(cached: bytes) -> bytes:
+    """The cache file ``cached`` with 8 bytes less of padding on its sizes
+    line: the sizes still sum to the file's length, but no array starts at a
+    multiple of 64 bytes."""
+    key_line, sizes, rest = cached.split(b"\n", 2)
+    assert sizes.endswith(b" " * 8)
+    return _resealed(b"\n".join([key_line, sizes[:-8], rest]))
+
+
+def _fewer_names(cached: bytes) -> bytes:
+    """The cache file ``cached`` with its last name cut off: its bytes are
+    zeroed as padding, and its size on the sizes line shrinks to match."""
+    key_line, sizes, rest = cached.split(b"\n", 2)
+    counts = sizes.split()
+    ids, names = int(counts[0]), int(counts[1])
+    start = ids + -ids % 64  # the names array, in the rest after the sizes line
+    kept = rest.rindex(b"\0", start, start + names) - start
+    assert kept + -kept % 64 == names + -names % 64  # the next array stays where it is
+    rest = rest[: start + kept] + bytes(names - kept) + rest[start + names :]
+    sizes = b" ".join([counts[0], b"%d" % kept, *counts[2:]]).ljust(len(sizes))
+    return _resealed(b"\n".join([key_line, sizes, rest]))
 
 
 def _settle(path: Path) -> None:
@@ -912,21 +966,24 @@ class TestTableCache:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "garbage", "wrong-shape", "wrong-type", "non-finite", "empty", "flipped"],
+        ["truncated", "garbage", "wrong-layout", "trailing", "non-finite", "empty", "flipped"],
     )
     def test_damaged_cache_is_a_miss_and_rewritten(self, players_csv, tmp_path, capsys, damage):
         out = tmp_path / "out"
         self._fit(capsys, players_csv, out)
         good, scree = (out / CACHE).read_bytes(), (out / "scree.csv").read_bytes()
+        last = _last_value(good)
+        records = ingest.apply_filter(ingest.parse_csv(players_csv), ingest.FilterPolicy())
+        assert good[last : last + 8] == ingest.build_table(records).values[-1, -1].tobytes()
         flipped = bytearray(good)
-        flipped[-3] ^= 0x10  # a value's bits, in a file of the right layout
+        flipped[last + 5] ^= 0x10  # a value's bits, in a file of the right layout
         damaged = {
             "flipped": bytes(flipped),
             "truncated": good[: len(good) // 2],
             "garbage": bytes(range(256)) * 8,
-            "wrong-shape": re.sub(rb"'shape': \((\d+), (\d+)\)", rb"'shape': (\2, \1)", good),
-            "wrong-type": good.replace(b"'descr': '<f8'", b"'descr': '<i8'"),
-            "non-finite": good[:-8] + np.float64(np.inf).tobytes(),
+            "wrong-layout": _relaid(good),
+            "trailing": _resealed(good + bytes(64)),
+            "non-finite": good[:last] + np.float64(np.inf).tobytes() + good[last + 8 :],
             "empty": b"",
         }[damage]
         assert damaged != good
@@ -950,8 +1007,7 @@ class TestTableCache:
         self, players_csv, tmp_path, capsys, monkeypatch
     ):
         out = tmp_path / "out"
-        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(out), "--k", "7")
-        assert code == 2
+        fails(capsys, 2, "fit", "--input", str(players_csv), "--out", str(out), "--k", "7")
         assert sorted(p.name for p in out.iterdir()) == [RECORD, CACHE]
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         code, err = run(capsys, "scree", "--input", str(players_csv), "--out", str(out))
@@ -1210,7 +1266,18 @@ class TestProjectionCache:
         monkeypatch.setattr(cache, "_numpy_identity", lambda: "another numpy")
         self._like_fresh(capsys, monkeypatch, tmp_path, self._scores(players_csv, model))
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "flipped"])
+    def test_other_byte_order(self, players_csv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        self._fit(capsys, players_csv, out)
+        model = tmp_path / "model.json"
+        model.write_bytes((out / "model.json").read_bytes())
+        other = {"little": "big", "big": "little"}[sys.byteorder]
+        monkeypatch.setattr(cache.sys, "byteorder", other)
+        self._like_fresh(capsys, monkeypatch, tmp_path, self._scores(players_csv, model))
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "empty", "flipped", "wrong-layout", "fewer-names"]
+    )
     def test_damaged_projection_is_a_miss_and_rewritten(
         self, players_csv, tmp_path, capsys, monkeypatch, damage
     ):
@@ -1219,13 +1286,18 @@ class TestProjectionCache:
         argv = [*self._scores(players_csv, out / "model.json"), "--out", str(out)]
         assert run(capsys, *argv) == (0, "")
         good, scores = (out / SCORES).read_bytes(), (out / "scores.csv").read_bytes()
+        last = _last_value(good)
+        score = float(read_rows(out / "scores.csv")[-1][-1])
+        assert good[last : last + 8] == np.float64(score).tobytes()
         flipped = bytearray(good)
-        flipped[-3] ^= 0x10  # a score's bits, in a file of the right layout
+        flipped[last + 5] ^= 0x10  # a score's bits, in a file of the right layout
         damaged = {
             "truncated": good[: len(good) // 2],
             "garbage": bytes(range(256)) * 8,
             "empty": b"",
             "flipped": bytes(flipped),
+            "wrong-layout": _relaid(good),
+            "fewer-names": _fewer_names(good),
         }[damage]
         (out / SCORES).write_bytes(damaged)
         (out / "scores.csv").unlink()
@@ -1298,13 +1370,12 @@ class TestProjectionCache:
         else:
             (out / SCORES).unlink()
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 2,
             *argv, "--input", str(players_csv), "--model", str(out / "model.json"),
             "--out", str(out),
         )
-        assert code == 2
-        assert _one_error_line(err) == {"error": message, "category": "usage", "exit_code": 2}
+        assert diagnostic == {"error": message, "category": "usage", "exit_code": 2}
 
 
 def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -1651,12 +1722,11 @@ class TestConfigFile:
     def test_unknown_config_key(self, players_csv, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"mystery": 1}', encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        assert code == 2
-        assert "mystery" in json.loads(err.strip())["error"]
+        assert "mystery" in diagnostic["error"]
 
     @pytest.mark.parametrize("key", list(cli.FLAGS))
     def test_flag_and_config_key_resolve_alike(self, players_csv, tmp_path, key):
@@ -1761,11 +1831,12 @@ class TestBadFiles:
         assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
         return json.loads((out / "model.json").read_text(encoding="utf-8"))
 
-    def _score_with(self, doc, players_csv, tmp_path, capsys):
+    def _score_fails(self, doc, players_csv, tmp_path, capsys) -> dict:
+        """``scores`` on the model ``doc`` fails with a data error."""
         model = tmp_path / "bad_model.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
-        return run(
-            capsys,
+        return fails(
+            capsys, 3,
             "scores", "--input", str(players_csv), "--model", str(model),
             "--out", str(tmp_path / "out"),
         )
@@ -1773,40 +1844,36 @@ class TestBadFiles:
     def test_model_missing_field(self, players_csv, tmp_path, capsys):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         del doc["n_samples"]
-        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
-        assert code == 3
-        assert "n_samples" in _one_error_line(err)["error"]
+        diagnostic = self._score_fails(doc, players_csv, tmp_path, capsys)
+        assert "n_samples" in diagnostic["error"]
 
     def test_model_repeated_stat_name(self, players_csv, tmp_path, capsys, monkeypatch):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         names = doc["standardization"]["stat_names"]
         names[1] = names[0]
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
-        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
-        assert code == 3
-        assert "stat_names" in _one_error_line(err)["error"]
+        diagnostic = self._score_fails(doc, players_csv, tmp_path, capsys)
+        assert "stat_names" in diagnostic["error"]
         assert not (tmp_path / "out" / "scores.csv").exists()
 
     def test_model_nested_too_deep(self, players_csv, tmp_path, capsys):
         model = tmp_path / "deep_model.json"
         model.write_text("[" * 100_000, encoding="utf-8")
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 3,
             "scores", "--input", str(players_csv), "--model", str(model),
             "--out", str(tmp_path / "out"),
         )
-        assert code == 3
-        assert _one_error_line(err)["category"] == "data"
+        assert diagnostic["category"] == "data"
 
     def test_config_nested_too_deep(self, players_csv, tmp_path, capsys):
         config = tmp_path / "deep_config.json"
         config.write_text("[" * 100_000, encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        assert code == 2
-        assert "not valid JSON" in _one_error_line(err)["error"]
+        assert "not valid JSON" in diagnostic["error"]
 
     @pytest.mark.parametrize(
         "case, message",
@@ -1826,24 +1893,21 @@ class TestBadFiles:
             config.write_bytes(b'{"k": "\xff"}')
         elif case == "bad-json":
             config.write_text("{k: 4}", encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        diagnostic = _one_error_line(err)
-        assert (code, diagnostic["category"]) == (2, "usage")
         assert str(config) in diagnostic["error"] and message in diagnostic["error"]
         assert not (tmp_path / "o").exists()
 
     def test_config_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"k": 1' + "0" * 5000 + "}", encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        assert code == 2
-        assert "not valid JSON" in _one_error_line(err)["error"]
+        assert "not valid JSON" in diagnostic["error"]
 
     def test_model_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
         fit = tmp_path / "fit"
@@ -1852,21 +1916,18 @@ class TestBadFiles:
         model = tmp_path / "long_model.json"
         long = '"n_samples": 1' + "0" * 5000  # beyond Python's 4300-digit limit
         model.write_text(re.sub(r'"n_samples": \d+', long, text), encoding="utf-8")
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 3,
             "scores", "--input", str(players_csv), "--model", str(model),
             "--out", str(tmp_path / "out"),
         )
-        assert code == 3
-        diagnostic = _one_error_line(err)
         assert diagnostic["category"] == "data" and "not valid JSON" in diagnostic["error"]
 
     def test_model_nan_loading(self, players_csv, tmp_path, capsys):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         doc["loadings"][0][0] = float("nan")
-        code, err = self._score_with(doc, players_csv, tmp_path, capsys)
-        assert code == 3
-        assert "loadings" in _one_error_line(err)["error"]
+        diagnostic = self._score_fails(doc, players_csv, tmp_path, capsys)
+        assert "loadings" in diagnostic["error"]
         assert not (tmp_path / "out" / "scores.csv").exists()
 
     @pytest.mark.parametrize(
@@ -1885,12 +1946,11 @@ class TestBadFiles:
     def test_config_value_of_wrong_type(self, players_csv, tmp_path, capsys, config_text, key):
         config = tmp_path / "config.json"
         config.write_text(config_text, encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        assert code == 2
-        assert key in _one_error_line(err)["error"]
+        assert key in diagnostic["error"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", [*cli.FLAGS, *cli.CONFIG_ONLY])
@@ -1898,12 +1958,11 @@ class TestBadFiles:
         kind = cli.FLAGS[key].type if key in cli.FLAGS else cli.CONFIG_ONLY[key]
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: 1 if kind is str else "1"}), encoding="utf-8")
-        code, err = run(
-            capsys, "fit", "--config", str(config),
+        diagnostic = fails(
+            capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
-        assert code == 2
-        assert f"config key {key!r} has a value of the wrong type" in _one_error_line(err)["error"]
+        assert f"config key {key!r} has a value of the wrong type" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -1917,9 +1976,9 @@ class TestBadFiles:
         config.write_text(json.dumps({key: value}), encoding="utf-8")
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
         argv = ["fit", "--config", str(config), "--input", str(players_csv)]
-        code, err = run(capsys, *argv, *([] if key == "out" else ["--out", str(tmp_path / "o")]))
-        assert code == 2
-        assert _one_error_line(err)["error"] == f"config key {key!r} holds a NUL character"
+        out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+        diagnostic = fails(capsys, 2, *argv, *out)
+        assert diagnostic["error"] == f"config key {key!r} holds a NUL character"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "players.csv"]
 
     @pytest.mark.parametrize(
@@ -1939,13 +1998,11 @@ class TestBadFiles:
         bad.write_text(text, encoding="utf-8")
         membership = bad if flag == "--membership" else membership_csv
         winpct = ["--winpct", str(bad)] if flag == "--winpct" else []
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 3,
             "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
             "--membership", str(membership), *winpct, "--out", str(out),
         )
-        assert code == 3
-        diagnostic = _one_error_line(err)
         assert diagnostic["category"] == "data"
         assert "line 2" in diagnostic["error"]
 
@@ -1964,19 +2021,18 @@ class TestBadFiles:
         }[role]
         bad.write_text("\ufeff" + text, encoding="utf-8")
         if role == "players":
-            code, err = run(capsys, "fit", "--input", str(bad), "--out", str(tmp_path / "o"))
+            diagnostic = fails(capsys, 3, "fit", "--input", str(bad), "--out", str(tmp_path / "o"))
             what = "players CSV"
         else:
             membership = bad if role == "membership" else membership_csv
             winpct = ["--winpct", str(bad)] if role == "winpct" else []
-            code, err = run(
-                capsys,
+            diagnostic = fails(
+                capsys, 3,
                 "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
                 "--membership", str(membership), *winpct, "--out", str(out),
             )
             what = "membership CSV" if role == "membership" else "win_pct CSV"
-        assert code == 3
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": f"{what} line 1: starts with a UTF-8 byte-order mark (BOM)",
             "category": "data",
             "exit_code": 3,
@@ -1985,9 +2041,7 @@ class TestBadFiles:
     def test_players_csv_not_utf8(self, tmp_path, capsys):
         players = tmp_path / "players.csv"
         players.write_bytes(players_csv_text().replace("Player 03", "Jos\xe9").encode("latin-1"))
-        code, err = run(capsys, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
-        assert code == 3
-        diagnostic = _one_error_line(err)
+        diagnostic = fails(capsys, 3, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
         assert diagnostic["category"] == "data"
         assert "0xe9" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
@@ -2001,7 +2055,7 @@ class TestBadFiles:
         if role == "players":
             text = players_csv_text().replace("Player 03", "Play\x00er 03")
             bad.write_text(text, encoding="utf-8")
-            code, err = run(capsys, "fit", "--input", str(bad), "--out", str(tmp_path / "o"))
+            diagnostic = fails(capsys, 3, "fit", "--input", str(bad), "--out", str(tmp_path / "o"))
             where = "players CSV line 4"
         else:
             text = "team_code,win_pct\nBOS,0.5\n"
@@ -2010,14 +2064,12 @@ class TestBadFiles:
             bad.write_text(text.replace("BOS", "B\x00OS", 1), encoding="utf-8")
             membership = bad if role == "membership" else membership_csv
             winpct = ["--winpct", str(bad)] if role == "winpct" else []
-            code, err = run(
-                capsys,
+            diagnostic = fails(
+                capsys, 3,
                 "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
                 "--membership", str(membership), *winpct, "--out", str(out),
             )
             where = "membership CSV line 3" if role == "membership" else "win_pct CSV line 2"
-        assert code == 3
-        diagnostic = _one_error_line(err)
         assert diagnostic["category"] == "data"
         assert diagnostic["error"] == f"{where}: NUL byte"
 
@@ -2025,9 +2077,7 @@ class TestBadFiles:
         players = tmp_path / "players.csv"
         text = players_csv_text()
         players.write_text(text.replace(",41,900.0,", ",1e20,900.0,", 1), encoding="utf-8")
-        code, err = run(capsys, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
-        assert code == 3
-        diagnostic = _one_error_line(err)
+        diagnostic = fails(capsys, 3, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
         assert diagnostic["category"] == "data"
         assert "line 2: column 'games_played'" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
@@ -2041,10 +2091,10 @@ class TestLastResort:
             raise RuntimeError("not a StatspaceError")
 
         monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", broken)
-        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert "Traceback" not in err
-        assert _one_error_line(err) == {
+        diagnostic = fails(
+            capsys, 1, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o")
+        )
+        assert diagnostic == {
             "error": "RuntimeError: not a StatspaceError",
             "category": "internal",
             "exit_code": 1,
@@ -2064,9 +2114,10 @@ class TestNumericalExit:
             raise error("Singular matrix")
 
         monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", singular)
-        code, err = run(capsys, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o"))
-        assert code == 4
-        assert _one_error_line(err) == {
+        diagnostic = fails(
+            capsys, 4, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o")
+        )
+        assert diagnostic == {
             "error": "Singular matrix", "category": "numerical", "exit_code": 4,
         }
 
@@ -2102,13 +2153,12 @@ class TestOverflow:
             "similar": ["--query", "p01"],
         }[command]
         out = tmp_path / "out"
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 4,
             command, "--input", str(players_csv), "--model", str(model), *extra,
             "--out", str(out), "--format", fmt,
         )
-        assert code == 4
-        assert _one_error_line(err) == {
+        assert diagnostic == {
             "error": f"standardization overflows to a non-finite value in {STATS}",
             "category": "numerical",
             "exit_code": 4,
@@ -2140,13 +2190,12 @@ class TestOverflow:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        code, err = run(
-            capsys,
+        diagnostic = fails(
+            capsys, 4,
             "scores", "--input", str(players), "--model", str(model), "--out", str(out),
             "--format", fmt,
         )
-        assert code == 4
-        assert _one_error_line(err)["error"] == (
+        assert diagnostic["error"] == (
             "projection overflows to a non-finite value in ['PC1']"
         )
         assert not recwarn.list
@@ -2165,15 +2214,31 @@ class TestOverflow:
         players = tmp_path / "players.csv"
         players.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "out"
-        code, err = run(
-            capsys, command, "--input", str(players), "--out", str(out), "--format", fmt
+        diagnostic = fails(
+            capsys, 4, command, "--input", str(players), "--out", str(out), "--format", fmt
         )
-        assert code == 4
-        assert _one_error_line(err)["error"] == (
+        assert diagnostic["error"] == (
             f"standard deviation overflows to a non-finite value in ['{STATS[0]}']"
         )
         assert not recwarn.list
         assert sorted(path.name for path in out.iterdir()) == [cache.PLAYERS, cache.TABLE]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_weighted_score(self, players_csv, membership_csv, tmp_path, capsys, recwarn, fmt):
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        recwarn.clear()
+        diagnostic = fails(
+            capsys, 4,
+            "teams", "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--membership", str(membership_csv), "--weights", "1=1e308,2=1e308",
+            "--out", str(out), "--format", fmt,
+        )
+        assert diagnostic["error"] == (
+            "weighted score of ['PC1', 'PC2'] overflows to a non-finite value"
+        )
+        assert not recwarn.list
+        assert not (out / f"teams.{fmt}").exists()
 
     def test_huge_loadings(self, players_csv, tmp_path, capsys, recwarn):
         def huge(doc):
@@ -2182,11 +2247,11 @@ class TestOverflow:
         model = self._model_with(players_csv, tmp_path, capsys, huge)
         recwarn.clear()
         out = tmp_path / "out"
-        code, err = run(
-            capsys, "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out)
+        diagnostic = fails(
+            capsys, 3,
+            "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out),
         )
-        assert code == 3
-        assert _one_error_line(err)["error"] == "loading vectors must have unit norm"
+        assert diagnostic["error"] == "loading vectors must have unit norm"
         assert not recwarn.list
         assert not out.exists()
 
@@ -2206,3 +2271,21 @@ class TestOverflow:
         assert (done.returncode, done.stdout) == (4, "")
         assert _one_error_line(done.stderr)["category"] == "numerical"
         assert not (out / f"scores.{fmt}").exists() and not (out / cache.SCORES).exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fresh_process_weighted_score_and_constant_columns(
+        self, players_csv, membership_csv, tmp_path, capsys, fmt
+    ):
+        # numpy's warnings, and the dropped columns' warning, would reach a real stderr
+        fitted, out = tmp_path / "fitted", tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        teams = (
+            "teams", "--input", str(players_csv), "--model", str(fitted / "model.json"),
+            "--membership", str(membership_csv), "--weights", "1=1e308,2=1e308",
+        )
+        scree = ("scree", "--input", str(_every_stat_constant(tmp_path)))
+        for argv, code in ((teams, 4), (scree, 3)):
+            done = _python("-m", "statspace.cli", *argv, "--out", str(out), "--format", fmt)
+            assert (done.returncode, done.stdout) == (code, "")
+            assert _one_error_line(done.stderr)["exit_code"] == code
+        assert not (out / f"teams.{fmt}").exists() and not (out / f"scree.{fmt}").exists()
