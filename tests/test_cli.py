@@ -787,6 +787,19 @@ def _relaid(cached: bytes) -> bytes:
     return _resealed(b"\n".join([key_line, sizes[:-8], rest]))
 
 
+def _revalued(cached: bytes, values: bytes) -> bytes:
+    """The cache file ``cached`` with ``values`` in place of its values
+    array, its size on the sizes line and the CRC rewritten to match, so
+    that only the check of the values against the table's shape can find a
+    fault."""
+    key_line, sizes, rest = cached.split(b"\n", 2)
+    counts = sizes.split()
+    start = sum(int(size) + -int(size) % 64 for size in counts[:-1])
+    rest = rest[:start] + values + bytes(-len(values) % 64)
+    sizes = b" ".join([*counts[:-1], b"%d" % len(values)]).ljust(len(sizes))
+    return _resealed(b"\n".join([key_line, sizes, rest]))
+
+
 def _fewer_names(cached: bytes) -> bytes:
     """The cache file ``cached`` with its last name cut off: its bytes are
     zeroed as padding, and its size on the sizes line shrinks to match."""
@@ -966,7 +979,17 @@ class TestTableCache:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "garbage", "wrong-layout", "trailing", "non-finite", "empty", "flipped"],
+        [
+            "truncated",
+            "garbage",
+            "wrong-shape",
+            "wrong-type",
+            "wrong-layout",
+            "trailing",
+            "non-finite",
+            "empty",
+            "flipped",
+        ],
     )
     def test_damaged_cache_is_a_miss_and_rewritten(self, players_csv, tmp_path, capsys, damage):
         out = tmp_path / "out"
@@ -974,13 +997,16 @@ class TestTableCache:
         good, scree = (out / CACHE).read_bytes(), (out / "scree.csv").read_bytes()
         last = _last_value(good)
         records = ingest.apply_filter(ingest.parse_csv(players_csv), ingest.FilterPolicy())
-        assert good[last : last + 8] == ingest.build_table(records).values[-1, -1].tobytes()
+        values = ingest.build_table(records).values
+        assert good[last : last + 8] == values[-1, -1].tobytes()
         flipped = bytearray(good)
         flipped[last + 5] ^= 0x10  # a value's bits, in a file of the right layout
         damaged = {
             "flipped": bytes(flipped),
             "truncated": good[: len(good) // 2],
             "garbage": bytes(range(256)) * 8,
+            "wrong-shape": _revalued(good, values.tobytes()[:-8]),  # one float short of n x p
+            "wrong-type": _revalued(good, values.astype(np.float32).tobytes()),
             "wrong-layout": _relaid(good),
             "trailing": _resealed(good + bytes(64)),
             "non-finite": good[:last] + np.float64(np.inf).tobytes() + good[last + 8 :],
