@@ -41,7 +41,7 @@ _EXPORTS = {
         "team_win_pct",
     ),
     "similarity": ("SdiRanking", "rank_similar", "sdi"),
-    "table": ("ScoreSet", "StatTable"),
+    "table": ("StatTable",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_MODULE_OF)

@@ -1,24 +1,26 @@
 """The two caches a subcommand keeps in its output directory, and the
 record that lets it key them without reading the players file.
 
-``.statspace-table`` holds the players table: the players file parsed,
-filtered and built. ``.statspace-scores`` holds one model's projection of
-that table: the entity ids, names and minutes, and the n x k player scores.
-A process asks one ``Store`` for both; where it finds the key it would
-compute, it reads the file instead of doing the work again.
+Each holds one ``StatTable``. ``.statspace-table`` holds the players
+table: the players file parsed, filtered and built. ``.statspace-scores``
+holds one model's projection of that table: the players' ids, names and
+minutes, and their n x k scores under the component names ``pca`` gave
+them. A process asks one ``Store`` for both; where it finds the key it
+would compute, it reads the file instead of doing the work again.
 
-Both files have one format. The first line is the key (a BLAKE2b digest of
-what decides the contents) and a CRC-32 of the rest of the file. The second
-holds the sizes in bytes of five arrays, padded with spaces so that the
-first array starts at a multiple of 64 bytes from the file's start. Then
-come the arrays, each padded with zero bytes to a multiple of 64: the
-entity ids, the names and the column names, each list as the UTF-8 bytes
-of its labels joined by NUL (which no CSV cell holds); the n minutes; and
-the n x p values, row by row. Floats are in native byte order, which the
-key records. The projection cache names its columns ``PC1`` to ``PCk``. A
-file whose key, CRC or layout does not match is a miss, whatever the
-damage. This module reads and writes the format without numpy, so a
-process that finds the projection cached never imports it.
+Both files have one format, which one ``_save`` writes. The first line is
+the key (a BLAKE2b digest of what decides the contents) and a CRC-32 of the
+rest of the file. The second holds the sizes in bytes of five arrays,
+padded with spaces so that the first array starts at a multiple of 64
+bytes from the file's start. Then come the arrays, each padded with zero
+bytes to a multiple of 64: the entity ids, the names and the column names,
+each list as the UTF-8 bytes of its labels joined by NUL (which no CSV cell
+holds); the n minutes; and the n x p values, row by row. Floats are in native byte order, which the
+key records. A file whose key, CRC or layout does not match is a miss,
+whatever the damage. This module reads and writes the format without
+numpy: the table cache's values are handed to numpy, and checked finite,
+but the projection cache's stay a memoryview, so a process that finds the
+projection cached never imports numpy.
 
 The keys are digests of content, and the players file is the one large
 input. So whoever digests it writes ``.statspace-players`` beside the
@@ -50,7 +52,7 @@ from . import files
 
 if TYPE_CHECKING:
     from .policy import FilterPolicy
-    from .table import ScoreSet, StatTable
+    from .table import StatTable
 
 TABLE = ".statspace-table"
 SCORES = ".statspace-scores"
@@ -108,15 +110,15 @@ def _holds_key(path: Path, key: str) -> bool:
         return False
 
 
-def _save(path: Path, key: str, ids, names, minutes, columns, values) -> None:
-    """Write ``path`` under ``key``: the n ``ids`` and ``names``, the p
-    ``columns``, the n ``minutes`` and the n x p ``values``, any buffer of
-    floats. Each label list is joined into one string: encoding the labels
-    one by one (as JSON does) leaves small objects behind that raise the
-    process's peak memory."""
-    view = memoryview(values)
-    arrays = ["\0".join(labels).encode() for labels in (ids, names, columns)]
-    arrays.append(memoryview(array("d", minutes)).cast("B"))
+def _save(path: Path, key: str, table: StatTable) -> None:
+    """Write ``table`` to ``path`` under ``key``; its values may be any
+    buffer of floats. Each label list is joined into one string: encoding
+    the labels one by one (as JSON does) leaves small objects behind that
+    raise the process's peak memory."""
+    view = memoryview(table.values)
+    labels = (table.entity_ids, table.entity_names, table.stat_names)
+    arrays = ["\0".join(names).encode() for names in labels]
+    arrays.append(memoryview(array("d", table.minutes)).cast("B"))
     arrays.append(view.cast("B") if view.c_contiguous else view.tobytes())
     sizes = " ".join(str(len(data)) for data in arrays)
     used = len(key) + 10 + len(sizes) + 1  # the key line is the key, a space, 8 hex digits, "\n"
@@ -142,65 +144,46 @@ def _put(path: Path, pieces: list) -> None:
         pass
 
 
-def _load(path: Path, key: str) -> tuple[list[str], list[str], list[float], list[str], memoryview]:
-    """The ids, names, minutes, columns and values (a 2-D memoryview of the
-    bytes as read) that ``_save`` wrote to ``path`` under ``key``. Raises
-    ValueError, TypeError or OSError on any other file; only the count of
-    the minutes is left to the caller to check."""
-    data = files.read_bytes(path)
-    start = data.find(b"\n") + 1
-    if not data.startswith(f"{key} ".encode()):
-        raise ValueError("written under another key")
-    if data[:start] != f"{key} {zlib.crc32(memoryview(data)[start:]):08x}\n".encode():
-        raise ValueError("damaged")
-    first = end = data.index(b"\n", start) + 1
-    arrays = []
-    for size in map(int, data[start:end].split()):
-        arrays.append(memoryview(data)[end : end + size])
-        end += size + -size % _ALIGN
-    ids, names, columns, minutes, values = arrays
-    ids, names, columns = (bytes(labels).decode().split("\0") for labels in (ids, names, columns))
-    if first % _ALIGN or end != len(data) or len(names) != len(ids):
-        raise ValueError("not the expected layout")
-    shape = (len(ids), len(columns))
-    return ids, names, minutes.cast("d").tolist(), columns, values.cast("d", shape)
-
-
-def save_table(path: Path, key: str, table: StatTable) -> None:
-    """Write ``table`` to ``path`` under ``key``."""
-    ids, names = table.entity_ids, table.entity_names
-    _save(path, key, ids, names, table.minutes, table.stat_names, table.values)
-
-
-def load_table(path: Path, key: str) -> StatTable | None:
-    """The table cached at ``path`` under ``key``, or None. Its values are
-    a view of the file's bytes as read, so the table costs no copy."""
+def _load(path: Path, key: str, view: Callable[[memoryview], object]) -> StatTable | None:
+    """The table that ``_save`` wrote to ``path`` under ``key``, its values
+    ``view`` of a 2-D memoryview of the file's bytes as read, or None for
+    any other file."""
     from .table import StatTable
 
     try:
-        return StatTable(*_load(path, key))
+        data = files.read_bytes(path)
+        start = data.find(b"\n") + 1
+        if data[:start] != f"{key} {zlib.crc32(memoryview(data)[start:]):08x}\n".encode():
+            return None  # written under another key, or damaged
+        first = end = data.index(b"\n", start) + 1
+        arrays = []
+        for size in map(int, data[start:end].split()):
+            arrays.append(memoryview(data)[end : end + size])
+            end += size + -size % _ALIGN
+        ids, names, columns = (bytes(labels).decode().split("\0") for labels in arrays[:3])
+        minutes, values = arrays[3:]
+        if first % _ALIGN or end != len(data) or len(names) != len(ids):
+            return None  # not the expected layout
+        values = view(values.cast("d", (len(ids), len(columns))))
+        return StatTable(ids, names, minutes.cast("d").tolist(), columns, values)
     except Exception:  # whatever the fault in a damaged or foreign file, a miss
         return None
 
 
-def save_scores(path: Path, key: str, names: list[str], scores: ScoreSet) -> None:
-    """Write the projection ``scores`` of the players ``names`` to ``path``
-    under ``key``, with ``PC1`` to ``PCk`` as its columns."""
-    columns = [f"PC{i + 1}" for i in range(scores.k)]
-    _save(path, key, scores.entity_ids, names, scores.minutes, columns, scores.scores)
+def load_table(path: Path, key: str) -> StatTable | None:
+    """The players table cached at ``path`` under ``key``, or None. Its
+    values are a numpy view of the file's bytes as read, so the table costs
+    no copy, and are checked finite."""
+    import numpy as np
+
+    return _load(path, key, np.asarray)
 
 
-def load_scores(path: Path, key: str) -> tuple[list[str], ScoreSet] | None:
-    """The players' names and the projection cached at ``path`` under
-    ``key``, or None. The scores are a 2-D memoryview of the file's bytes as
-    read, so neither numpy nor a copy is needed."""
-    from .table import ScoreSet
-
-    try:
-        ids, names, minutes, _, scores = _load(path, key)
-        return names, ScoreSet(ids, minutes, scores)
-    except Exception:  # whatever the fault in a damaged or foreign file, a miss
-        return None
+def load_scores(path: Path, key: str) -> StatTable | None:
+    """The players' scores cached at ``path`` under ``key``, or None. Their
+    values are a 2-D memoryview of the file's bytes as read, so neither
+    numpy nor a copy is needed."""
+    return _load(path, key, memoryview)
 
 
 class Store:
@@ -269,14 +252,14 @@ class Store:
         records = ingest.apply_filter(records, policy)
         table = ingest.build_table(records)
         if self._key is not None:
-            save_table(path, self._key, table)
+            _save(path, self._key, table)
             self._remember()
         return table
 
-    def scores(self, model: bytearray, check: Callable[[int], None]) -> tuple[list[str], ScoreSet]:
-        """The players' names and their scores on the model file's bytes
-        ``model``: the cached ones if the projection cache holds the key of
-        the players file and ``model``, else the table projected and cached.
+    def scores(self, model: bytearray, check: Callable[[int], None]) -> StatTable:
+        """The players' scores on the model file's bytes ``model``: the
+        cached ones if the projection cache holds the key of the players
+        file and ``model``, else the table projected and cached.
 
         ``check`` is given the model's k before the table is built; a hit
         has the k of the model it was projected on.
@@ -284,26 +267,23 @@ class Store:
         if self._key is not None:
             found = load_scores(self._out / SCORES, scores_key(self._key, model))
             if found is not None:
-                check(found[1].k)
+                check(found.n_stats)
                 self._remember()
                 return found
         from . import pca
 
         fitted = pca.load_model(model)
         check(fitted.k)
-        table = self.table()
-        scores = pca.transform(fitted, table)
+        scores = pca.transform(fitted, self.table())
         if self._key is not None:
-            key = scores_key(self._key, model)
-            save_scores(self._out / SCORES, key, table.entity_names, scores)
-        return table.entity_names, scores
+            _save(self._out / SCORES, scores_key(self._key, model), scores)
+        return scores
 
-    def keep_scores(self, model: Path, table: StatTable, project: Callable[[], ScoreSet]) -> None:
-        """Cache ``project()``, the scores of ``table`` on the model saved at
+    def keep_scores(self, model: Path, project: Callable[[], StatTable]) -> None:
+        """Cache ``project()``, the players' scores on the model saved at
         ``model``, if the players file is cached; else read and call nothing."""
         if self._key is not None:
-            key = scores_key(self._key, files.read_bytes(model))
-            save_scores(self._out / SCORES, key, table.entity_names, project())
+            _save(self._out / SCORES, scores_key(self._key, files.read_bytes(model)), project())
 
 
 def _identity(status: os.stat_result) -> tuple[int, ...] | None:

@@ -45,7 +45,7 @@ from .errors import (
 from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
 
 if TYPE_CHECKING:
-    from .table import ScoreSet
+    from .table import StatTable
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and
@@ -316,7 +316,7 @@ def cmd_fit(config: RunConfig) -> int:
         model = pca.fit_pca(standardized, config.k, params)
         model_path = _out_file(config, "model", "json")
         pca.save_model(model, model_path)
-        store.keep_scores(model_path, table, lambda: pca.project(model, table, standardized))
+        store.keep_scores(model_path, lambda: pca.project(model, table, standardized))
     spectrum = pca.component_spectrum(standardized)
     total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()
@@ -333,8 +333,8 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _score_players(config: RunConfig) -> tuple[list[str], ScoreSet]:
-    """The players' names and scores on the model, cached or projected.
+def _score_players(config: RunConfig) -> StatTable:
+    """The players' scores on the model, cached or projected.
     ``--components`` and ``--weights`` are checked against the model's k
     before any parse."""
     model = files.read_bytes(config.input_paths["model"])
@@ -342,35 +342,34 @@ def _score_players(config: RunConfig) -> tuple[list[str], ScoreSet]:
 
 
 def _check_components(config: RunConfig, k: int) -> None:
-    """``--components`` and ``--weights`` name components of a model of k."""
-    if config.components_for_sdi is not None:
-        from .similarity import _checked_components
-        _checked_components(config.components_for_sdi, k)
-    if config.weights:
-        from .scoring import _checked_weights
-        _checked_weights(config.weights, k)
+    """``--components`` and ``--weights`` name components of a model of k;
+    a failure names the 1-based numbers given."""
+    for flag, chosen in (("components", config.components_for_sdi), ("weights", config.weights)):
+        beyond = sorted(c + 1 for c in chosen or () if c >= k)
+        if beyond:
+            raise ParameterError(f"--{flag} numbers {beyond} out of range for k={k}")
 
 
 def cmd_scores(config: RunConfig) -> int:
-    names, players = _score_players(config)
+    players = _score_players(config)
     _emit(
         config,
         "scores",
         {
             "entity_id": players.entity_ids,
-            "entity_name": names,
+            "entity_name": players.entity_names,
             "minutes": players.minutes,
-            "scores": players.scores,
+            "scores": players.values,
         },
     )
     return 0
 
 
-def _team_scores(config: RunConfig) -> tuple[ScoreSet, list[float] | None]:
+def _team_scores(config: RunConfig) -> tuple[StatTable, list[float] | None]:
     """The teams' profiles, and their win% where ``--winpct`` is given."""
     from . import scoring
 
-    _, players = _score_players(config)
+    players = _score_players(config)
     membership = scoring.load_membership(config.input_paths["membership"])
     teams = scoring.team_scores(players, membership)
     if "winpct" not in config.input_paths:
@@ -385,7 +384,7 @@ def cmd_teams(config: RunConfig) -> int:
     columns = {
         "team_code": teams.entity_ids,
         "total_minutes": teams.minutes,
-        "scores": teams.scores,
+        "scores": teams.values,
     }
     if win_pct is not None:
         columns["win_pct"] = win_pct
@@ -397,11 +396,11 @@ def cmd_teams(config: RunConfig) -> int:
 
 def cmd_similar(config: RunConfig) -> int:
     from . import similarity
-    names, players = _score_players(config)
+    players = _score_players(config)
     ranking = similarity.rank_similar(
         players, config.query, config.top, config.components_for_sdi
     )
-    names = dict(zip(players.entity_ids, names))
+    names = dict(zip(players.entity_ids, players.entity_names))
     path = _out_file(config, "similar")
     if config.output_format == "json":
         files.write_text(path, similarity.ranking_to_json(ranking, names))
@@ -413,11 +412,7 @@ def cmd_similar(config: RunConfig) -> int:
 def cmd_regress(config: RunConfig) -> int:
     from . import regression
     teams, win_pct = _team_scores(config)
-    fit = regression.fit_ols(
-        teams.scores,
-        win_pct,
-        term_names=[f"PC{i + 1}" for i in range(teams.k)],
-    )
+    fit = regression.fit_ols(teams.values, win_pct, term_names=teams.stat_names)
     txt_path = _out_file(config, "regression", "txt")
     files.write_text(txt_path, regression.summary_text(fit))
     path = _out_file(config, "regression")

@@ -447,7 +447,8 @@ def build_table(table: RawTable) -> StatTable:
     """Assemble a StatTable, failing rather than imputing.
 
     Raises :class:`ValidationError` listing every (player, statistic) pair
-    with a missing value, row by row.
+    with a missing value, row by row, or for a table of fewer than two
+    players, which no component model can be fit on.
     """
     if not table:
         raise ValidationError("no records to build a table from")
@@ -456,6 +457,8 @@ def build_table(table: RawTable) -> StatTable:
     if gaps:
         missing = [(table.player_ids[i], table.stat_names[j]) for i, j in gaps]
         raise ValidationError(f"missing values for (player, statistic): {listed(missing)}")
+    if len(table) < 2:
+        raise ValidationError(f"need at least 2 entities, got {len(table)}")
 
     return StatTable(
         entity_ids=table.player_ids,

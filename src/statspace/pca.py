@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import warnings
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,10 +32,7 @@ from .errors import (
     ZeroVarianceError,
     listed,
 )
-from .table import ScoreSet
-
-if TYPE_CHECKING:
-    from .table import StatTable
+from .table import StatTable
 
 MODEL_FORMAT_VERSION = 1
 
@@ -328,7 +324,7 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
     return model.component_variances / model.total_variance
 
 
-def transform(model: PcaModel, table: StatTable) -> ScoreSet:
+def transform(model: PcaModel, table: StatTable) -> StatTable:
     """Project a table onto the fitted components.
 
     The model's statistic columns are taken from the table by name, so column
@@ -346,17 +342,21 @@ def transform(model: PcaModel, table: StatTable) -> ScoreSet:
     return project(model, table, model.standardization.apply(values))
 
 
-def project(model: PcaModel, table: StatTable, standardized: np.ndarray) -> ScoreSet:
+def project(model: PcaModel, table: StatTable, standardized: np.ndarray) -> StatTable:
     """The scores of ``table``'s rows from ``standardized``, its values in
     the model's columns standardized by the model's parameters: what
-    :func:`standardize` returned for the table the model was fit on."""
+    :func:`standardize` returned for the table the model was fit on. The
+    scores keep the table's ids, names and minutes; their columns are
+    named ``PC1`` to ``PCk``, the names every later stage reads."""
     with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
         scores = standardized @ model.loadings.T
     components = [f"PC{i + 1}" for i in range(model.k)]
-    return ScoreSet(
-        entity_ids=list(table.entity_ids),
-        minutes=list(table.minutes),
-        scores=_finite(scores, "projection", components),
+    return StatTable(
+        entity_ids=table.entity_ids,
+        entity_names=table.entity_names,
+        minutes=table.minutes,
+        stat_names=components,
+        values=_finite(scores, "projection", components),
     )
 
 

@@ -3,9 +3,11 @@
 A team's score on each component is the minutes-weighted average of its
 members' scores, so every team score is a convex combination bounded by the
 member extremes. Membership (player id -> team code) is supplied explicitly:
-how traded players' minutes split across teams is the caller's call. Team
-profiles are ``ScoreSet``s, as players' are, so ``similarity`` ranks and
-compares teams with no code of its own for them.
+how traded players' minutes split across teams is the caller's call. A
+team's profile is a ``StatTable``, as a player's is: named by its team
+code, with the players' component names as its columns and the team's
+total minutes. So ``similarity`` ranks and compares teams with no code of
+its own for them.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .errors import (
     ValidationError,
     listed,
 )
-from .table import ScoreSet
+from .table import StatTable
 
 
-def team_scores(players: ScoreSet, membership: Mapping[str, str]) -> ScoreSet:
+def team_scores(players: StatTable, membership: Mapping[str, str]) -> StatTable:
     """Minutes-weighted average of member scores, per team: a profile per
-    team code, with the team's total minutes, that ranks and compares as a
-    player's does.
+    team code, named by the code, with the players' columns and the team's
+    total minutes, that ranks and compares as a player's does.
 
     Teams come out in sorted team-code order. Players absent from the
     membership map are excluded and reported once via ``warnings``; ids in the
@@ -60,7 +62,7 @@ def team_scores(players: ScoreSet, membership: Mapping[str, str]) -> ScoreSet:
 
     codes = sorted(members)
     minutes = np.array(players.minutes)
-    scores = np.asarray(players.scores)  # a memoryview's bytes, viewed with no copy
+    scores = np.asarray(players.values)  # a memoryview's bytes, viewed with no copy
     rows = []
     totals = []
     for team in codes:
@@ -72,10 +74,10 @@ def team_scores(players: ScoreSet, membership: Mapping[str, str]) -> ScoreSet:
         rows.append((m @ scores[idx]) / total)
         totals.append(total)
 
-    return ScoreSet(entity_ids=codes, minutes=totals, scores=np.array(rows))
+    return StatTable(codes, codes, totals, list(players.stat_names), np.array(rows))
 
 
-def team_win_pct(teams: ScoreSet, win_pct: Mapping[str, float]) -> list[float]:
+def team_win_pct(teams: StatTable, win_pct: Mapping[str, float]) -> list[float]:
     """The winning percentage of each of ``teams``, in their order; every
     team must be covered, by a value in [0, 1]."""
     missing = [code for code in teams.entity_ids if code not in win_pct]
@@ -87,21 +89,21 @@ def team_win_pct(teams: ScoreSet, win_pct: Mapping[str, float]) -> list[float]:
     return values
 
 
-def regression_weighted_score(teams: ScoreSet, weights: Mapping[int, float]) -> list[float]:
+def regression_weighted_score(teams: StatTable, weights: Mapping[int, float]) -> list[float]:
     """Weighted sum of selected components per team.
 
     Components without a weight contribute nothing; an empty map gives zeros.
     Every weight must be a finite number; a weighted score that overflows
     to a non-finite value is a :class:`NumericalError`.
     """
-    _checked_weights(weights, teams.k)
-    vector = np.zeros(teams.k)
+    _checked_weights(weights, teams.n_stats)
+    vector = np.zeros(teams.n_stats)
     for component, weight in weights.items():
         vector[component] = weight
     with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
-        weighted = np.asarray(teams.scores) @ vector
+        weighted = np.asarray(teams.values) @ vector
     if not np.isfinite(weighted).all():
-        bad = listed([f"PC{c + 1}" for c in sorted(weights)])
+        bad = listed([teams.stat_names[c] for c in sorted(weights)])
         raise NumericalError(f"weighted score of {bad} overflows to a non-finite value")
     return [float(v) for v in weighted]
 

@@ -16,7 +16,7 @@ from . import files
 from .errors import EntityLookupError, ParameterError
 
 if TYPE_CHECKING:
-    from .table import ScoreSet
+    from .table import StatTable
 
 
 class SdiRanking(NamedTuple):
@@ -75,7 +75,7 @@ def _sums(query: list[float], rows: list[list[float]], comps: tuple[int, ...]) -
 
 
 def rank_similar(
-    scores: ScoreSet,
+    scores: StatTable,
     query_id: str,
     top: int,
     components: Iterable[int] | None = None,
@@ -88,7 +88,7 @@ def rank_similar(
     """
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")
-    rows = scores.scores.tolist()  # numpy array or memoryview, as lists of floats
+    rows = scores.values.tolist()  # numpy array or memoryview, as lists of floats
     try:
         query = rows[scores.entity_ids.index(query_id)]
     except ValueError:

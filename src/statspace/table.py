@@ -1,11 +1,12 @@
-"""The two tables the later stages read: the clean stat table, and the
-players' component scores.
+"""The one profile table: entities by columns, with minutes.
 
-``ingest`` builds the first from a players file, and ``pca`` the second
-from a model; each re-exports its own. The caches rebuild them from their
+Every profile the later stages read is one: the players' statistics, which
+``ingest`` builds from a players file; the players' component scores, which
+``pca`` projects from them; and the teams' scores, which ``scoring``
+averages from the players'. The caches rebuild the first two from their
 files, so a process that finds them cached imports neither the parse code
-nor the fitting code. numpy is imported only by what needs it: a
-``ScoreSet`` over a memoryview, as the projection cache gives, needs none.
+nor the fitting code. numpy is imported only by what needs it: a table over
+a memoryview, as the projection cache gives, needs none.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ if TYPE_CHECKING:
 
 
 class StatTable:
-    """Clean entities-by-statistics matrix with minutes metadata.
+    """Entities-by-columns matrix with each entity's name and minutes.
 
-    All values are finite; rows keep their input order and columns keep the
-    CSV header order, which fixes component coefficient order downstream.
+    ``values`` is n x p: a 2-D memoryview of floats is kept as given, and
+    anything else becomes a float numpy array, whose values must all be
+    finite. Rows keep their input order and columns their source's order:
+    the CSV header's for statistics, which fixes the component coefficient
+    order downstream, and ``PC1`` to ``PCk`` for scores.
     """
 
     __slots__ = ("entity_ids", "entity_names", "minutes", "stat_names", "values")
@@ -33,18 +37,18 @@ class StatTable:
         entity_names: list[str],
         minutes: list[float],
         stat_names: list[str],
-        values: np.ndarray,
+        values: np.ndarray | memoryview,
     ):
-        import numpy as np
+        if not isinstance(values, memoryview):
+            import numpy as np
 
+            values = np.asarray(values, dtype=float)
         self.entity_ids = entity_ids
         self.entity_names = entity_names
         self.minutes = minutes
         self.stat_names = stat_names
-        self.values = values = np.asarray(values, dtype=float)
+        self.values = values
         n, p = len(entity_ids), len(stat_names)
-        if n < 2:
-            raise ValidationError(f"need at least 2 entities, got {n}")
         if p < 1:
             raise ValidationError("need at least 1 statistic column")
         if len(entity_names) != n or len(minutes) != n:
@@ -56,7 +60,7 @@ class StatTable:
         if len(set(entity_ids)) != n:
             dupes = sorted(_duplicates(entity_ids))
             raise ValidationError(f"duplicate entity_ids: {listed(dupes)}")
-        if not np.isfinite(values).all():
+        if not isinstance(values, memoryview) and not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))
             i, j = bad[0]
             raise ValidationError(
@@ -71,34 +75,6 @@ class StatTable:
     @property
     def n_stats(self) -> int:
         return len(self.stat_names)
-
-
-class ScoreSet:
-    """Per-entity component scores plus the minutes needed for aggregation.
-
-    ``scores`` is n x k: a 2-D memoryview of floats is kept as given, and
-    anything else becomes a float numpy array.
-    """
-
-    __slots__ = ("entity_ids", "minutes", "scores")
-
-    def __init__(
-        self, entity_ids: list[str], minutes: list[float], scores: np.ndarray | memoryview
-    ):
-        if not isinstance(scores, memoryview):
-            import numpy as np
-
-            scores = np.asarray(scores, dtype=float)
-        self.entity_ids = entity_ids
-        self.minutes = minutes
-        self.scores = scores
-        n = len(entity_ids)
-        if len(minutes) != n or scores.shape[0] != n:
-            raise ValidationError("entity_ids, minutes, scores lengths differ")
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[1]
 
 
 def _duplicates(items: Iterable[str]) -> set[str]:

@@ -15,8 +15,8 @@ from scipy.integrate import quad
 
 from statspace import (
     FilterPolicy,
-    ScoreSet,
     StandardizationParams,
+    StatTable,
     apply_filter,
     build_table,
     explained_variance_ratio,
@@ -129,7 +129,7 @@ def test_criterion_2_variance_accounting(tmp_path):
 
 def test_criterion_3_score_consistency(tmp_path):
     table, _, Z, model = _fixture_model(tmp_path)
-    scores = transform(model, table).scores
+    scores = transform(model, table).values
     sample_variances = scores.var(axis=0, ddof=1)
     np.testing.assert_allclose(
         sample_variances, model.component_variances, rtol=1e-6
@@ -159,28 +159,32 @@ def test_criterion_4_sdi_axioms():
 
 
 def test_criterion_5_team_weighting():
-    players = ScoreSet(
+    players = StatTable(
         entity_ids=["p1", "p2"],
+        entity_names=["p1", "p2"],
         minutes=[100.0, 300.0],
-        scores=np.array([[1.0], [2.0]]),
+        stat_names=["PC1"],
+        values=np.array([[1.0], [2.0]]),
     )
     teams = team_scores(players, {"p1": "T", "p2": "T"})
-    assert teams.scores[0, 0] == 1.75
+    assert teams.values[0, 0] == 1.75
 
     rng = np.random.default_rng(202)
     for _ in range(100):
         size = int(rng.integers(2, 10))
         ids = [f"m{i}" for i in range(size)]
-        roster = ScoreSet(
+        roster = StatTable(
             entity_ids=ids,
+            entity_names=ids,
             minutes=list(rng.uniform(0.5, 3200.0, size=size)),
-            scores=rng.normal(scale=2.0, size=(size, 4)),
+            stat_names=["PC1", "PC2", "PC3", "PC4"],
+            values=rng.normal(scale=2.0, size=(size, 4)),
         )
         team = team_scores(roster, {pid: "T" for pid in ids})
-        low = roster.scores.min(axis=0)
-        high = roster.scores.max(axis=0)
-        assert (team.scores[0] >= low - 1e-12).all()
-        assert (team.scores[0] <= high + 1e-12).all()
+        low = roster.values.min(axis=0)
+        high = roster.values.max(axis=0)
+        assert (team.values[0] >= low - 1e-12).all()
+        assert (team.values[0] <= high + 1e-12).all()
     print("ACCEPTANCE 5 PASS: weighted average exact; convexity on 100 random teams")
 
 
@@ -294,7 +298,7 @@ def test_criterion_8_reference_dataset_claims():
 
     teams = team_scores(scores, load_membership(os.path.join(root, "membership.csv")))
     win_pct = team_win_pct(teams, load_win_pct(os.path.join(root, "winpct.csv")))
-    fit = fit_ols(teams.scores, win_pct)
+    fit = fit_ols(teams.values, win_pct)
     assert abs(fit.r_squared - 0.59) <= 0.05
     published = (0.35, -0.01, 0.17, -0.20, 0.09)
     for got, ref in zip(fit.coefficients, published):

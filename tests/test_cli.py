@@ -122,7 +122,7 @@ class TestScores:
         scores = pca.transform(model, table)
         rows = read_rows(out / "scores.csv")[1:]
         parsed = np.array([[float(v) for v in row[3:]] for row in rows])
-        assert np.array_equal(parsed, scores.scores)
+        assert np.array_equal(parsed, scores.values)
 
     def test_json_format(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -176,7 +176,7 @@ class TestDroppedColumn:
         table = ingest.build_table(
             ingest.apply_filter(ingest.parse_csv(players_csv), ingest.FilterPolicy())
         )
-        expected = pca.transform(model, table).scores
+        expected = pca.transform(model, table).values
         rows = read_rows(out / "scores.csv")[1:]
         assert np.array_equal(np.array([[float(v) for v in row[3:]] for row in rows]), expected)
         assert len(read_rows(out / "similar.csv")) - 1 == 5
@@ -246,6 +246,28 @@ class TestTeams:
             expected = 0.17 * float(row[3]) + 0.09 * float(row[5])
             assert abs(float(row[-1]) - expected) < 1e-12
         assert scores["ATL"][6] == "0.5"
+
+    def test_one_team(self, players_csv, tmp_path, capsys):
+        # every player on one team: a one-row team profile, exit 0
+        out = self._fit(players_csv, tmp_path, capsys)
+        model = ["--input", str(players_csv), "--model", str(out / "model.json")]
+        assert run(capsys, "scores", *model, "--out", str(out)) == (0, "")
+        players = read_rows(out / "scores.csv")[1:]
+        membership = tmp_path / "one.csv"
+        membership.write_text("".join(f"{row[0]},ONE\n" for row in players), encoding="utf-8")
+        argv = ["teams", *model, "--membership", str(membership), "--out", str(out)]
+        assert run(capsys, *argv, "--weights", "1=1") == (0, "")
+        header, *rows = read_rows(out / "teams.csv")
+        assert header == [
+            "team_code", "total_minutes", "PC1", "PC2", "PC3", "PC4", "weighted_score"
+        ]
+        assert [row[0] for row in rows] == ["ONE"]
+        minutes = np.array([float(row[2]) for row in players])
+        scores = np.array([[float(cell) for cell in row[3:]] for row in players])
+        assert float(rows[0][1]) == minutes.sum() == 30700.0
+        team = [float(cell) for cell in rows[0][2:6]]
+        np.testing.assert_allclose(team, minutes @ scores / minutes.sum(), rtol=0, atol=1e-12)
+        assert rows[0][6] == rows[0][2]
 
     @pytest.mark.parametrize("weights", ["2=nan,4=inf", "2=0.17,4=-inf"])
     def test_non_finite_weights_are_usage_error(
@@ -331,9 +353,9 @@ class TestRegress:
         teams = scoring.team_scores(scores, membership)
         outcome = (
             0.35
-            + 0.17 * teams.scores[:, 1]
-            - 0.20 * teams.scores[:, 2]
-            + 0.09 * teams.scores[:, 3]
+            + 0.17 * teams.values[:, 1]
+            - 0.20 * teams.values[:, 2]
+            + 0.09 * teams.values[:, 3]
         )
         assert ((outcome > 0.0) & (outcome < 1.0)).all()
         winpct = tmp_path / "winpct.csv"
@@ -586,11 +608,11 @@ class TestValueChecks:
         [
             (
                 ["similar", "--query", "p01", "--components", "2,9"],
-                "component indices [8] out of range for 4 scores",
+                "--components numbers [9] out of range for k=4",
             ),
             (
                 ["teams", "--membership", "m.csv", "--weights", "2=1,9=1"],
-                "weight component indices [8] out of range for k=4",
+                "--weights numbers [9] out of range for k=4",
             ),
         ],
         ids=["components", "weights"],
@@ -1375,11 +1397,11 @@ class TestProjectionCache:
         [
             (
                 ["similar", "--query", "p01", "--components", "2,5"],
-                "component indices [4] out of range for 4 scores",
+                "--components numbers [5] out of range for k=4",
             ),
             (
                 ["teams", "--membership", "m.csv", "--weights", "2=1,5=1"],
-                "weight component indices [4] out of range for k=4",
+                "--weights numbers [5] out of range for k=4",
             ),
         ],
         ids=["components", "weights"],
@@ -1631,11 +1653,14 @@ class TestColdStart:
                         raise ImportError(f"{name} is blocked")
 
             sys.meta_path.insert(0, NoNumpy())
-            from statspace import ScoreSet, rank_similar
+            from statspace import StatTable, rank_similar
             cells = memoryview(array("d", [0.0, 0.0, 1.0, 0.0, 0.0, 3.0]).tobytes())
-            players = ScoreSet(["q", "a", "b"], [1.0, 2.0, 3.0], cells.cast("d", (3, 2)))
+            players = StatTable(
+                ["q", "a", "b"], ["Q", "A", "B"], [1.0, 2.0, 3.0], ["PC1", "PC2"],
+                cells.cast("d", (3, 2)),
+            )
             ranking = rank_similar(players, "q", top=2)
-            print(json.dumps([players.k, players.scores.tolist(), ranking.entries]))
+            print(json.dumps([players.n_stats, players.values.tolist(), ranking.entries]))
             """
         )
         done = _python("-c", script)
@@ -1820,6 +1845,80 @@ class TestConfigFile:
         assert code in (0, 2, 3), err
         if code:
             assert _one_error_line(err)["exit_code"] == code
+
+
+class TestModelFile:
+    # Where a fitted model's document can be changed: each key, and the
+    # first entry of each list, by its path from the document's root.
+    FIELDS = [
+        ("format_version",), ("n_samples",), ("total_variance",), ("standardization",),
+        ("standardization", "stat_names"), ("standardization", "stat_names", 0),
+        ("standardization", "means"), ("standardization", "means", 0),
+        ("standardization", "std_devs"), ("standardization", "std_devs", 0),
+        ("component_variances",), ("component_variances", 0),
+        ("loadings",), ("loadings", 0), ("loadings", 0, 0), ("mystery",),
+    ]
+    MISSING = object()
+    # Any JSON value, with the numbers most likely to slip through: huge
+    # integers, floats at the ends of the range, and NaN and infinities,
+    # which Python's json reads.
+    model_values = st.just(MISSING) | st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**70), max_value=2**70)
+        | st.sampled_from([10**400, -(2**63) - 1, 2**64, 1e308, -1e308, 5e-324, 0.0, 1.0])
+        | st.floats()
+        | st.text(max_size=6)
+        | st.sampled_from(["\0", "pts_per48", "PC1"]),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+        max_leaves=8,
+    )
+
+    @staticmethod
+    def _replace(doc, path, value) -> None:
+        """Set (or, for MISSING, remove) the field at ``path`` in ``doc``,
+        where an earlier change left it."""
+        *parents, last = path
+        try:
+            for key in parents:
+                doc = doc[key]
+            if value is TestModelFile.MISSING:
+                del doc[last]
+            else:
+                doc[last] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier change removed or replaced the field's container
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        changes=st.lists(st.tuples(st.sampled_from(FIELDS), model_values), min_size=1, max_size=3)
+    )
+    @example(changes=[(("n_samples",), 10**400)])
+    @example(changes=[(("loadings", 0, 0), 10**400)])
+    @example(changes=[(("standardization", "means", 0), 1e308)])
+    def test_any_model_ends_in_a_documented_exit(self, players_csv, tmp_path, capsys, changes):
+        """``scores`` on a season model with any fields replaced or removed
+        exits 0, 2, 3 or 4, never 1, with one JSON line on a failure."""
+        out = tmp_path / "out"
+        if not (out / "model.json").exists():  # one fit, whose table cache every run reads
+            assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out)) == (0, "")
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        for path, value in changes:
+            self._replace(doc, path, value)
+        model = tmp_path / "changed.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run(
+            capsys, "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out)
+        )
+        assert code in (0, 2, 3, 4), err
+        if code:
+            assert _one_error_line(err)["exit_code"] == code
+        else:
+            assert err == ""
 
 
 def test_readme_flags_table_matches_the_tables():

@@ -9,7 +9,6 @@ import pytest
 
 from statspace import (
     PcaModel,
-    ScoreSet,
     StandardizationParams,
     StatspaceError,
     StatTable,
@@ -73,7 +72,9 @@ CASES = {
     ),
     "win-pct-missing": (
         "win_pct missing for teams: ",
-        lambda tmp_path: team_win_pct(ScoreSet(NAMES, [1.0] * 25, np.zeros((25, 1))), {}),
+        lambda tmp_path: team_win_pct(
+            StatTable(NAMES, NAMES, [1.0] * 25, ["PC1"], np.zeros((25, 1))), {}
+        ),
     ),
     "unknown-config-keys": ("unknown config keys: ", _unknown_config_keys),
 }

@@ -695,9 +695,16 @@ class TestBuildTable:
 
 
 class TestStatTable:
-    def test_needs_two_rows(self):
-        with pytest.raises(ValidationError):
-            StatTable(["a"], ["A"], [1.0], ["s"], np.array([[1.0]]))
+    def test_build_table_needs_two_rows(self):
+        # a players table must fit a model; a one-team profile is one row
+        source = io.StringIO("name,team,gp,min,a\np1,BOS,50,1000,1.0\n")
+        with pytest.raises(ValidationError) as raised:
+            build_table(parse_csv(source, SCHEMA4))
+        assert str(raised.value) == "need at least 2 entities, got 1"
+
+    def test_one_row_profile(self):
+        table = StatTable(["BOS"], ["BOS"], [48.0], ["PC1", "PC2"], np.array([[1.0, -2.0]]))
+        assert (table.n_entities, table.n_stats) == (1, 2)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="s2"):

@@ -121,7 +121,7 @@ class TestStandardize:
         tracemalloc.start()
         try:
             params, Z = standardize(table)
-            scores = transform(model, table).scores
+            scores = transform(model, table).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,7 +249,7 @@ class TestTransform:
             stat_names=list(table.stat_names),
             values=np.array([w1_row, params.means]),
         )
-        scores = transform(model, probe).scores
+        scores = transform(model, probe).values
         expected_axis = np.zeros(model.k)
         expected_axis[0] = 1.0
         np.testing.assert_allclose(scores[0], expected_axis, atol=1e-10)
@@ -257,7 +257,7 @@ class TestTransform:
 
     def test_fitting_sample_score_variances(self, fitted_pipeline):
         table, _, _, model = fitted_pipeline
-        scores = transform(model, table).scores
+        scores = transform(model, table).values
         sample = scores.var(axis=0, ddof=1)
         np.testing.assert_allclose(sample, model.component_variances, rtol=1e-6)
         assert np.abs(scores.mean(axis=0)).max() < 1e-8
@@ -265,7 +265,7 @@ class TestTransform:
     def test_full_rank_reconstruction(self, fitted_pipeline):
         table, params, Z, _ = fitted_pipeline
         model = fit_pca(Z, Z.shape[1], params)
-        scores = transform(model, table).scores
+        scores = transform(model, table).values
         np.testing.assert_allclose(scores @ model.loadings, Z, atol=1e-8)
 
     def test_column_mismatch_lists_difference(self, fitted_pipeline):
@@ -303,7 +303,7 @@ class TestTransform:
             stat_names=names,
             values=values,
         )
-        assert (transform(model, reordered).scores == transform(model, table).scores).all()
+        assert (transform(model, reordered).values == transform(model, table).values).all()
 
     def test_extra_columns_ignored(self, fitted_pipeline):
         table, _, _, model = fitted_pipeline
@@ -314,7 +314,7 @@ class TestTransform:
             stat_names=["extra", *table.stat_names],
             values=np.column_stack([np.arange(table.n_entities), table.values]),
         )
-        assert (transform(model, wider).scores == transform(model, table).scores).all()
+        assert (transform(model, wider).values == transform(model, table).values).all()
 
 
 class TestTopLoadings:

@@ -8,7 +8,7 @@ from statspace import (
     EntityLookupError,
     ParameterError,
     ParseError,
-    ScoreSet,
+    StatTable,
     ValidationError,
     load_membership,
     load_win_pct,
@@ -20,11 +20,17 @@ from statspace import (
 )
 
 
-def make_scores(rows: dict[str, tuple[float, list[float]]]) -> ScoreSet:
-    return ScoreSet(
-        entity_ids=list(rows),
-        minutes=[minutes for minutes, _ in rows.values()],
-        scores=np.array([scores for _, scores in rows.values()]),
+def profiles(ids: list[str], minutes: list[float], values) -> StatTable:
+    """Players' scores as ``pca`` gives them: named by their ids here, in
+    columns ``PC1`` to ``PCk``."""
+    return StatTable(ids, ids, minutes, [f"PC{j + 1}" for j in range(values.shape[1])], values)
+
+
+def make_scores(rows: dict[str, tuple[float, list[float]]]) -> StatTable:
+    return profiles(
+        list(rows),
+        [minutes for minutes, _ in rows.values()],
+        np.array([scores for _, scores in rows.values()]),
     )
 
 
@@ -35,14 +41,24 @@ class TestTeamScores:
         )
         teams = team_scores(scores, {"p1": "BOS", "p2": "BOS"})
         assert teams.entity_ids == ["BOS"]
-        assert teams.scores[0, 0] == 1.75
-        assert teams.scores[0, 1] == 3.0
+        assert teams.values[0, 0] == 1.75
+        assert teams.values[0, 1] == 3.0
         assert teams.minutes == [400.0]
+
+    def test_teams_are_named_by_code_in_the_players_columns(self):
+        players = StatTable(
+            ["p1", "p2", "p3"], ["One", "Two", "Three"], [10.0, 20.0, 30.0],
+            ["PC1", "PC3"], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        )
+        teams = team_scores(players, {"p1": "NYK", "p2": "BOS", "p3": "NYK"})
+        assert (teams.entity_ids, teams.entity_names) == (["BOS", "NYK"], ["BOS", "NYK"])
+        assert teams.stat_names == ["PC1", "PC3"]
+        assert teams.stat_names is not players.stat_names
 
     def test_single_member_team(self):
         scores = make_scores({"p1": (500.0, [1.5, -2.0])})
         teams = team_scores(scores, {"p1": "NYK"})
-        np.testing.assert_array_equal(teams.scores[0], [1.5, -2.0])
+        np.testing.assert_array_equal(teams.values[0], [1.5, -2.0])
 
     def test_equal_minutes_equals_plain_mean(self):
         scores = make_scores(
@@ -53,7 +69,7 @@ class TestTeamScores:
             }
         )
         teams = team_scores(scores, {p: "CHI" for p in ("p1", "p2", "p3")})
-        np.testing.assert_allclose(teams.scores[0], [3.0, 3.0])
+        np.testing.assert_allclose(teams.values[0], [3.0, 3.0])
 
     def test_teams_sorted_by_code(self):
         scores = make_scores(
@@ -77,7 +93,7 @@ class TestTeamScores:
         with pytest.warns(UserWarning, match="p2"):
             teams = team_scores(scores, {"p1": "BOS"})
         assert teams.entity_ids == ["BOS"]
-        assert teams.scores[0, 0] == 1.0
+        assert teams.values[0, 0] == 1.0
 
     def test_long_lists_of_players_are_cut(self):
         ids = [f"p{i:02d}" for i in range(26)]
@@ -97,18 +113,14 @@ class TestTeamScores:
     def test_convexity_bounds(self):
         rng = np.random.default_rng(21)
         ids = [f"p{i}" for i in range(12)]
-        scores = ScoreSet(
-            entity_ids=ids,
-            minutes=list(rng.uniform(1.0, 3000.0, size=12)),
-            scores=rng.normal(size=(12, 4)),
-        )
+        scores = profiles(ids, list(rng.uniform(1.0, 3000.0, size=12)), rng.normal(size=(12, 4)))
         membership = {pid: ("AAA" if i < 7 else "BBB") for i, pid in enumerate(ids)}
         teams = team_scores(scores, membership)
         for t, code in enumerate(teams.entity_ids):
             idx = [i for i, pid in enumerate(ids) if membership[pid] == code]
-            member_scores = scores.scores[idx]
-            assert (teams.scores[t] >= member_scores.min(axis=0) - 1e-12).all()
-            assert (teams.scores[t] <= member_scores.max(axis=0) + 1e-12).all()
+            member_scores = scores.values[idx]
+            assert (teams.values[t] >= member_scores.min(axis=0) - 1e-12).all()
+            assert (teams.values[t] <= member_scores.max(axis=0) + 1e-12).all()
 
     def test_same_bits_from_a_memoryview(self):
         # the projection cache gives the scores as a 2-D memoryview of its bytes
@@ -118,9 +130,9 @@ class TestTeamScores:
         minutes = rng.uniform(1.0, 3000.0, size=40).tolist()
         membership = {pid: "ABC"[i % 3] for i, pid in enumerate(ids)}
         cached = memoryview(values.tobytes()).cast("d", values.shape)
-        want = team_scores(ScoreSet(ids, minutes, values), membership)
-        got = team_scores(ScoreSet(ids, minutes, cached), membership)
-        assert got.scores.tobytes() == want.scores.tobytes()
+        want = team_scores(profiles(ids, minutes, values), membership)
+        got = team_scores(profiles(ids, minutes, cached), membership)
+        assert got.values.tobytes() == want.values.tobytes()
         assert got.minutes == want.minutes
 
     def test_split_player_leaves_score_unchanged(self):
@@ -136,7 +148,7 @@ class TestTeamScores:
         )
         one = team_scores(base, {"p1": "T", "p2": "T"})
         two = team_scores(split, {"p1a": "T", "p1b": "T", "p2": "T"})
-        np.testing.assert_allclose(one.scores, two.scores, atol=1e-12)
+        np.testing.assert_allclose(one.values, two.values, atol=1e-12)
 
     def test_member_order_invariance(self):
         rows = {
@@ -147,7 +159,7 @@ class TestTeamScores:
         membership = {p: "T" for p in rows}
         forward = team_scores(make_scores(rows), membership)
         backward = team_scores(make_scores(dict(reversed(rows.items()))), membership)
-        np.testing.assert_allclose(forward.scores, backward.scores, atol=1e-15)
+        np.testing.assert_allclose(forward.values, backward.values, atol=1e-15)
 
 
 class TestWinPct:
@@ -172,8 +184,8 @@ class TestWinPct:
 
 
 class TestTeamsAsProfiles:
-    """Team profiles are ``ScoreSet``s, so the similarity code takes them as
-    it takes players'."""
+    """Team profiles are ``StatTable``s, as players' scores are, so the
+    similarity code takes them as it takes players'."""
 
     def _teams(self):
         scores = make_scores(
@@ -190,9 +202,9 @@ class TestTeamsAsProfiles:
 
     def test_ranked_by_rank_similar(self):
         teams = self._teams()
-        nyk = teams.scores[teams.entity_ids.index("NYK")]
+        nyk = teams.values[teams.entity_ids.index("NYK")]
         want = sorted(
-            (float(((teams.scores[t] - nyk) ** 2).sum()), code)
+            (float(((teams.values[t] - nyk) ** 2).sum()), code)
             for t, code in enumerate(teams.entity_ids)
             if code != "NYK"
         )
@@ -205,7 +217,7 @@ class TestTeamsAsProfiles:
 
     def test_sdi_between_two_teams(self):
         teams = self._teams()
-        row = dict(zip(teams.entity_ids, teams.scores.tolist()))
+        row = dict(zip(teams.entity_ids, teams.values.tolist()))
         # NYK is (1.75, 3.0, -0.25) and ATL (1.0, 1.0, 1.0)
         assert sdi(row["NYK"], row["ATL"]) == 0.75**2 + 2.0**2 + 1.25**2
         assert sdi(row["NYK"], row["ATL"], components=[1]) == 4.0
@@ -235,8 +247,8 @@ class TestRegressionWeightedScore:
     def test_identity_weight_returns_column(self):
         teams = self._teams()
         assert regression_weighted_score(teams, {0: 1.0}) == [
-            teams.scores[0, 0],
-            teams.scores[1, 0],
+            teams.values[0, 0],
+            teams.values[1, 0],
         ]
 
     def test_bad_component_index(self):

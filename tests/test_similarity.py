@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from statspace import (
     EntityLookupError,
     ParameterError,
-    ScoreSet,
+    StatTable,
     rank_similar,
     sdi,
 )
@@ -17,12 +17,14 @@ finite_score = st.floats(
 score_vector = st.lists(finite_score, min_size=4, max_size=4)
 
 
-def make_scores(rows: dict[str, list[float]]) -> ScoreSet:
-    return ScoreSet(
-        entity_ids=list(rows),
-        minutes=[100.0] * len(rows),
-        scores=np.array(list(rows.values())),
-    )
+def profiles(ids: list[str], minutes: list[float], values) -> StatTable:
+    """Scores as ``pca`` gives them: named by their ids here, in columns
+    ``PC1`` to ``PCk``."""
+    return StatTable(ids, ids, minutes, [f"PC{j + 1}" for j in range(values.shape[1])], values)
+
+
+def make_scores(rows: dict[str, list[float]]) -> StatTable:
+    return profiles(list(rows), [100.0] * len(rows), np.array(list(rows.values())))
 
 
 class TestSdi:
@@ -120,7 +122,7 @@ class TestRankSimilar:
         values = rng.normal(size=(12, 4))
         values[[7, 9, 11]] = values[3]  # ties: equal distances, broken by id
         ids = [f"e{i:02d}" for i in range(12)]
-        scores = ScoreSet(entity_ids=ids, minutes=[1.0] * 12, scores=values)
+        scores = profiles(ids, [1.0] * 12, values)
         for components in (None, {0, 2}, {3}):
             for q, query in enumerate(ids):
                 ranking = rank_similar(scores, query, top=11, components=components)
@@ -132,15 +134,11 @@ class TestRankSimilar:
                 assert ranking.entries == by_value_then_id
 
     def test_default_components_are_all_scores(self):
-        scores = ScoreSet(
-            entity_ids=["q", "a"],
-            minutes=[1.0, 1.0],
-            scores=np.array([[0.0] * 5, [0.0, 0.0, 0.0, 0.0, 2.0]]),
-        )
+        scores = profiles(["q", "a"], [1.0, 1.0], np.array([[0.0] * 5, [0.0, 0.0, 0.0, 0.0, 2.0]]))
         ranking = rank_similar(scores, "q", top=1)
         assert ranking.components_used == frozenset(range(5))
         assert ranking.entries == [("a", 4.0)]
-        assert sdi(scores.scores[0], scores.scores[1]) == 4.0
+        assert sdi(scores.values[0], scores.values[1]) == 4.0
 
 
 def _numpy_sums(query: np.ndarray, rows: np.ndarray, comps) -> np.ndarray:
@@ -180,8 +178,8 @@ class TestSameBitsAsNumpy:
         want = sorted((t, e) for t, e in zip(totals, ids) if e != ids[q])
         cached = memoryview(values.tobytes()).cast("d", values.shape)  # as the cache holds them
         for scores in (
-            ScoreSet(entity_ids=ids, minutes=[1.0] * len(ids), scores=values),
-            ScoreSet(entity_ids=ids, minutes=[1.0] * len(ids), scores=cached),
+            profiles(ids, [1.0] * len(ids), values),
+            profiles(ids, [1.0] * len(ids), cached),
         ):
             ranking = rank_similar(scores, ids[q], top=len(ids), components=comps)
             got = [(value, entity_id) for entity_id, value in ranking.entries]
