@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
@@ -99,18 +100,14 @@ FLAGS = {
 CONFIG_ONLY = {"column_mode": str, "excluded_column_patterns": list, "schema": list}
 
 
-class Subcommand:
+class Subcommand(NamedTuple):
     """A subcommand: its function and help text, the flags it needs, then the
     files and values it reads if given (as flags or config keys)."""
 
-    def __init__(
-        self,
-        run: Callable[[RunConfig], int],
-        help: str,
-        needs: tuple[str, ...],
-        reads: tuple[str, ...] = (),
-    ):
-        self.run, self.help, self.needs, self.reads = run, help, needs, reads
+    run: Callable[[RunConfig], int]
+    help: str
+    needs: tuple[str, ...]
+    reads: tuple[str, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -449,23 +446,30 @@ SUBCOMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        config = resolve_config(args)
-        return SUBCOMMANDS[args.command].run(config)
-    except StatspaceError as exc:
-        return _fail(exc, exc.exit_code)
-    except OSError as exc:
-        return _fail(exc, DataError.exit_code)
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(exc, NumericalError.exit_code)
-    except Exception as exc:
-        # only numpy raises its LinAlgError, so numpy is loaded if this is one
-        linalg = sys.modules.get("numpy.linalg")
-        if linalg is not None and isinstance(exc, linalg.LinAlgError):
+    """Run one subcommand and return its exit code. Its warnings are held
+    until it succeeds, then issued; a failure drops them, so its JSON line is
+    all it prints."""
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            argv = sys.argv[1:] if argv is None else list(argv)
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            config = resolve_config(args)
+            code = SUBCOMMANDS[args.command].run(config)
+        except StatspaceError as exc:
+            return _fail(exc, exc.exit_code)
+        except OSError as exc:
+            return _fail(exc, DataError.exit_code)
+        except (ValueError, ArithmeticError) as exc:
             return _fail(exc, NumericalError.exit_code)
-        return _fail(exc, StatspaceError.exit_code)  # a defect; still one JSON line
+        except Exception as exc:
+            # only numpy raises its LinAlgError, so numpy is loaded if this is one
+            linalg = sys.modules.get("numpy.linalg")
+            if linalg is not None and isinstance(exc, linalg.LinAlgError):
+                return _fail(exc, NumericalError.exit_code)
+            return _fail(exc, StatspaceError.exit_code)  # a defect; still one JSON line
+    for warning in held:
+        warnings.warn_explicit(warning.message, warning.category, warning.filename, warning.lineno)
+    return code
 
 
 def _fail(exc: Exception, code: int) -> int:

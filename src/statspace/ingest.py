@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from fnmatch import fnmatchcase
 from itertools import chain
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,32 +30,15 @@ from .table import StatTable, _duplicates
 COMBINED_TEAM_CODE = "TOT"
 
 
-class RawRecord:
+class RawRecord(NamedTuple):
     """One player row as parsed from CSV; stat values may be missing (None)."""
 
-    __slots__ = ("player_id", "player_name", "team_code", "games_played", "minutes_total", "stats")
-
-    def __init__(
-        self,
-        player_id: str,
-        player_name: str,
-        team_code: str,
-        games_played: int,
-        minutes_total: float,
-        stats: dict[str, float | None],
-    ):
-        _check_counts(player_id, games_played, minutes_total)
-        self.player_id = player_id
-        self.player_name = player_name
-        self.team_code = team_code
-        self.games_played = games_played
-        self.minutes_total = minutes_total
-        self.stats = stats
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not RawRecord:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    player_id: str
+    player_name: str
+    team_code: str
+    games_played: int
+    minutes_total: float
+    stats: dict[str, float | None]
 
 
 def _check_counts(player_id: str, games_played: int, minutes_total: float) -> None:

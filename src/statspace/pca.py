@@ -416,8 +416,10 @@ def model_to_json(model: PcaModel) -> str:
 def model_from_json(text: str) -> PcaModel:
     """Parse a model document written by :func:`model_to_json`.
 
-    A malformed document, or a missing or non-numeric field, raises
-    :class:`SchemaError`; a non-finite number raises :class:`ValidationError`.
+    A malformed document, a missing or non-numeric field, a
+    ``format_version`` other than the integer 1, or an ``n_samples`` outside
+    2 to 2**63 - 1 raises :class:`SchemaError`; a non-finite number raises
+    :class:`ValidationError`.
     """
     try:
         doc = json.loads(text)
@@ -425,14 +427,14 @@ def model_from_json(text: str) -> PcaModel:
         raise SchemaError(f"model is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("model must be a JSON object")
-    version = doc.get("format_version")
+    version = _model_count(doc, "format_version", 1)
     if version != MODEL_FORMAT_VERSION:
-        raise SchemaError(f"unsupported model format version: {version!r}")
+        raise SchemaError(f"unsupported model format version: {version}")
     std = _model_field(doc, "standardization", dict)
     stat_names = _model_field(std, "stat_names", list)
     if not all(isinstance(name, str) for name in stat_names):
         raise SchemaError("model field 'stat_names' must list strings")
-    n_samples = _model_field(doc, "n_samples", int)
+    n_samples = _model_count(doc, "n_samples", 2)
     return PcaModel(
         standardization=StandardizationParams(
             stat_names=stat_names,
@@ -455,6 +457,14 @@ def _model_field(doc: dict, key: str, kind: type | None = None):
         raise SchemaError(
             f"model field {key!r} is a {type(value).__name__}, expected a {kind.__name__}"
         )
+    return value
+
+
+def _model_count(doc: dict, key: str, low: int) -> int:
+    """An integer model field from ``low`` to below 2**63."""
+    value = _model_field(doc, key, int)
+    if not low <= value < 2**63:
+        raise SchemaError(f"model field {key!r} must be an integer from {low} to below 2**63")
     return value
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,36 +35,15 @@ RANK_TOL = 1e-10
 INTERCEPT_NAME = "intercept"
 
 
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """Coefficient table plus fit summary for one OLS regression."""
 
-    __slots__ = (
-        "term_names", "coefficients", "std_errors", "p_values", "r_squared", "df_residual"
-    )
-
-    def __init__(
-        self,
-        term_names: list[str],
-        coefficients: np.ndarray,
-        std_errors: np.ndarray,
-        p_values: np.ndarray,
-        r_squared: float,
-        df_residual: int,
-    ):
-        self.term_names = term_names
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.std_errors = np.asarray(std_errors, dtype=float)
-        self.p_values = np.asarray(p_values, dtype=float)
-        self.r_squared = r_squared
-        self.df_residual = df_residual
-        q = len(term_names)
-        for name in ("coefficients", "std_errors", "p_values"):
-            if getattr(self, name).shape != (q,):
-                raise ValidationError(f"{name} length does not match term_names")
-        if df_residual <= 0:
-            raise ValidationError("df_residual must be positive")
-        if not 0.0 <= r_squared <= 1.0:
-            raise ValidationError("r_squared must lie in [0, 1]")
+    term_names: list[str]
+    coefficients: np.ndarray
+    std_errors: np.ndarray
+    p_values: np.ndarray
+    r_squared: float
+    df_residual: int
 
 
 def fit_ols(

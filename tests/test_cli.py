@@ -195,6 +195,27 @@ class TestDroppedColumn:
         assert not (out / "scree.csv").exists() and not (out / "model.json").exists()
 
 
+    def test_failure_drops_the_warning(self, tmp_path, capsys, recwarn):
+        # the dropped column is warned of only when the command succeeds
+        players = self._with_constant_column(tmp_path)
+        diagnostic = fails(
+            capsys, 2, "fit", "--input", str(players), "--out", str(tmp_path / "out"),
+            "--k", "1000",
+        )
+        assert diagnostic["error"] == f"k must be in [1, {len(STATS)}], got 1000"
+        assert not recwarn.list
+
+    def test_fresh_process_warns_only_on_success(self, tmp_path):
+        players = self._with_constant_column(tmp_path)
+        fit = ("-m", "statspace.cli", "fit", "--input", str(players), "--out", str(tmp_path / "o"))
+        failed = _python(*fit, "--k", "1000")
+        assert (failed.returncode, failed.stdout) == (2, "")
+        assert _one_error_line(failed.stderr)["exit_code"] == 2
+        done = _python(*fit)
+        assert (done.returncode, done.stdout) == (0, "")
+        assert "UserWarning: dropping zero-variance columns: ['const']" in done.stderr
+
+
 def _every_stat_constant(tmp_path) -> Path:
     """The test players file with every stat cell 5."""
     lines = players_csv_text().splitlines()
@@ -729,7 +750,9 @@ class TestEmit:
             cli._emit(config, "scores", columns)
             return 0
 
-        monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", emit_bad)
+        monkeypatch.setitem(
+            cli.SUBCOMMANDS, "fit", cli.SUBCOMMANDS["fit"]._replace(run=emit_bad)
+        )
         diagnostic = fails(
             capsys, 4,
             "fit", "--input", str(players_csv), "--out", str(out), "--format", "json",
@@ -1972,6 +1995,26 @@ class TestBadFiles:
         diagnostic = self._score_fails(doc, players_csv, tmp_path, capsys)
         assert "n_samples" in diagnostic["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("format_version", True, id="version-true"),
+            pytest.param("format_version", 1.0, id="version-float"),
+            pytest.param("format_version", [[0] * 100] * 10, id="version-nested-list"),
+            pytest.param("format_version", 10**400, id="version-huge"),
+            pytest.param("n_samples", 10**400, id="n_samples-huge"),
+            pytest.param("n_samples", 2**63, id="n_samples-2**63"),
+        ],
+    )
+    def test_model_integer_field_of_another_value(
+        self, players_csv, tmp_path, capsys, field, value
+    ):
+        # each of these loaded as a version-1 model, or printed the whole value
+        doc = self._model_doc(players_csv, tmp_path, capsys)
+        doc[field] = value
+        diagnostic = self._score_fails(doc, players_csv, tmp_path, capsys)
+        assert field in diagnostic["error"] and len(diagnostic["error"]) < 200
+
     def test_model_repeated_stat_name(self, players_csv, tmp_path, capsys, monkeypatch):
         doc = self._model_doc(players_csv, tmp_path, capsys)
         names = doc["standardization"]["stat_names"]
@@ -2215,7 +2258,9 @@ class TestLastResort:
         def broken(config):
             raise RuntimeError("not a StatspaceError")
 
-        monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", broken)
+        monkeypatch.setitem(
+            cli.SUBCOMMANDS, "fit", cli.SUBCOMMANDS["fit"]._replace(run=broken)
+        )
         diagnostic = fails(
             capsys, 1, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o")
         )
@@ -2238,7 +2283,9 @@ class TestNumericalExit:
         def singular(config):
             raise error("Singular matrix")
 
-        monkeypatch.setattr(cli.SUBCOMMANDS["fit"], "run", singular)
+        monkeypatch.setitem(
+            cli.SUBCOMMANDS, "fit", cli.SUBCOMMANDS["fit"]._replace(run=singular)
+        )
         diagnostic = fails(
             capsys, 4, "fit", "--input", str(players_csv), "--out", str(tmp_path / "o")
         )
@@ -2414,3 +2461,42 @@ class TestOverflow:
             assert (done.returncode, done.stdout) == (code, "")
             assert _one_error_line(done.stderr)["exit_code"] == code
         assert not (out / f"teams.{fmt}").exists() and not (out / f"scree.{fmt}").exists()
+
+
+class TestWarningThenFailure:
+    """A command that warns of the players left out of the membership file,
+    then fails, prints its one JSON line and no warning."""
+
+    def _three_teams(self, players_csv, membership_csv, tmp_path, capsys) -> list[str]:
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out))[0] == 0
+        header, *rows = membership_csv.read_text(encoding="utf-8").splitlines()
+        teams = sorted(set(_teams(membership_csv)))[:3]
+        three = tmp_path / "three_teams.csv"
+        kept = [row for row in rows if row.split(",")[1] in teams]
+        three.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+        return [
+            "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--membership", str(three), "--out", str(out),
+        ]
+
+    def test_regress_on_three_teams(self, players_csv, membership_csv, tmp_path, capsys, recwarn):
+        common = self._three_teams(players_csv, membership_csv, tmp_path, capsys)
+        winpct = tmp_path / "winpct.csv"
+        codes = sorted(set(_teams(membership_csv)))
+        winpct.write_text("".join(f"{code},0.5\n" for code in codes), encoding="utf-8")
+        recwarn.clear()
+        diagnostic = fails(capsys, 3, "regress", *common, "--winpct", str(winpct))
+        assert diagnostic["error"] == "need more than 5 observations for 5 terms, got 3"
+        assert not recwarn.list
+
+    def test_overflowing_weights_on_three_teams(
+        self, players_csv, membership_csv, tmp_path, capsys, recwarn
+    ):
+        common = self._three_teams(players_csv, membership_csv, tmp_path, capsys)
+        recwarn.clear()
+        diagnostic = fails(capsys, 4, "teams", *common, "--weights", "1=1e308,2=1e308")
+        assert diagnostic["error"] == (
+            "weighted score of ['PC1', 'PC2'] overflows to a non-finite value"
+        )
+        assert not recwarn.list
