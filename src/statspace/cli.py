@@ -308,7 +308,7 @@ def cmd_fit(config: RunConfig) -> int:
 
     store = _store(config)
     table = store.table()
-    params, standardized = pca.standardize(table, drop_constant=True)
+    params, standardized = pca.standardize(table)
     if config.k is not None:
         model = pca.fit_pca(standardized, config.k, params)
         model_path = _out_file(config, "model", "json")
@@ -356,7 +356,7 @@ def cmd_scores(config: RunConfig) -> int:
             "entity_id": players.entity_ids,
             "entity_name": players.entity_names,
             "minutes": players.minutes,
-            "scores": players.values,
+            "scores": players,
         },
     )
     return 0
@@ -381,7 +381,7 @@ def cmd_teams(config: RunConfig) -> int:
     columns = {
         "team_code": teams.entity_ids,
         "total_minutes": teams.minutes,
-        "scores": teams.values,
+        "scores": teams,
     }
     if win_pct is not None:
         columns["win_pct"] = win_pct

@@ -82,7 +82,7 @@ class DomainError(NumericalError):
     """A numerical function was evaluated outside its domain."""
 
 
-def listed(items: list, limit: int = 10) -> str:
-    """``items`` for a message: the first ``limit``, then how many more."""
-    more = len(items) - limit
-    return f"{items[:limit]} and {more} more" if more > 0 else f"{items}"
+def listed(items: list) -> str:
+    """``items`` for a message: the first ten, then how many more."""
+    more = len(items) - 10
+    return f"{items[:10]} and {more} more" if more > 0 else f"{items}"

@@ -23,9 +23,12 @@ from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from .table import StatTable
 
 Target = str | Path | IO[str]
 _READ_BLOCK = 1 << 16  # bytes per read of read_bytes
@@ -161,16 +164,16 @@ def write_records(destination: Target, records: Sequence[Mapping[str, object]]) 
     write_table(destination, columns, "csv")
 
 
-def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) -> None:
+def write_table(destination: Target, columns: Mapping[str, list | StatTable], fmt: str) -> None:
     """Write a table, given column by column, as ``fmt`` ("csv" or "json").
 
-    Each column holds one value per row: a str, int or float; a 1-D numpy
-    array is taken as its ``tolist()``. The component scores are an n x k
-    numpy array or memoryview of floats, taken a component at a time. JSON is
+    Each column is a list of one value per row (a str, int or float), or a
+    :class:`StatTable`, whose rows are written a list per row under the key
+    and whose columns, in CSV, under its ``stat_names``. JSON is
     ``json.dumps(rows, indent=2) + "\\n"`` of the row dicts, byte for byte; a
     NaN or infinite float raises ValueError before anything is written. CSV
-    has a header of the keys, the score lists spread over ``PC1..PCk``, then
-    one ``csv.writer`` line per row, floats as ``repr(float(v))``; no rows
+    has a header of the keys and the tables' column names, then one
+    ``csv.writer`` line per row, floats as ``repr(float(v))``; no rows
     writes an empty file. Each column is converted once, by C functions
     mapped over it, and one ``%`` template per row places the cells.
     """
@@ -180,23 +183,20 @@ def write_table(destination: Target, columns: Mapping[str, Sequence], fmt: str) 
     numbers: list[list[float]] = []  # the cells that hold floats
     for key, column in columns.items():
         name = "    " + encode_basestring_ascii(key).replace("%", "%%") + ": "
-        if getattr(column, "ndim", 1) == 2:
-            k = column.shape[1]
-            header += [f"PC{j + 1}" for j in range(k)]
-            items = "[\n      " + ",\n      ".join(["%r"] * k) + "\n    ]" if k else "[]"
-            fields.append(name + items)
-            scores = _components(column)
-            cells += scores
-            numbers += scores
-        else:
-            if hasattr(column, "tolist"):
-                column = column.tolist()
+        if isinstance(column, list):
             values, is_float = _cells(column, fmt)
             header.append(key)
             fields.append(name + ("%r" if is_float else "%s"))
             cells.append(values)
             numbers += [values] if is_float else []
-    n = len(next(iter(columns.values()))) if columns else 0
+        else:
+            header += column.stat_names
+            items = ",\n      ".join(["%r"] * column.n_stats)
+            fields.append(name + "[\n      " + items + "\n    ]")
+            scores = _components(column.values)
+            cells += scores
+            numbers += scores
+    n = len(cells[0]) if cells else 0
     if fmt != "json":
         with opened(destination, "w") as fh:
             if n:

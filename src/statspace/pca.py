@@ -129,15 +129,13 @@ class PcaModel:
         return self.loadings.shape[0]
 
 
-def standardize(
-    table: StatTable, *, drop_constant: bool = False
-) -> tuple[StandardizationParams, np.ndarray]:
+def standardize(table: StatTable) -> tuple[StandardizationParams, np.ndarray]:
     """Center each column to mean 0 and scale to sample variance 1.
 
-    Constant columns cannot be scaled: they raise :class:`ZeroVarianceError`
-    unless ``drop_constant`` is set, in which case they are removed and
-    reported via :mod:`warnings` (compare ``params.stat_names`` against
-    ``table.stat_names`` to see what was kept).
+    Constant columns cannot be scaled, so they are removed and reported via
+    :mod:`warnings` (compare ``params.stat_names`` against
+    ``table.stat_names`` to see what was kept); a table with no column left
+    raises :class:`ZeroVarianceError`.
     """
     if table.n_entities < 2:
         raise ValidationError("standardization needs at least 2 rows")
@@ -147,12 +145,10 @@ def standardize(
         stds = _finite(values.std(axis=0, ddof=1), "standard deviation", names)
     constant = np.flatnonzero(stds == 0.0)
     if constant.size:
-        bad = listed([names[j] for j in constant])
-        if not drop_constant:
-            raise ZeroVarianceError(f"zero-variance columns: {bad}")
         keep = np.flatnonzero(stds != 0.0)
         if keep.size == 0:
             raise ZeroVarianceError("all columns have zero variance")
+        bad = listed([names[j] for j in constant])
         warnings.warn(f"dropping zero-variance columns: {bad}", stacklevel=2)
         values = values[:, keep]
         stds = stds[keep]

@@ -26,7 +26,9 @@ class StatTable:
     anything else becomes a float numpy array, whose values must all be
     finite. Rows keep their input order and columns their source's order:
     the CSV header's for statistics, which fixes the component coefficient
-    order downstream, and ``PC1`` to ``PCk`` for scores.
+    order downstream; for scores, the component names ``pca.project``
+    gives, which teams keep. ``files.write_table`` writes the columns under
+    ``stat_names``.
     """
 
     __slots__ = ("entity_ids", "entity_names", "minutes", "stat_names", "values")

@@ -273,7 +273,7 @@ def test_criterion_8_reference_dataset_claims():
             parse_csv(os.path.join(root, "players.csv")), FilterPolicy(min_games=41)
         )
     )
-    params, Z = standardize(table, drop_constant=True)
+    params, Z = standardize(table)
     model = fit_pca(Z, 4, params)
 
     ratios = explained_variance_ratio(model)

@@ -93,7 +93,7 @@ class TestFit:
         table = ingest.build_table(
             ingest.apply_filter(records, ingest.FilterPolicy(min_games=41))
         )
-        params, standardized = pca.standardize(table, drop_constant=True)
+        params, standardized = pca.standardize(table)
         model = pca.fit_pca(standardized, 4, params)
         assert (out / "model.json").read_text(encoding="utf-8") == pca.model_to_json(model)
 
@@ -752,7 +752,9 @@ class TestEmit:
         (out / "scores.json").write_text("old\n", encoding="utf-8")
 
         def emit_bad(config):
-            columns = {"entity_id": ["p01"], "scores": np.array([[0.5, bad, 1.5]])}
+            values = memoryview(np.array([[0.5, bad, 1.5]]))  # unchecked, as a cache gives it
+            scores = statspace.StatTable(["p01"], ["p01"], [0.0], ["PC1", "PC2", "PC3"], values)
+            columns = {"entity_id": ["p01"], "scores": scores}
             cli._emit(config, "scores", columns)
             return 0
 
@@ -1741,7 +1743,8 @@ class TestColdStart:
         # the players file's record
         out = tmp_path / "out"
         _settle(players_csv)
-        argvs = {argv[0]: argv for argv in _chain(players_csv, membership_csv, tmp_path, out, "csv")}
+        chain = _chain(players_csv, membership_csv, tmp_path, out, "csv")
+        argvs = {argv[0]: argv for argv in chain}
         _run_chain(capsys, argvs.values())
         script = textwrap.dedent(
             """
@@ -1982,6 +1985,95 @@ class TestModelFile:
         else:
             assert err == ""
 
+
+
+class TestDamagedFiles:
+    """Any damage to a membership or win% file, a cache or the players
+    file's record ends in a documented exit, and a damaged cache or record
+    is a miss that writes a cold run's bytes."""
+
+    MUTATIONS = ("truncate", "flip", "quote", "nul", "bom", "cr", "huge", "semicolon")
+    INSERTED = {"quote": b'"', "nul": b"\0", "bom": b"\xef\xbb\xbf", "cr": b"\r"}
+    INPUTS = ("membership.csv", "winpct.csv")  # beside --out; the other files are in it
+    # the command that reads each file, and the output it writes
+    READERS = {
+        "membership.csv": ("teams", "teams.csv"),
+        "winpct.csv": ("regress", "regression.csv"),
+        CACHE: ("scree", "scree.csv"),
+        SCORES: ("scores", "scores.csv"),
+        RECORD: ("scores", "scores.csv"),
+    }
+
+    @classmethod
+    def _mutated(cls, data: bytes, kind: str, at: int, payload: int) -> bytes:
+        """``data`` with one ``kind`` of damage at or after ``at``, taken
+        modulo its length; ``payload`` is a byte flip's mask, or a huge
+        number's choice of text."""
+        at %= len(data) + 1
+        if kind == "truncate":
+            return data[:at]
+        if kind == "flip":
+            at %= max(len(data), 1)
+            return data[:at] + bytes(b ^ payload for b in data[at : at + 1]) + data[at + 1 :]
+        if kind == "huge":  # in place of the next number, or inserted if none follows
+            number = re.compile(rb"[0-9][0-9.]*").search(data, at)
+            end = number.end() if number else at
+            huge = (b"1e999", b"9" * 400, b"-1e308")[payload % 3]
+            return data[: number.start() if number else at] + huge + data[end:]
+        if kind == "semicolon":
+            return data.replace(b",", b";")
+        return data[:at] + cls.INSERTED[kind] + data[at:]
+
+    @classmethod
+    def _where(cls, tmp_path: Path, name: str) -> Path:
+        return tmp_path / name if name in cls.INPUTS else tmp_path / "out" / name
+
+    @pytest.fixture
+    def cold(self, players_csv, membership_csv, tmp_path, capsys):
+        """The argvs of a CSV chain into ``out``, and the bytes of the
+        membership and win% files and of each file a cold run of it wrote."""
+        chain = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
+        argvs = {argv[0]: argv for argv in chain}
+        _settle(players_csv)  # so that the record is trusted
+        _run_chain(capsys, argvs.values())
+        inputs = {name: (tmp_path / name).read_bytes() for name in self.INPUTS}
+        return argvs, _files(tmp_path / "out") | inputs
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        damage=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16), st.integers(1, 255)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_ends_in_a_documented_exit(self, cold, tmp_path, capsys, name, damage):
+        argvs, written = cold
+        command, output = self.READERS[name]
+        out = tmp_path / "out"
+        for other, data in written.items():  # every file as the cold run left it
+            self._where(tmp_path, other).write_bytes(data)
+        data = written[name]
+        for kind, at, payload in damage:
+            data = self._mutated(data, kind, at, payload)
+        self._where(tmp_path, name).write_bytes(data)
+        (out / output).unlink()
+        code = main(argvs[command])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if name.startswith("."):  # a miss, or a hit on the same contents
+            assert (code, captured.err) == (0, "")
+            assert (out / output).read_bytes() == written[output]
+        elif code:
+            assert code in (2, 3, 4), captured.err
+            assert _one_error_line(captured.err)["exit_code"] == code
+        else:
+            assert captured.err == ""
 
 def test_readme_flags_table_matches_the_tables():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -54,13 +54,9 @@ CASES = {
         "non-positive std dev for columns: ",
         lambda tmp_path: StandardizationParams(NAMES, np.zeros(25), np.zeros(25)),
     ),
-    "zero-variance": (
-        "zero-variance columns: ",
-        lambda tmp_path: standardize(_constant_columns()),
-    ),
     "dropping-zero-variance": (  # a warning
         "dropping zero-variance columns: ",
-        lambda tmp_path: standardize(_constant_columns(), drop_constant=True),
+        lambda tmp_path: standardize(_constant_columns()),
     ),
     "table-lacks-model-columns": (
         "table lacks model columns: ",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from statspace import files
+from statspace import StatTable, files, team_scores
 from statspace.errors import ParseError
 
 
@@ -196,16 +196,23 @@ def tables(draw):
         "entity_id": draw(st.lists(table_texts, min_size=n, max_size=n)),
         "component": list(range(1, n + 1)),
         "minutes": draw(st.lists(table_floats, min_size=n, max_size=n)),
-        "scores": scores,
+        "scores": _scores(scores),
     }
     if draw(st.booleans()):  # a float column after the scores, as in teams
         columns["win_pct"] = draw(st.lists(table_floats, min_size=n, max_size=n))
     return columns, _rows(columns)
 
 
+def _scores(values) -> StatTable:
+    """Scores as ``pca.project`` names them, ``PC1`` to ``PCk``."""
+    n, k = values.shape
+    ids = [f"e{i}" for i in range(n)]
+    return StatTable(ids, ids, [0.0] * n, [f"PC{j + 1}" for j in range(k)], values)
+
+
 def _rows(columns):
     """The table of ``columns`` as row dicts, each score row a list."""
-    lists = {key: c.tolist() if key == "scores" else c for key, c in columns.items()}
+    lists = {key: c.values.tolist() if key == "scores" else c for key, c in columns.items()}
     return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
 
@@ -227,7 +234,10 @@ class TestWriteTable:
         columns = {
             "entity_id": ["a", "b"],
             "minutes": [1.0, value if where == "minutes" else 2.0],
-            "scores": np.array([[0.5, 1.5], [2.5, value if where == "scores" else 3.5]]),
+            # over a memoryview, which is kept unchecked as the projection cache gives it
+            "scores": _scores(
+                memoryview(np.array([[0.5, 1.5], [2.5, value if where == "scores" else 3.5]]))
+            ),
             "win_pct": [0.5, value if where == "after" else 0.25],
         }
         with pytest.raises(ValueError) as want:
@@ -237,3 +247,16 @@ class TestWriteTable:
             files.write_table(path, columns, "json")
         assert str(got.value) == str(want.value)
         assert not path.exists()
+
+    def test_header_names_the_tables_columns(self):
+        players = StatTable(
+            ["p1", "p2", "p3"], ["One", "Two", "Three"], [10.0, 20.0, 30.0],
+            ["PC1", "PC3"], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        )
+        teams = team_scores(players, {"p1": "NYK", "p2": "BOS", "p3": "NYK"})
+        out = io.StringIO()
+        files.write_table(
+            out, {"team_code": teams.entity_ids, "total_minutes": teams.minutes, "scores": teams},
+            "csv",
+        )
+        assert out.getvalue().splitlines()[0] == "team_code,total_minutes,PC1,PC3"

@@ -722,7 +722,9 @@ class TestStatTable:
             -12, 12, size=(5, 4)
         )
         minutes = [100.0 * i + 0.125 for i in range(5)]
-        columns = {"entity_id": [f"p{i}" for i in range(5)], "minutes": minutes, "scores": values}
+        ids = [f"p{i}" for i in range(5)]
+        scores = StatTable(ids, ids, minutes, ["PC1", "PC2", "PC3", "PC4"], values)
+        columns = {"entity_id": ids, "minutes": minutes, "scores": scores}
         path = tmp_path / "table.csv"
         files.write_table(path, columns, "csv")
         with open(path, newline="", encoding="utf-8") as fh:

@@ -17,7 +17,6 @@ from statspace import (
     SchemaError,
     StatTable,
     ValidationError,
-    ZeroVarianceError,
     component_spectrum,
     explained_variance_ratio,
     fit_pca,
@@ -79,15 +78,10 @@ class TestStandardize:
         assert np.abs(Z.mean(axis=0)).max() < 1e-12 * scale
         assert np.abs(Z.var(axis=0, ddof=1) - 1.0).max() < 1e-10
 
-    def test_constant_column_error_names_column(self):
-        table = make_table({"s1": [1.0, 2.0, 3.0], "flat": [5.0, 5.0, 5.0]})
-        with pytest.raises(ZeroVarianceError, match="flat"):
-            standardize(table)
-
     def test_constant_column_dropped_with_warning(self):
         table = make_table({"s1": [1.0, 2.0, 3.0], "flat": [5.0, 5.0, 5.0]})
         with pytest.warns(UserWarning, match="flat"):
-            params, Z = standardize(table, drop_constant=True)
+            params, Z = standardize(table)
         assert params.stat_names == ["s1"]
         assert Z.shape == (3, 1)
 
