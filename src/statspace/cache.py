@@ -5,10 +5,12 @@ Each holds one ``StatTable``. ``.statspace-table`` holds the players
 table: the players file parsed, filtered and built. ``.statspace-scores``
 holds one model's projection of that table: the players' ids, names and
 minutes, and their n x k scores under the component names ``pca`` gave
-them. A process asks one ``Store`` for both; where it finds the key it
-would compute, it reads the file instead of doing the work again. Each
-cache is looked up with one read of its file, hit or miss, and a process
-reads the players file at most once.
+them, keyed by the table's key and the model file's bytes: as ``fit``
+wrote them, or as the subcommand that projected read them. A process asks
+one ``Store`` for both; where it finds the key it would compute, it reads
+the file instead of doing the work again. Each cache is looked up with one
+read of its file, hit or miss, and a process reads the players file at
+most once.
 
 Both files have one format, which one ``_save`` writes. The first line is
 the key (a BLAKE2b digest of what decides the contents) and a CRC-32 of the
@@ -96,7 +98,7 @@ def table_key(schema: Sequence[str], policy: FilterPolicy, players: str) -> str:
     return _digest(json.dumps(doc).encode())
 
 
-def scores_key(table: str, model: bytearray) -> str:
+def scores_key(table: str, model: bytes) -> str:
     """A digest of the table's key, the model file's bytes and the source
     that reads the model and projects the table."""
     doc = [table, _digest(model), _digest((_HERE / "pca.py").read_bytes())]
@@ -104,15 +106,14 @@ def scores_key(table: str, model: bytearray) -> str:
 
 
 def _save(path: Path, key: str, table: StatTable) -> None:
-    """Write ``table`` to ``path`` under ``key``; its values may be any
-    buffer of floats. Each label list is joined into one string: encoding
-    the labels one by one (as JSON does) leaves small objects behind that
-    raise the process's peak memory."""
-    view = memoryview(table.values)
+    """Write ``table`` to ``path`` under ``key``; its values are a
+    C-contiguous buffer of floats, as every table here holds. Each label
+    list is joined into one string: encoding the labels one by one (as JSON
+    does) leaves small objects behind that raise the process's peak memory."""
     labels = (table.entity_ids, table.entity_names, table.stat_names)
     arrays = ["\0".join(names).encode() for names in labels]
     arrays.append(memoryview(array("d", table.minutes)).cast("B"))
-    arrays.append(view.cast("B") if view.c_contiguous else view.tobytes())
+    arrays.append(memoryview(table.values).cast("B"))
     sizes = " ".join(str(len(data)) for data in arrays)
     used = len(key) + 10 + len(sizes) + 1  # the key line is the key, a space, 8 hex digits, "\n"
     pieces = [(sizes + " " * (-used % _ALIGN) + "\n").encode()]
@@ -273,11 +274,13 @@ class Store:
             _save(self._out / SCORES, scores_key(self._key, data), scores)
         return scores
 
-    def keep_scores(self, model: Path, project: Callable[[], StatTable]) -> None:
-        """Cache ``project()``, the players' scores on the model saved at
-        ``model``, if the players file is cached; else read and call nothing."""
+    def keep_scores(self, model: bytes, project: Callable[[], StatTable]) -> None:
+        """Cache ``project()``, the players' scores on the model whose file
+        bytes ``pca.save_model`` returned as ``model``, if the players file
+        is cached; else call nothing. The key is of those bytes, not of the
+        file read back, which may have been replaced since."""
         if self._key is not None:
-            _save(self._out / SCORES, scores_key(self._key, files.read_bytes(model)), project())
+            _save(self._out / SCORES, scores_key(self._key, model), project())
 
 
 def _identity(status: os.stat_result) -> tuple[int, ...] | None:

@@ -311,9 +311,8 @@ def cmd_fit(config: RunConfig) -> int:
     params, standardized = pca.standardize(table)
     if config.k is not None:
         model = pca.fit_pca(standardized, config.k, params)
-        model_path = _out_file(config, "model", "json")
-        pca.save_model(model, model_path)
-        store.keep_scores(model_path, lambda: pca.project(model, table, standardized))
+        written = pca.save_model(model, _out_file(config, "model", "json"))
+        store.keep_scores(written, lambda: pca.project(model, table, standardized))
     spectrum = pca.component_spectrum(standardized)
     total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()

@@ -213,12 +213,13 @@ def write_table(destination: Target, columns: Mapping[str, list | StatTable], fm
 
 
 def _components(matrix) -> list[list[float]]:
-    """The columns of an n x k numpy array or memoryview of floats, one
-    list per component, with no list per row."""
-    if isinstance(matrix, memoryview):
-        flat = matrix.cast("B").cast("d").tolist()
-        return [flat[j :: matrix.shape[1]] for j in range(matrix.shape[1])]
-    return matrix.T.tolist()
+    """The columns of an n x k C-contiguous numpy array or memoryview of
+    floats, one list per component: its buffer read as one flat list, with
+    no list per row. No rows gives k empty lists."""
+    n, k = matrix.shape
+    # memoryview casts no view with a 0 in its shape
+    flat = memoryview(matrix).cast("B").cast("d").tolist() if n else []
+    return [flat[j::k] for j in range(k)]
 
 
 def _cells(column: Sequence, fmt: str) -> tuple[Sequence, bool]:

@@ -162,14 +162,18 @@ def standardize(table: StatTable) -> tuple[StandardizationParams, np.ndarray]:
     return params, params.apply(values)
 
 
-def _check_centered(standardized: np.ndarray) -> None:
+def _covariance(Z: np.ndarray) -> np.ndarray:
+    """The p x p sample covariance ``(Z.T @ Z) / (n - 1)`` of the n x p
+    data ``Z``, whose columns must have mean 0, else
+    :class:`ParameterError`."""
     # the largest magnitude, without an n x p array of magnitudes
-    scale = max(1.0, float(max(standardized.max(), -standardized.min())))
-    worst = float(np.abs(standardized.mean(axis=0)).max())
+    scale = max(1.0, float(max(Z.max(), -Z.min())))
+    worst = float(np.abs(Z.mean(axis=0)).max())
     if worst > 1e-8 * scale:
         raise ParameterError(
             f"input columns must have mean 0 (worst column mean {worst:.3e})"
         )
+    return (Z.T @ Z) / (Z.shape[0] - 1)
 
 
 def _orient_sign(vector: np.ndarray) -> np.ndarray:
@@ -204,9 +208,7 @@ def fit_pca(
         )
     if not 1 <= k <= min(n - 1, p):
         raise ParameterError(f"k must be in [1, {min(n - 1, p)}], got {k}")
-    _check_centered(Z)
-
-    cov = (Z.T @ Z) / (n - 1)
+    cov = _covariance(Z)
     total_variance = float(np.trace(cov))
 
     if method == "eig":
@@ -309,9 +311,7 @@ def _orthogonal_completion(previous: list[np.ndarray], p: int) -> np.ndarray:
 
 def component_spectrum(standardized: np.ndarray) -> np.ndarray:
     """All p component variances, descending (for scree reporting)."""
-    Z = np.asarray(standardized, dtype=float)
-    _check_centered(Z)
-    cov = (Z.T @ Z) / (Z.shape[0] - 1)
+    cov = _covariance(np.asarray(standardized, dtype=float))
     return np.maximum(np.linalg.eigvalsh(cov)[::-1], 0.0)
 
 
@@ -492,8 +492,12 @@ def _model_numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
     return values
 
 
-def save_model(model: PcaModel, destination: files.Target) -> None:
-    files.write_text(destination, model_to_json(model))
+def save_model(model: PcaModel, destination: files.Target) -> bytes:
+    """Write :func:`model_to_json` of ``model`` to ``destination``, and
+    return the bytes written: that text as UTF-8."""
+    text = model_to_json(model)
+    files.write_text(destination, text)
+    return text.encode()
 
 
 def load_model(source: files.Target | bytearray) -> PcaModel:

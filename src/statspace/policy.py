@@ -39,13 +39,6 @@ class FilterPolicy:
         self.column_mode = column_mode
         self.excluded_column_patterns = list(excluded_column_patterns)
 
-    def __repr__(self) -> str:
-        settings = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"FilterPolicy({settings})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FilterPolicy) and vars(self) == vars(other)
-
 
 Roles = tuple[str | None, str, str, str, str]
 

@@ -23,12 +23,12 @@ class StatTable:
     """Entities-by-columns matrix with each entity's name and minutes.
 
     ``values`` is n x p: a 2-D memoryview of floats is kept as given, and
-    anything else becomes a float numpy array, whose values must all be
-    finite. Rows keep their input order and columns their source's order:
-    the CSV header's for statistics, which fixes the component coefficient
-    order downstream; for scores, the component names ``pca.project``
-    gives, which teams keep. ``files.write_table`` writes the columns under
-    ``stat_names``.
+    anything else becomes a C-contiguous float numpy array, whose values
+    must all be finite. Rows keep their input order and columns their
+    source's order: the CSV header's for statistics, which fixes the
+    component coefficient order downstream; for scores, the component
+    names ``pca.project`` gives, which teams keep. ``files.write_table``
+    writes the columns under ``stat_names``.
     """
 
     __slots__ = ("entity_ids", "entity_names", "minutes", "stat_names", "values")
@@ -44,7 +44,7 @@ class StatTable:
         if not isinstance(values, memoryview):
             import numpy as np
 
-            values = np.asarray(values, dtype=float)
+            values = np.ascontiguousarray(values, dtype=float)
         self.entity_ids = entity_ids
         self.entity_names = entity_names
         self.minutes = minutes

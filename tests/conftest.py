@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from statspace import RawTable
+
 TEAMS = ["ATL", "BOS", "CHI", "DEN", "GSW", "HOU", "MIA", "NYK"]
 STATS = [
     "pts_per48",
@@ -93,3 +95,18 @@ def fitted_pipeline(players_csv):
     params, standardized = pca.standardize(table)
     model = pca.fit_pca(standardized, 4, params)
     return table, params, standardized, model
+
+
+def assert_same_outcome(got, want):
+    """``got`` is the parse outcome ``want``: the same exception type and
+    message, or a RawTable with the same labels and the same array bits."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert isinstance(got, RawTable), got
+    for name in ("player_ids", "player_names", "team_codes", "stat_names"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("games_played", "minutes_total", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name

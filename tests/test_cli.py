@@ -1,12 +1,15 @@
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +22,7 @@ import statspace
 from statspace import cache, cli, files, ingest, pca, scoring
 from statspace.cli import main
 
-from conftest import STATS, membership_csv_text, players_csv_text
+from conftest import STATS, assert_same_outcome, membership_csv_text, players_csv_text
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -1363,6 +1366,33 @@ class TestProjectionCache:
         self._like_fresh(capsys, monkeypatch, tmp_path, self._scores(players_csv, model))
         assert read_rows(out / "scores.csv")[0][-1] == "PC3"
 
+    def test_model_replaced_after_fit_wrote_it(self, players_csv, tmp_path, capsys, monkeypatch):
+        # fit keys its projection by the bytes it wrote, so another model
+        # put in their place at once does not take that projection
+        out, other = tmp_path / "out", tmp_path / "other"
+        self._fit(capsys, players_csv, other, "--k", "3")
+        replacement = (other / "model.json").read_bytes()
+        save_model = pca.save_model
+
+        def save_then_replace(model, destination):
+            written = save_model(model, destination)
+            Path(destination).write_bytes(replacement)
+            return written
+
+        monkeypatch.setattr(pca, "save_model", save_then_replace)
+        self._fit(capsys, players_csv, out)
+        argv = self._scores(players_csv, out / "model.json")
+        self._like_fresh(capsys, monkeypatch, tmp_path, argv)
+        assert read_rows(out / "scores.csv")[0][-1] == "PC3"
+
+    def test_cold_fit_opens_the_model_once_to_write_it(
+        self, players_csv, tmp_path, capsys, monkeypatch
+    ):
+        opened = _count_opens(monkeypatch)
+        self._fit(capsys, players_csv, tmp_path / "out")
+        models = [Path(path).name for path in opened if "model.json" in Path(path).name]
+        assert len(models) == 1 and models[0].startswith(".model.json."), models  # the new file
+
     def test_other_config(self, players_csv, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         self._fit(capsys, players_csv, out, "--min-games", "0")
@@ -1863,8 +1893,10 @@ class TestConfigFile:
         config.write_text(json.dumps({key: values[key]}), encoding="utf-8")
 
         def resolved(*argv):
+            """The resolved config, its filter policy as its settings."""
             args = cli.build_parser(command).parse_args([command, *given, *argv])
-            return cli.resolve_config(args)
+            run_config = cli.resolve_config(args)
+            return run_config._replace(filter=vars(run_config.filter))
 
         by_flag = resolved("--" + key.replace("_", "-"), str(values[key]))
         assert by_flag == resolved("--config", str(config))
@@ -2063,9 +2095,15 @@ class TestDamagedFiles:
             data = self._mutated(data, kind, at, payload)
         self._where(tmp_path, name).write_bytes(data)
         (out / output).unlink()
-        code = main(argvs[command])
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            code = main(argvs[command])
         captured = capsys.readouterr()
         assert captured.out == ""
+        # a membership file that lost a player's row excludes the player
+        excluded = "players without team membership, excluded: "
+        assert all(str(w.message).startswith(excluded) for w in held), held
+        assert not held or name == "membership.csv"
         if name.startswith("."):  # a miss, or a hit on the same contents
             assert (code, captured.err) == (0, "")
             assert (out / output).read_bytes() == written[output]
@@ -2074,6 +2112,76 @@ class TestDamagedFiles:
             assert _one_error_line(captured.err)["exit_code"] == code
         else:
             assert captured.err == ""
+
+class TestDamagedPlayersFile:
+    """Any damage to the players file ends ``fit`` in a documented exit;
+    where numpy's C pass reads the damaged bytes, it reads the table that
+    the csv loop reads."""
+
+    # damage to one row: a cell emptied or made n/a, the last cell dropped,
+    # or the name quoted over two lines
+    ROW_MUTATIONS = ("empty", "n/a", "short", "newline")
+    MUTATIONS = TestDamagedFiles.MUTATIONS + ROW_MUTATIONS
+
+    @classmethod
+    def _mutated(cls, data: bytes, kind: str, at: int, payload: int) -> bytes:
+        """``data`` with one ``kind`` of damage: a row mutation to line
+        ``at`` and cell ``payload``, taken modulo their counts."""
+        if kind not in cls.ROW_MUTATIONS:
+            return TestDamagedFiles._mutated(data, kind, at, payload)
+        lines = data.split(b"\n")
+        cells = lines[at % len(lines)].split(b",")
+        if kind == "short":
+            cells = cells[:-1]
+        elif kind == "newline":
+            cells[min(1, len(cells) - 1)] = b'"Last\nFirst"'
+        else:
+            cells[payload % len(cells)] = b"" if kind == "empty" else b"n/a"
+        lines[at % len(lines)] = b",".join(cells)
+        return b"\n".join(lines)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        damage=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16), st.integers(1, 255)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    @example(damage=[("empty", 2, 7)])  # a stat cell: the C pass declines, the build refuses
+    @example(damage=[("n/a", 2, 7)])  # loadtxt refuses, the loop reads NaN
+    @example(damage=[("short", 5, 1)])
+    @example(damage=[("newline", 5, 1)])  # valid CSV the C pass leaves to the loop
+    def test_fit_ends_in_a_documented_exit(self, players_csv, tmp_path, capsys, damage):
+        data = players_csv.read_bytes()
+        for kind, at, payload in damage:
+            data = self._mutated(data, kind, at, payload)
+        players, out = tmp_path / "damaged.csv", tmp_path / "out"
+        players.write_bytes(data)
+        shutil.rmtree(out, ignore_errors=True)  # each fit is cold
+        argv = ["fit", "--input", str(players), "--out", str(out)]
+        with warnings.catch_warnings(record=True):  # damage can leave a column constant
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), captured.err
+        if code:
+            fails(capsys, code, *argv)  # a second run fails alike, with one JSON line
+        else:
+            assert (captured.out, captured.err) == ("", "")
+        roles = ingest._roles(ingest.DEFAULT_SCHEMA)
+        try:
+            fast = ingest._parse_fast(bytearray(data), roles, None)
+        except ValueError:  # a row or cell loadtxt rejects: the loop reads the file
+            fast = None
+        if fast is not None:
+            stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+            assert_same_outcome(fast, ingest._parse_rows(stream, roles, None))
+
 
 def test_readme_flags_table_matches_the_tables():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -192,6 +192,8 @@ def tables(draw):
     scores = np.array(
         draw(st.lists(st.lists(table_floats, min_size=k, max_size=k), min_size=n, max_size=n))
     ).reshape(n, k)
+    if draw(st.booleans()):  # as the projection cache gives the scores
+        scores = memoryview(scores)
     columns = {
         "entity_id": draw(st.lists(table_texts, min_size=n, max_size=n)),
         "component": list(range(1, n + 1)),

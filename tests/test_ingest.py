@@ -27,6 +27,8 @@ from statspace import (
     parse_csv,
 )
 
+from conftest import assert_same_outcome
+
 SCHEMA4 = ("name", "team", "gp", "min")
 
 
@@ -224,19 +226,6 @@ def _outcome(parse, text):
         return exc
 
 
-def _assert_same_outcome(got, want):
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want), (got, want)
-        return
-    assert isinstance(got, RawTable), got
-    for name in ("player_ids", "player_names", "team_codes", "stat_names"):
-        assert getattr(got, name) == getattr(want, name), name
-    for name in ("games_played", "minutes_total", "values"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
-
-
 # Cells that loadtxt and csv.reader(strict=True) read differently, or that
 # loadtxt rejects, when written as they are.
 RAW_CELLS = ['"x"y', '"1"2', '"x" ', '"1" ', '"x', 'x"y', ' "x"', "a\x00b", '""', '"1,5"']
@@ -372,11 +361,11 @@ class TestFastPath:
         want = loop if isinstance(loop, Exception) else _kept_columns(loop, policy)
         fast = _fast(text, roles, policy)
         if fast is not None:
-            _assert_same_outcome(fast, want)
+            assert_same_outcome(fast, want)
         got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), schema, policy), text)
-        _assert_same_outcome(got, want)
+        assert_same_outcome(got, want)
         if policy is not None and isinstance(loop, RawTable):
-            _assert_same_outcome(apply_filter(got, policy), apply_filter(loop, policy))
+            assert_same_outcome(apply_filter(got, policy), apply_filter(loop, policy))
 
     @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
     def test_taken_for_quoted_doubled_quote_names(self, monkeypatch, schema):
@@ -410,7 +399,7 @@ class TestFastPath:
         want = _kept_columns(_loop(text, ingest._roles(DEFAULT_SCHEMA)), policy)
         monkeypatch.setattr(ingest, "_parse_rows", _no_loop)
         table = parse_csv(io.StringIO(text, newline=""), DEFAULT_SCHEMA, policy)
-        _assert_same_outcome(table, want)
+        assert_same_outcome(table, want)
         assert table.player_names[::3] == ["Doe, Jr.", "\u0110or\u0111e Ko"]
         assert table.team_codes == ["BOS", "NYK", "ATL", "TOT", "LAL"]
         assert table.stat_names == ["a_rate", "c_rate"]
@@ -432,7 +421,7 @@ class TestFastPath:
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert ingest._parse_fast(bytearray(text.encode()), ROLES5, None) is None
-        _assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
+        assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
 
     @pytest.mark.parametrize("missing", ["n/a", "NA"])
     def test_unparseable_cell_in_dropped_column_keeps_fast_path(self, monkeypatch, missing):
@@ -449,7 +438,7 @@ class TestFastPath:
             raise AssertionError("the csv loop ran")
 
         monkeypatch.setattr(ingest, "_parse_rows", loop)
-        _assert_same_outcome(parse_csv(io.StringIO(text, newline=""), SCHEMA5, policy), want)
+        assert_same_outcome(parse_csv(io.StringIO(text, newline=""), SCHEMA5, policy), want)
 
     @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
     def test_label_in_last_column_drops_line_end(self, schema):
@@ -471,7 +460,7 @@ class TestFastPath:
         assert _fast(text) is None
         want = _outcome(_loop, text)
         got = _outcome(lambda t: parse_csv(io.StringIO(t), SCHEMA5), text)
-        _assert_same_outcome(got, want)
+        assert_same_outcome(got, want)
 
     def test_declines_field_over_size_limit(self):
         text = f"pid,name,team,gp,min,a\np1,{'N' * 80},BOS,50,1200,1.0\n"
