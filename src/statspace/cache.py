@@ -26,17 +26,20 @@ numpy: the table cache's values are handed to numpy, and checked finite,
 but the projection cache's stay a memoryview, so a process that finds the
 projection cached never imports numpy.
 
-The keys are digests of content, and the players file is the one large
-input. So whoever digests it writes ``.statspace-players`` beside the
-caches: one line with the digest, the file's device, inode, size and
-modification and change times, and a CRC-32 of the rest of the line. A
-later process whose ``stat`` of the file gives the same five fields takes
-the digest from there and does not open the file, but only if the file's
-times are older than the record's own modification time (git's "racy git"
-rule): a file changed within the same timestamp step as the record was
-written could keep all five fields. A whole-second modification time
-marks a file system that keeps coarse times; there the file must be two
-seconds older.
+The keys are digests of content: the players input is keyed by the bytes
+a process read from it, so a pipe such as ``<(zcat players.csv.gz)`` is
+cached as a file of the same bytes is. The players file is the one large
+input. So whoever digests a regular one writes ``.statspace-players``
+beside the caches: one line with the digest, the file's device, inode,
+size and modification and change times, and a CRC-32 of the rest of the
+line. A pipe has no such identity and gets no record: each process reads
+it and digests its bytes. A later process whose ``stat`` of the file
+gives the same five fields takes the digest from there and does not open
+the file, but only if the file's times are older than the record's own
+modification time (git's "racy git" rule): a file changed within the
+same timestamp step as the record was written could keep all five
+fields. A whole-second modification time marks a file system that keeps
+coarse times; there the file must be two seconds older.
 """
 
 from __future__ import annotations
@@ -186,10 +189,11 @@ class Store:
     for the players table and the players' scores.
 
     The file is keyed by the digest recorded in ``out`` where that record
-    vouches for it, else by its bytes, which are then kept for the parse
-    unless the table proves cached. Only a regular file is cached. The
-    record is written once a cache is written or found, so that a command
-    that fails in the parse leaves nothing behind.
+    vouches for it, else by the digest of its bytes, which are then kept for
+    the parse unless the table proves cached. A pipe is keyed by its bytes
+    as a file is, and is never recorded. The record is written once a cache
+    is written or found, so that a command that fails in the parse leaves
+    nothing behind.
     """
 
     def __init__(self, players: Path, out: Path, schema: Sequence[str], policy: FilterPolicy):
@@ -208,13 +212,14 @@ class Store:
             before = _identity(os.fstat(fh.fileno()))
             self._data = files.read_all(fh)
             after = _identity(os.fstat(fh.fileno()))
-        self._digest = None if before is None else _digest(self._data)
-        self._key = None if before is None else table_key(*self._decides, self._digest)
+        self._digest = _digest(self._data)
+        self._key = table_key(*self._decides, self._digest)
         self._to_record = before if before == after else None  # not if changed while read
 
     def _remember(self) -> None:
         """Record the digest for later processes, if this one computed it
-        from a regular file that did not change while it was read."""
+        from a file that has an identity to record (a regular file, not a
+        pipe) and that did not change while it was read."""
         if self._to_record is not None:
             line = " ".join([self._digest, *map(str, self._to_record)]).encode()
             _put(self._out / PLAYERS, [line, b" %08x\n" % zlib.crc32(line)])
@@ -231,7 +236,7 @@ class Store:
         is the one the key names. A hit drops them once it has loaded the table.
         """
         path = self._out / TABLE
-        table = None if self._key is None else load_table(path, self._key)
+        table = load_table(path, self._key)
         if table is not None:
             self._data = None  # a hit needs the bytes no more
             self._remember()
@@ -244,9 +249,8 @@ class Store:
         records = ingest.parse_csv(self._data, schema, policy)  # empties the bytes
         records = ingest.apply_filter(records, policy)
         table = ingest.build_table(records)
-        if self._key is not None:
-            _save(path, self._key, table)
-            self._remember()
+        _save(path, self._key, table)
+        self._remember()
         return table
 
     def scores(self, model: Path, check: Callable[[int], None]) -> StatTable:
@@ -259,32 +263,30 @@ class Store:
         hit has the k of the model it was projected on.
         """
         data = files.read_bytes(model)
-        if self._key is not None:
-            found = load_scores(self._out / SCORES, scores_key(self._key, data))
-            if found is not None:
-                check(found.n_stats)
-                self._remember()
-                return found
+        found = load_scores(self._out / SCORES, scores_key(self._key, data))
+        if found is not None:
+            check(found.n_stats)
+            self._remember()
+            return found
         from . import pca
 
         fitted = pca.load_model(data)
         check(fitted.k)
         scores = pca.transform(fitted, self.table())
-        if self._key is not None:  # table() may have keyed the file anew from its bytes
-            _save(self._out / SCORES, scores_key(self._key, data), scores)
+        self.keep_scores(data, scores)  # table() may have keyed the file anew from its bytes
         return scores
 
-    def keep_scores(self, model: bytes, project: Callable[[], StatTable]) -> None:
-        """Cache ``project()``, the players' scores on the model whose file
-        bytes ``pca.save_model`` returned as ``model``, if the players file
-        is cached; else call nothing. The key is of those bytes, not of the
-        file read back, which may have been replaced since."""
-        if self._key is not None:
-            _save(self._out / SCORES, scores_key(self._key, model), project())
+    def keep_scores(self, model: bytes, scores: StatTable) -> None:
+        """Cache ``scores``, the players' scores on the model whose file
+        bytes are ``model``: those ``pca.save_model`` returned, or those a
+        miss in ``scores`` read. The key is of those bytes, not of the file read
+        back, which may have been replaced since."""
+        _save(self._out / SCORES, scores_key(self._key, model), scores)
 
 
 def _identity(status: os.stat_result) -> tuple[int, ...] | None:
-    """The identity fields of a regular file's ``status``, else None."""
+    """The identity fields of a regular file's ``status``, to record; None
+    for a pipe or any other file, which has no lasting identity."""
     if not stat.S_ISREG(status.st_mode):
         return None
     return tuple(getattr(status, name) for name in _STAT_FIELDS)

@@ -312,7 +312,7 @@ def cmd_fit(config: RunConfig) -> int:
     if config.k is not None:
         model = pca.fit_pca(standardized, config.k, params)
         written = pca.save_model(model, _out_file(config, "model", "json"))
-        store.keep_scores(written, lambda: pca.project(model, table, standardized))
+        store.keep_scores(written, pca.project(model, table, standardized))
     spectrum = pca.component_spectrum(standardized)
     total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -13,6 +15,7 @@ import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -600,8 +603,25 @@ class TestValueChecks:
                 ["teams", "--membership", "m.csv", "--weights", " , "],
                 "--weights needs entries like 2=0.17, got ' , '",
             ),
+            (["similar", "--query", "p01", "--components", "x"], "bad --components value: 'x'"),
+            (
+                ["similar", "--query", "p01", "--components", "0"],
+                "--components needs 1-based component numbers",
+            ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", "2:1"],
+                "bad --weights entry '2:1'; expected like 2=0.17",
+            ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", "0=1"],
+                "--weights needs 1-based component numbers",
+            ),
         ],
-        ids=["top", "k", "min-games", "repeated-weight", "empty-weights", "only-commas"],
+        ids=[
+            "top", "k", "min-games", "repeated-weight", "empty-weights", "only-commas",
+            "components-not-a-number", "component-zero", "weight-without-equals",
+            "weight-component-zero",
+        ],
     )
     def test_before_any_input_is_read(
         self, players_csv, tmp_path, capsys, monkeypatch, argv, message
@@ -1267,25 +1287,31 @@ class TestTableCache:
         assert (out / CACHE).exists() and not (out / RECORD).exists()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
-    def test_players_from_a_pipe_are_read_once_and_not_cached(
-        self, players_csv, tmp_path, capsys
-    ):
-        # one read of the pipe serves the parse, which must not wait for a
-        # writer that never comes; a pipe is never cached
-        pipe = tmp_path / "players.pipe"
-        os.mkfifo(pipe)
-        feed = threading.Thread(target=pipe.write_bytes, args=(players_csv.read_bytes(),))
-        feed.daemon = True  # a child that never opens the pipe leaves it waiting
-        feed.start()
+    def test_players_from_a_pipe_are_read_once_and_cached(self, players_csv, tmp_path, capsys):
+        # one read of the pipe serves the key and the parse, which must not
+        # wait for a writer that never comes; the pipe is cached by its
+        # content, as the file of its bytes is, but has nothing to record
         out = tmp_path / "out"
-        done = _python("-m", "statspace.cli", "fit", "--input", str(pipe), "--out", str(out))
+        with _fifo(tmp_path / "players.pipe", players_csv.read_bytes()) as pipe:
+            done = _python("-m", "statspace.cli", "fit", "--input", str(pipe), "--out", str(out))
         assert (done.returncode, done.stderr) == (0, "")
-        feed.join(timeout=10)
-        assert not feed.is_alive()
-        assert sorted(p.name for p in out.iterdir()) == ["model.json", "scree.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [SCORES, CACHE, "model.json", "scree.csv"]
         self._fit(capsys, players_csv, tmp_path / "file")
-        for name in ("model.json", "scree.csv"):
-            assert (out / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+        for name in (SCORES, CACHE, "model.json", "scree.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+
+
+@contextlib.contextmanager
+def _fifo(path: Path, data: bytes) -> Iterator[Path]:
+    """A named pipe made at ``path``, which a thread feeds ``data`` once a
+    reader opens it; by the block's end, the feed must have ended."""
+    os.mkfifo(path)
+    feed = threading.Thread(target=path.write_bytes, args=(data,))
+    feed.daemon = True  # a reader that never opens the pipe leaves it waiting
+    feed.start()
+    yield path
+    feed.join(timeout=10)
+    assert not feed.is_alive()
 
 
 class TestProjectionCache:
@@ -1466,24 +1492,35 @@ class TestProjectionCache:
         assert sorted(p.name for p in out.iterdir()) == [RECORD, CACHE, "scree.csv"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
-    def test_players_from_a_pipe_write_no_projection(self, players_csv, tmp_path, capsys):
-        fitted = tmp_path / "fitted"
-        self._fit(capsys, players_csv, fitted)
-        pipe = tmp_path / "players.pipe"
-        os.mkfifo(pipe)
-        feed = threading.Thread(target=pipe.write_bytes, args=(players_csv.read_bytes(),))
-        feed.daemon = True  # a child that never opens the pipe leaves it waiting
-        feed.start()
-        out = tmp_path / "out"
-        argv = ["scores", "--input", str(pipe), "--model", str(fitted / "model.json")]
-        done = _python("-m", "statspace.cli", *argv, "--out", str(out))
+    def test_players_from_a_pipe_hit_the_projection_fit_kept(
+        self, players_csv, tmp_path, capsys
+    ):
+        # scores fed the bytes fit was fed, through a new pipe, keys them
+        # alike: it reads the pipe once and neither parses nor projects
+        out, data = tmp_path / "out", players_csv.read_bytes()
+        with _fifo(tmp_path / "fit.pipe", data) as pipe:
+            done = _python("-m", "statspace.cli", "fit", "--input", str(pipe), "--out", str(out))
         assert (done.returncode, done.stderr) == (0, "")
-        feed.join(timeout=10)
-        assert not feed.is_alive()
-        assert sorted(p.name for p in out.iterdir()) == ["scores.csv"]
+        script = textwrap.dedent(
+            """
+            import sys
+            from statspace import cli, ingest, pca
+
+            def refused(*args, **kwargs):
+                raise AssertionError("the players were parsed or projected")
+
+            ingest.parse_csv = pca.transform = refused
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        )
+        with _fifo(tmp_path / "scores.pipe", data) as pipe:
+            argv = ["scores", "--input", str(pipe), "--model", str(out / "model.json")]
+            done = _python("-c", script, *argv, "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert RECORD not in {p.name for p in out.iterdir()}
         argv[2] = str(players_csv)
-        assert run(capsys, *argv, "--out", str(fitted)) == (0, "")
-        assert (out / "scores.csv").read_bytes() == (fitted / "scores.csv").read_bytes()
+        assert run(capsys, *argv, "--out", str(tmp_path / "file")) == (0, "")
+        assert (out / "scores.csv").read_bytes() == (tmp_path / "file" / "scores.csv").read_bytes()
 
     @pytest.mark.parametrize("cached", [True, False], ids=["hit", "miss"])
     @pytest.mark.parametrize(
@@ -2289,6 +2326,7 @@ class TestBadFiles:
             ("directory", "cannot be read: "),
             ("not-utf8", "cannot be read: "),
             ("bad-json", "is not valid JSON: "),
+            ("not-an-object", "must hold a JSON object"),
         ],
     )
     def test_config_file_that_cannot_be_read(self, players_csv, tmp_path, capsys, case, message):
@@ -2300,6 +2338,8 @@ class TestBadFiles:
             config.write_bytes(b'{"k": "\xff"}')
         elif case == "bad-json":
             config.write_text("{k: 4}", encoding="utf-8")
+        elif case == "not-an-object":
+            config.write_text("[]", encoding="utf-8")
         diagnostic = fails(
             capsys, 2, "fit", "--config", str(config),
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
@@ -2508,6 +2548,15 @@ class TestLastResort:
             "category": "internal",
             "exit_code": 1,
         }
+
+    def test_os_error_is_a_data_error(self, players_csv, tmp_path, capsys):
+        # a name longer than any file system takes fails as an OSError: on
+        # the existence check of --out, or where a Python answers that check
+        # False, on the directory's creation
+        out = tmp_path / ("o" * 300)
+        diagnostic = fails(capsys, 3, "fit", "--input", str(players_csv), "--out", str(out))
+        reason = os.strerror(errno.ENAMETOOLONG)
+        assert diagnostic["error"] == f"[Errno {errno.ENAMETOOLONG}] {reason}: {str(out)!r}"
 
 
 class TestNumericalExit:

@@ -125,10 +125,21 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 3"):
             parse_csv(source, SCHEMA4)
 
-    def test_negative_games_raised_by_parse(self):
-        source = io.StringIO("name,team,gp,min,pts48\nA,BOS,-1,1200,1.0\n")
-        with pytest.raises(ValidationError, match="games_played must be >= 0"):
-            parse_csv(source, SCHEMA4)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,BOS,-1,1200,1.0", "player 'A': games_played must be >= 0, got -1"),
+            ("A,BOS,50,-5,1.0", "player 'A': minutes_total must be >= 0, got -5.0"),
+        ],
+        ids=["games", "minutes"],
+    )
+    def test_negative_count_raised_by_parse(self, row, message):
+        # the fast path declines the file, so the loop's check raises
+        text = f"name,team,gp,min,pts48\n{row}\n"
+        assert ingest._parse_fast(bytearray(text.encode()), ingest._roles(SCHEMA4), None) is None
+        with pytest.raises(ValidationError) as raised:
+            parse_csv(bytearray(text.encode()), SCHEMA4)
+        assert str(raised.value) == message
 
     def test_lone_surrogate_in_a_text_stream_is_a_missing_cell(self):
         # such text cannot be encoded as UTF-8, so the loop reads it as text
@@ -690,6 +701,22 @@ class TestStatTable:
         with pytest.raises(ValidationError) as raised:
             build_table(parse_csv(source, SCHEMA4))
         assert str(raised.value) == "need at least 2 entities, got 1"
+
+    @pytest.mark.parametrize(
+        "stat_names, names, minutes, shape, message",
+        [
+            ([], ["A", "B"], [1.0, 2.0], (2, 0), "need at least 1 statistic column"),
+            (["s"], ["A"], [1.0, 2.0], (2, 1), "entity_ids, entity_names, minutes lengths differ"),
+            (["s"], ["A", "B"], [1.0], (2, 1), "entity_ids, entity_names, minutes lengths differ"),
+            (["s"], ["A", "B"], [1.0, 2.0], (2, 2), "values shape (2, 2) does not match (2, 1)"),
+            (["s"], ["A", "B"], [1.0, -2.0], (2, 1), "minutes must be >= 0"),
+        ],
+        ids=["no-column", "names-short", "minutes-short", "values-shape", "negative-minutes"],
+    )
+    def test_rejects_an_inconsistent_table(self, stat_names, names, minutes, shape, message):
+        with pytest.raises(ValidationError) as raised:
+            StatTable(["a", "b"], names, minutes, stat_names, np.ones(shape))
+        assert str(raised.value) == message
 
     def test_one_row_profile(self):
         table = StatTable(["BOS"], ["BOS"], [48.0], ["PC1", "PC2"], np.array([[1.0, -2.0]]))

@@ -336,6 +336,33 @@ class TestTransform:
         assert (transform(model, wider).values == transform(model, table).values).all()
 
 
+class TestGuards:
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("one-dimensional", ParameterError, "standardized input must be a 2-D matrix"),
+            (
+                "column-count",
+                SchemaError,
+                "matrix has 2 columns but standardization lists {p} names",
+            ),
+            ("unknown-method", ParameterError, "unknown method 'qr'; use 'eig' or 'power'"),
+            ("negative-count", ParameterError, "count must be >= 0, got -1"),
+        ],
+    )
+    def test_raise_typed_errors(self, fitted_pipeline, case, error, message):
+        _, params, Z, model = fitted_pipeline
+        call = {
+            "one-dimensional": lambda: fit_pca(Z[:, 0], 1, params),
+            "column-count": lambda: fit_pca(Z[:, :2], 1, params),
+            "unknown-method": lambda: fit_pca(Z, 1, params, method="qr"),
+            "negative-count": lambda: top_loadings(model, 0, count=-1),
+        }[case]
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message.format(p=len(STATS))
+
+
 class TestTopLoadings:
     def _model(self, coefficients):
         # fabricate a one-component model around the given loading vector

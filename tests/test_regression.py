@@ -152,6 +152,17 @@ class TestFitOls:
         )
 
 
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_all_zero_column_is_rank_deficient(self, zero):
+        # the QR pivots the zero column last and stops there, its diagonal 0
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, 3))
+        X[:, zero] = 0.0
+        with pytest.raises(RankDeficiencyError) as raised:
+            fit_ols(X, rng.normal(size=20))
+        assert str(raised.value) == f"design columns are linearly dependent: ['x{zero + 1}']"
+
+
 class TestTCdf:
     def test_center(self):
         for df in (1, 2, 30):

@@ -93,6 +93,13 @@ class TestRankSimilar:
         assert len(rank_similar(scores, "A", top=2).entries) == 2
         assert len(rank_similar(scores, "A", top=99).entries) == 2
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one(self, top):
+        scores = make_scores({"A": [0, 0, 0, 0], "B": [1, 0, 0, 0]})
+        with pytest.raises(ParameterError) as raised:
+            rank_similar(scores, "A", top=top)
+        assert str(raised.value) == f"top must be >= 1, got {top}"
+
     def test_unknown_query(self):
         scores = make_scores({"A": [0, 0, 0, 0], "B": [1, 0, 0, 0]})
         with pytest.raises(EntityLookupError, match="nobody"):
