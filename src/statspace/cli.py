@@ -101,10 +101,11 @@ CONFIG_ONLY = {"column_mode": str, "excluded_column_patterns": list, "schema": l
 
 
 class Subcommand(NamedTuple):
-    """A subcommand: its function and help text, the flags it needs, then the
-    files and values it reads if given (as flags or config keys)."""
+    """A subcommand: its step, which writes each of its outputs, and help
+    text, the flags it needs, then the files and values it reads if given
+    (as flags or config keys)."""
 
-    run: Callable[[RunConfig], int]
+    run: Callable[[RunConfig], None]
     help: str
     needs: tuple[str, ...]
     reads: tuple[str, ...] = ()
@@ -300,7 +301,7 @@ def _emit(config: RunConfig, stem: str, columns: dict) -> None:
     files.write_table(_out_file(config, stem), columns, config.output_format)
 
 
-def cmd_fit(config: RunConfig) -> int:
+def cmd_fit(config: RunConfig) -> None:
     """Fit and save the model and cache the players' scores on it, then
     write the scree data. ``scree`` runs this too: it reads no ``k``, so it
     fits no model."""
@@ -326,7 +327,6 @@ def cmd_fit(config: RunConfig) -> int:
             "cumulative_ratio": [c / total for c in cumulative],
         },
     )
-    return 0
 
 
 def _score_players(config: RunConfig) -> StatTable:
@@ -346,7 +346,7 @@ def _check_components(config: RunConfig, k: int) -> None:
             raise ParameterError(f"--{flag} numbers {beyond} out of range for k={k}")
 
 
-def cmd_scores(config: RunConfig) -> int:
+def cmd_scores(config: RunConfig) -> None:
     players = _score_players(config)
     _emit(
         config,
@@ -358,7 +358,6 @@ def cmd_scores(config: RunConfig) -> int:
             "scores": players,
         },
     )
-    return 0
 
 
 def _team_scores(config: RunConfig) -> tuple[StatTable, list[float] | None]:
@@ -374,7 +373,7 @@ def _team_scores(config: RunConfig) -> tuple[StatTable, list[float] | None]:
     return teams, scoring.team_win_pct(teams, win_pct)
 
 
-def cmd_teams(config: RunConfig) -> int:
+def cmd_teams(config: RunConfig) -> None:
     from . import scoring
     teams, win_pct = _team_scores(config)
     columns = {
@@ -387,36 +386,26 @@ def cmd_teams(config: RunConfig) -> int:
     if config.weights:
         columns["weighted_score"] = scoring.regression_weighted_score(teams, config.weights)
     _emit(config, "teams", columns)
-    return 0
 
 
-def cmd_similar(config: RunConfig) -> int:
+def cmd_similar(config: RunConfig) -> None:
     from . import similarity
     players = _score_players(config)
     ranking = similarity.rank_similar(
         players, config.query, config.top, config.components_for_sdi
     )
     names = dict(zip(players.entity_ids, players.entity_names))
-    path = _out_file(config, "similar")
-    if config.output_format == "json":
-        files.write_text(path, similarity.ranking_to_json(ranking, names))
-    else:
-        similarity.ranking_to_csv(ranking, names, path)
-    return 0
+    write = getattr(similarity, "ranking_to_" + config.output_format)
+    write(ranking, names, _out_file(config, "similar"))
 
 
-def cmd_regress(config: RunConfig) -> int:
+def cmd_regress(config: RunConfig) -> None:
     from . import regression
     teams, win_pct = _team_scores(config)
     fit = regression.fit_ols(teams.values, win_pct, term_names=teams.stat_names)
-    txt_path = _out_file(config, "regression", "txt")
-    files.write_text(txt_path, regression.summary_text(fit))
-    path = _out_file(config, "regression")
-    if config.output_format == "json":
-        files.write_text(path, regression.summary_json(fit))
-    else:
-        regression.summary_csv(fit, path)
-    return 0
+    regression.summary_text(fit, _out_file(config, "regression", "txt"))
+    write = getattr(regression, "summary_" + config.output_format)
+    write(fit, _out_file(config, "regression"))
 
 
 SUBCOMMANDS = {
@@ -453,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             argv = sys.argv[1:] if argv is None else list(argv)
             args = build_parser(argv[0] if argv else None).parse_args(argv)
             config = resolve_config(args)
-            code = SUBCOMMANDS[args.command].run(config)
+            SUBCOMMANDS[args.command].run(config)
         except StatspaceError as exc:
             return _fail(exc, exc.exit_code)
         except OSError as exc:
@@ -468,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _fail(exc, StatspaceError.exit_code)  # a defect; still one JSON line
     for warning in held:
         warnings.warn_explicit(warning.message, warning.category, warning.filename, warning.lineno)
-    return code
+    return 0
 
 
 def _fail(exc: Exception, code: int) -> int:

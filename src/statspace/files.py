@@ -8,8 +8,11 @@ TypeError. A path opened for writing is replaced atomically: readers see
 the old file or the whole new one, and a write that fails leaves the old
 file as it was.
 
-Numbers are written in shortest round-trip form, so a value read back is
-bit-identical: ``repr(float(v))`` in CSV, the same digits ``json`` writes.
+Every output is written in one call given its target: a table, given
+column by column, by :func:`write_table`, and any other text by
+:func:`write_text`. Numbers are written in shortest round-trip form, so a
+value read back is bit-identical: ``repr(float(v))`` in CSV, the same digits
+``json`` writes.
 """
 
 from __future__ import annotations
@@ -155,13 +158,6 @@ def to_json(doc) -> str:
     indent, and a final newline. A NaN or infinite float raises ValueError,
     since JSON has no such value."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def write_records(destination: Target, records: Sequence[Mapping[str, object]]) -> None:
-    """Write one CSV row per record, under a header of the first record's keys,
-    as :func:`write_table` writes the same columns."""
-    columns = {key: [record[key] for record in records] for key in records[0]} if records else {}
-    write_table(destination, columns, "csv")
 
 
 def write_table(destination: Target, columns: Mapping[str, list | StatTable], fmt: str) -> None:

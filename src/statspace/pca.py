@@ -367,13 +367,12 @@ def _finite(values: np.ndarray, stage: str, columns: list[str]) -> np.ndarray:
 
 
 def top_loadings(
-    model: PcaModel, component: int, count: int, threshold: float = 0.0
+    model: PcaModel, component: int, count: int
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
     """Strongest positive and negative coefficients of one component.
 
     Returns two lists of (stat_name, coefficient): the ``count`` most positive
-    and the ``count`` most negative, keeping only entries with
-    ``|coefficient| >= threshold``. Zero coefficients count as positive. Ties
+    and the ``count`` most negative. Zero coefficients count as positive. Ties
     preserve original column order.
     """
     if not 0 <= component < model.k:
@@ -381,14 +380,8 @@ def top_loadings(
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     pairs = list(zip(model.standardization.stat_names, model.loadings[component].tolist()))
-    positives = sorted(
-        (item for item in pairs if item[1] >= 0 and item[1] >= threshold),
-        key=lambda item: -item[1],
-    )
-    negatives = sorted(
-        (item for item in pairs if item[1] < 0 and -item[1] >= threshold),
-        key=lambda item: item[1],
-    )
+    positives = sorted((item for item in pairs if item[1] >= 0), key=lambda item: -item[1])
+    negatives = sorted((item for item in pairs if item[1] < 0), key=lambda item: item[1])
     return positives[:count], negatives[:count]
 
 

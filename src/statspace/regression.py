@@ -6,7 +6,8 @@ and so rank deficiency can be detected (and the offending columns named) from
 the R pivots. Two-sided p-values use the exact small-sample Student t
 distribution, computed as the tail itself so that tiny p-values keep their
 precision instead of rounding to 0. Both need numpy and the standard library
-only.
+only. ``summary_text``, ``summary_csv`` and ``summary_json`` each write a
+fit's coefficient table to the target they are given.
 """
 
 from __future__ import annotations
@@ -51,15 +52,14 @@ def fit_ols(
     outcome: Sequence[float],
     term_names: Sequence[str] | None = None,
 ) -> RegressionFit:
-    """Least-squares fit of ``outcome`` on an intercept and the design columns.
+    """Least-squares fit of ``outcome`` on an intercept and the columns of
+    the n x q matrix ``design``.
 
     ``term_names`` labels the predictor columns (defaults x1..xq); the
     intercept term always comes first. A constant outcome yields R-squared 0
     with a degenerate-outcome warning rather than an error.
     """
     X = np.asarray(design, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(outcome, dtype=float)
     n, q = X.shape
     if y.shape != (n,):
@@ -247,8 +247,8 @@ def _cot_fraction(z: float, df: float) -> float:
     raise NumericalError(f"t_cdf continued fraction did not converge in {MAX_TERMS} terms")
 
 
-def summary_text(fit: RegressionFit) -> str:
-    """Fixed-column human-readable coefficient table (3-decimal display)."""
+def summary_text(fit: RegressionFit, destination: files.Target) -> None:
+    """Write the fixed-column human-readable coefficient table (3-decimal display)."""
     width = max(len(name) for name in fit.term_names)
     width = max(width, len("Term"))
     lines = [
@@ -264,30 +264,29 @@ def summary_text(fit: RegressionFit) -> str:
     lines.append("")
     lines.append(f"R-squared: {fit.r_squared:.3f}")
     lines.append(f"Residual degrees of freedom: {fit.df_residual}")
-    return "\n".join(lines) + "\n"
+    files.write_text(destination, "\n".join(lines) + "\n")
 
 
-def _term_records(fit: RegressionFit) -> list[dict]:
-    return [
-        {
-            "term": name,
-            "coefficient": float(fit.coefficients[j]),
-            "std_error": float(fit.std_errors[j]),
-            "p_value": float(fit.p_values[j]),
-        }
-        for j, name in enumerate(fit.term_names)
-    ]
+def _term_columns(fit: RegressionFit) -> dict[str, list]:
+    return {
+        "term": fit.term_names,
+        "coefficient": fit.coefficients.tolist(),
+        "std_error": fit.std_errors.tolist(),
+        "p_value": fit.p_values.tolist(),
+    }
 
 
-def summary_json(fit: RegressionFit) -> str:
+def summary_json(fit: RegressionFit, destination: files.Target) -> None:
+    """Write the coefficient table's rows, R-squared and the residual df."""
+    columns = _term_columns(fit)
     doc = {
-        "terms": _term_records(fit),
+        "terms": [dict(zip(columns, row)) for row in zip(*columns.values())],
         "r_squared": fit.r_squared,
         "df_residual": fit.df_residual,
     }
-    return files.to_json(doc)
+    files.write_text(destination, files.to_json(doc))
 
 
 def summary_csv(fit: RegressionFit, destination: files.Target) -> None:
-    """Coefficient table as CSV with full-precision values."""
-    files.write_records(destination, _term_records(fit))
+    """Write the coefficient table as CSV with full-precision values."""
+    files.write_table(destination, _term_columns(fit), "csv")

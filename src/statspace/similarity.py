@@ -5,7 +5,8 @@ their component scores over a chosen component subset (every component of
 the scores by default); lower means more alike. Rankings are exact brute
 force over Python floats, which is plenty for tens of thousands, and this
 module imports no numpy: a CLI process that finds the projection cached
-ranks it without loading numpy at all.
+ranks it without loading numpy at all. ``ranking_to_csv`` and
+``ranking_to_json`` each write a ranking to the target they are given.
 """
 
 from __future__ import annotations
@@ -107,16 +108,14 @@ def rank_similar(
     )
 
 
-def _ranking_records(ranking: SdiRanking, names: Mapping[str, str]) -> list[dict]:
-    return [
-        {
-            "rank": rank,
-            "entity_id": entity_id,
-            "entity_name": names.get(entity_id, ""),
-            "sdi": value,
-        }
-        for rank, (entity_id, value) in enumerate(ranking.entries, start=1)
-    ]
+def _ranking_columns(ranking: SdiRanking, names: Mapping[str, str]) -> dict[str, list]:
+    ids = [entity_id for entity_id, _ in ranking.entries]
+    return {
+        "rank": list(range(1, len(ids) + 1)),
+        "entity_id": ids,
+        "entity_name": [names.get(entity_id, "") for entity_id in ids],
+        "sdi": [value for _, value in ranking.entries],
+    }
 
 
 def ranking_to_csv(
@@ -125,13 +124,19 @@ def ranking_to_csv(
     destination: files.Target,
 ) -> None:
     """Write ``rank, entity_id, entity_name, sdi`` rows, full precision."""
-    files.write_records(destination, _ranking_records(ranking, names))
+    files.write_table(destination, _ranking_columns(ranking, names), "csv")
 
 
-def ranking_to_json(ranking: SdiRanking, names: Mapping[str, str]) -> str:
+def ranking_to_json(
+    ranking: SdiRanking,
+    names: Mapping[str, str],
+    destination: files.Target,
+) -> None:
+    """Write the query id, the components used and the ranked entries as JSON."""
+    columns = _ranking_columns(ranking, names)
     doc = {
         "query_id": ranking.query_id,
         "components_used": sorted(ranking.components_used),
-        "entries": _ranking_records(ranking, names),
+        "entries": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
-    return files.to_json(doc)
+    files.write_text(destination, files.to_json(doc))

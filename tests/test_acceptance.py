@@ -281,7 +281,7 @@ def test_criterion_8_reference_dataset_claims():
     for ratio, share in zip(ratios, (0.42, 0.12, 0.09, 0.04)):
         assert abs(ratio - share) <= 0.02
 
-    positives, _ = top_loadings(model, 0, count=1, threshold=0.0)
+    positives, _ = top_loadings(model, 0, count=1)
     assert positives[0][0] == "Contested Rebounds"
     assert abs(positives[0][1] - 0.177) <= 0.005
 

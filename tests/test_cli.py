@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import errno
@@ -1654,6 +1655,45 @@ class TestProcessEntry:
         assert (done.returncode, done.stdout, done.stderr) == (3, out, err)
 
 
+class TestTracedChain:
+    """The benchmark's traced run (``perfbench/workloads.py``) rebinds
+    library functions by name, so a program change that renames one, or
+    stops calling it through its module, would leave its spans uncounted."""
+
+    # Spans of each wrapped name, and the calls counted, in the fixture chain
+    # run once in CSV and once in JSON. fit keeps the players' scores, so no
+    # later subcommand loads the model or projects.
+    SPANS = {
+        "ingest.parse_csv": 2, "ingest.apply_filter": 2, "ingest.build_table": 2,
+        "pca.standardize": 4, "pca.fit_pca": 2, "pca.component_spectrum": 4,
+        "pca.transform": 0, "pca.load_model": 0, "pca.save_model": 2,
+        "scoring.load_membership": 4, "scoring.load_win_pct": 4, "scoring.team_scores": 4,
+        "scoring.regression_weighted_score": 2, "similarity.rank_similar": 2,
+        "similarity.emit": 2, "regression.fit_ols": 2, "regression.emit": 4,
+    }
+    COUNTS = {
+        "ingest.parse_calls": 2, "ingest.rows_parsed": 40, "ingest.rows_kept": 34,
+        "ingest.cells_parsed": 440, "pca.eigendecompositions": 6,
+        "similarity.pairs_evaluated": 32, "regression.t_cdf_calls": 10,
+    }
+
+    def test_every_wrapped_name_is_called_as_before(
+        self, players_csv, membership_csv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        import workloads
+
+        tracer = spans.Tracer()
+        with spans.installed(workloads.layer_patches(tracer)):  # every name must exist
+            for fmt in ("csv", "json"):
+                out = tmp_path / fmt
+                _run_chain(capsys, _chain(players_csv, membership_csv, tmp_path, out, fmt))
+        seen = collections.Counter(span.name for span in tracer.spans)
+        assert {name: seen[name] for name in workloads.SPANS if name != "cli.main"} == self.SPANS
+        assert tracer.counts == self.COUNTS
+
+
 class TestColdStart:
     def test_no_subcommand_loads_scipy(self, players_csv, membership_csv, tmp_path):
         # a fresh process, with scipy importable: this one has imported it already
@@ -2022,6 +2062,43 @@ class TestModelFile:
                 doc[last] = value
         except (KeyError, IndexError, TypeError):
             pass  # an earlier change removed or replaced the field's container
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc.update(loadings=[row[:-1] for row in doc["loadings"]]),
+             "loading length does not match stat_names"),
+            (lambda doc: doc["component_variances"].pop(),
+             "component_variances length does not match loadings"),
+            (lambda doc: doc.update(total_variance=0), "total_variance must be positive"),
+            (lambda doc: doc["loadings"].__setitem__(1, doc["loadings"][0]),
+             "loading vectors must be pairwise orthogonal"),
+            (lambda doc: doc["component_variances"].__setitem__(-1, -1.0),
+             "component variances must be nonnegative"),
+            (lambda doc: doc["component_variances"].reverse(),
+             "component variances must be non-increasing"),
+        ],
+        ids=["loading-short", "variance-dropped", "total-zero", "loadings-repeated",
+             "variance-negative", "variances-reversed"],
+    )
+    def test_inconsistent_shapes_are_data_errors(
+        self, players_csv, tmp_path, capsys, change, message
+    ):
+        """A model whose fields disagree with each other fails ``scores``
+        with exit 3 and writes no scores; one field's change at a time, as
+        the fuzz below makes, never builds these."""
+        out = tmp_path / "out"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(out)) == (0, "")
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        change(doc)
+        model = tmp_path / "changed.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        diagnostic = fails(
+            capsys, 3,
+            "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out),
+        )
+        assert diagnostic["error"] == message
+        assert not (out / "scores.csv").exists()
 
     @settings(
         max_examples=150,
@@ -2491,6 +2568,18 @@ class TestBadFiles:
         diagnostic = fails(capsys, 3, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
         assert diagnostic["category"] == "data"
         assert "0xe9" in diagnostic["error"]
+        assert not (tmp_path / "o").exists()
+
+    def test_players_header_not_utf8(self, tmp_path, capsys):
+        data = players_csv_text().replace("player_name", "player_n\xe9me", 1).encode("latin-1")
+        # the fast path declines a header it cannot decode and leaves the bytes whole
+        unread = bytearray(data)
+        assert ingest._parse_fast(unread, ingest._roles(ingest.DEFAULT_SCHEMA), None) is None
+        assert unread == data
+        players = tmp_path / "players.csv"
+        players.write_bytes(data)
+        diagnostic = fails(capsys, 3, "fit", "--input", str(players), "--out", str(tmp_path / "o"))
+        assert diagnostic["error"].endswith("not UTF-8 text: byte 0xe9 (invalid continuation byte)")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("role", ["players", "membership", "winpct"])

@@ -15,7 +15,7 @@ from statspace.errors import ParseError
 class TestAtomicWrite:
     def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "scores.csv"
-        files.write_records(path, [{"entity_id": "p01", "minutes": 900.0}])
+        files.write_table(path, {"entity_id": ["p01"], "minutes": [900.0]}, "csv")
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="partway"):
             with files.opened(path, "w") as fh:

@@ -348,6 +348,8 @@ class TestGuards:
             ),
             ("unknown-method", ParameterError, "unknown method 'qr'; use 'eig' or 'power'"),
             ("negative-count", ParameterError, "count must be >= 0, got -1"),
+            ("one-row", ValidationError, "standardization needs at least 2 rows"),
+            ("one-sample", ValidationError, "n_samples must be >= 2"),
         ],
     )
     def test_raise_typed_errors(self, fitted_pipeline, case, error, message):
@@ -357,6 +359,11 @@ class TestGuards:
             "column-count": lambda: fit_pca(Z[:, :2], 1, params),
             "unknown-method": lambda: fit_pca(Z, 1, params, method="qr"),
             "negative-count": lambda: top_loadings(model, 0, count=-1),
+            "one-row": lambda: standardize(StatTable(["a"], ["a"], [1.0], ["s"], np.ones((1, 1)))),
+            "one-sample": lambda: PcaModel(
+                model.standardization, model.loadings, model.component_variances,
+                model.total_variance, n_samples=1,
+            ),
         }[case]
         with pytest.raises(error) as raised:
             call()
@@ -383,23 +390,16 @@ class TestTopLoadings:
             n_samples=10,
         )
 
-    def test_threshold_filter_and_order(self):
-        model = self._model([0.9, -0.3, 0.05])
-        positives, negatives = top_loadings(model, 0, count=2, threshold=0.1)
-        assert [name for name, _ in positives] == ["s1"]
-        assert [name for name, _ in negatives] == ["s2"]
-        assert positives[0][1] > 0 > negatives[0][1]
-
     def test_zero_threshold_partitions_all(self):
         model = self._model([0.5, -0.5, 0.0, 0.25])
-        positives, negatives = top_loadings(model, 0, count=4, threshold=0.0)
+        positives, negatives = top_loadings(model, 0, count=4)
         names = [n for n, _ in positives] + [n for n, _ in negatives]
         assert sorted(names) == ["s1", "s2", "s3", "s4"]
         assert any(n == "s3" for n, _ in positives)  # zero goes to positive list
 
     def test_sorted_by_signed_magnitude_with_stable_ties(self):
         model = self._model([0.2, 0.6, 0.2, -0.1, -0.4])
-        positives, negatives = top_loadings(model, 0, count=5, threshold=0.0)
+        positives, negatives = top_loadings(model, 0, count=5)
         assert [n for n, _ in positives] == ["s2", "s1", "s3"]
         assert [n for n, _ in negatives] == ["s5", "s4"]
 

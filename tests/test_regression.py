@@ -13,6 +13,7 @@ from statspace import (
     ParameterError,
     RankDeficiencyError,
     SchemaError,
+    ValidationError,
     fit_ols,
     t_cdf,
 )
@@ -87,6 +88,28 @@ class TestFitOls:
     def test_outcome_length_mismatch(self):
         with pytest.raises(SchemaError):
             fit_ols(np.ones((4, 1)), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("term-names", ParameterError, "expected 2 term names, got 1"),
+            ("nan-design", ValidationError, "design and outcome must be finite"),
+            ("inf-outcome", ValidationError, "design and outcome must be finite"),
+        ],
+    )
+    def test_raise_typed_errors(self, case, error, message):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+        names = None
+        if case == "term-names":
+            names = ["a"]
+        elif case == "nan-design":
+            X[3, 1] = np.nan
+        else:
+            y[4] = np.inf
+        with pytest.raises(error) as raised:
+            fit_ols(X, y, term_names=names)
+        assert str(raised.value) == message
 
     def test_residual_identities(self):
         rng = np.random.default_rng(3)
@@ -295,19 +318,23 @@ class TestSummaries:
         y = 0.4 + 0.2 * X[:, 0] + rng.normal(scale=0.05, size=30)
         return fit_ols(X, y, term_names=["PC2", "PC3"])
 
-    def test_text_layout(self):
-        text = summary_text(self._fit())
+    def test_text_layout(self, tmp_path):
+        path = tmp_path / "fit.txt"
+        summary_text(self._fit(), path)
+        text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         assert lines[0].split() == ["Term", "Coefficient", "Std", "Error", "p-value"]
         assert lines[1].startswith("intercept")
         assert "<0.001" in text
         assert any(line.startswith("R-squared:") for line in lines)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         import json
 
         fit = self._fit()
-        doc = json.loads(summary_json(fit))
+        path = tmp_path / "fit.json"
+        summary_json(fit, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         assert [t["term"] for t in doc["terms"]] == ["intercept", "PC2", "PC3"]
         assert doc["terms"][0]["coefficient"] == fit.coefficients[0]
         assert doc["r_squared"] == fit.r_squared

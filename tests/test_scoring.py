@@ -95,6 +95,13 @@ class TestTeamScores:
         assert teams.entity_ids == ["BOS"]
         assert teams.values[0, 0] == 1.0
 
+    def test_no_player_assigned(self):
+        scores = make_scores({"p1": (10.0, [1.0]), "p2": (10.0, [9.0])})
+        with pytest.warns(UserWarning, match="players without team membership"):
+            with pytest.raises(AggregationError) as raised:
+                team_scores(scores, {})
+        assert str(raised.value) == "no players could be assigned to any team"
+
     def test_long_lists_of_players_are_cut(self):
         ids = [f"p{i:02d}" for i in range(26)]
         scores = make_scores({pid: (10.0, [1.0]) for pid in ids})

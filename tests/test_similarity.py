@@ -211,11 +211,12 @@ class TestEmit:
         assert lines[1] == "1,a,Alpha,1.0"
         assert lines[2] == "2,b,Beta,4.0"
 
-    def test_json(self):
-        doc = ranking_to_json(self._ranking(), {"a": "Alpha"})
+    def test_json(self, tmp_path):
+        path = tmp_path / "ranking.json"
+        ranking_to_json(self._ranking(), {"a": "Alpha"}, path)
         import json
 
-        parsed = json.loads(doc)
+        parsed = json.loads(path.read_text(encoding="utf-8"))
         assert parsed["query_id"] == "q"
         assert parsed["entries"][0] == {
             "rank": 1,
