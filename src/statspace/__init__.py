@@ -10,7 +10,6 @@ from importlib import import_module as _import_module
 
 from .errors import (
     AggregationError,
-    ConvergenceError,
     DataError,
     DomainError,
     EntityLookupError,

@@ -36,12 +36,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
 # Modules that import numpy are imported where they run.
 from . import cache, files
 from .errors import (
+    JSON_TYPES,
     DataError,
     NumericalError,
     ParameterError,
     StatspaceError,
     UsageError,
     listed,
+    quoted,
 )
 from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
 
@@ -162,8 +164,13 @@ def _load_config_file(path: str | None) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {listed(sorted(unknown))}")
     for key, value in raw.items():
-        if not _is_a(value, types[key]):
-            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+        kind = types[key]
+        if type(value) is not kind:  # a JSON true/false is no integer here
+            raise UsageError(
+                f"config key {key!r} is {JSON_TYPES[type(value)]}, expected {JSON_TYPES[kind]}"
+            )
+        if kind is list and not all(type(item) is str for item in value):
+            raise UsageError(f"config key {key!r} must list strings")
         # a path with a NUL fails only when it is opened, as a ValueError
         if "\0" in ("".join(value) if isinstance(value, list) else str(value)):
             raise UsageError(f"config key {key!r} holds a NUL character")
@@ -173,18 +180,11 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _is_a(value, kind: type) -> bool:
-    """isinstance, except that a JSON true/false is never a number; a list holds str."""
-    if isinstance(value, list):
-        return kind is list and all(isinstance(item, str) for item in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _parse_components(text: str) -> set[int]:
     try:
         numbers = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ParameterError(f"bad --components value: {text!r}") from None
+        raise ParameterError(f"bad --components value: {quoted(text)}") from None
     if not numbers or any(n < 1 for n in numbers):
         raise ParameterError("--components needs 1-based component numbers")
     return {n - 1 for n in numbers}
@@ -201,17 +201,17 @@ def _parse_weights(text: str) -> dict[int, float]:
             component, weight = int(number) - 1, float(value)
         except ValueError:
             raise ParameterError(
-                f"bad --weights entry {part!r}; expected like 2=0.17"
+                f"bad --weights entry {quoted(part)}; expected like 2=0.17"
             ) from None
         if component in weights:
             raise ParameterError(f"--weights gives component {component + 1} more than once")
         weights[component] = weight
     if not weights:
-        raise ParameterError(f"--weights needs entries like 2=0.17, got {text!r}")
+        raise ParameterError(f"--weights needs entries like 2=0.17, got {quoted(text)}")
     if any(c < 0 for c in weights):
         raise ParameterError("--weights needs 1-based component numbers")
     if not all(math.isfinite(w) for w in weights.values()):
-        raise ParameterError(f"--weights must be finite numbers, got {text!r}")
+        raise ParameterError(f"--weights must be finite numbers, got {quoted(text)}")
     return weights
 
 

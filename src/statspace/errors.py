@@ -62,18 +62,6 @@ class InsufficientDataError(DataError):
     """Too few observations for the requested fit."""
 
 
-class ConvergenceError(NumericalError):
-    """An iterative solver exhausted its iteration budget."""
-
-    def __init__(self, component: int, residual: float):
-        self.component = component
-        self.residual = residual
-        super().__init__(
-            f"power iteration did not converge for component {component + 1}; "
-            f"last residual {residual:.3e}"
-        )
-
-
 class RankDeficiencyError(NumericalError):
     """The regression design matrix is not full column rank."""
 
@@ -86,3 +74,23 @@ def listed(items: list) -> str:
     """``items`` for a message: the first ten, then how many more."""
     more = len(items) - 10
     return f"{items[:10]} and {more} more" if more > 0 else f"{items}"
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for a message; of a long string, the first 50
+    characters, then how many more."""
+    if isinstance(value, str) and len(value) > 50:
+        return f"{value[:50]!r} and {len(value) - 50} more characters"
+    return repr(value)
+
+
+# the JSON type of each Python type json.loads gives, as a message names it
+JSON_TYPES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}

@@ -1,12 +1,11 @@
-"""Principal component core: standardization, two eigen-solvers, projection.
+"""Principal component core: standardization, the fit, projection.
 
-``fit_pca`` supports two methods that must agree to tight tolerance:
-
-* ``"eig"`` (production): symmetric eigendecomposition of the p-by-p sample
-  covariance of the standardized data.
-* ``"power"`` (cross-check): iterative variance maximization, extracting one
-  unit loading vector at a time by power iteration and removing each found
-  component from the data matrix before searching for the next.
+``fit_pca`` fits by one symmetric eigendecomposition of the p-by-p sample
+covariance of the standardized data. ``_power_deflation`` is the deflation
+solver that the test suite checks it against: iterative variance
+maximization, extracting one unit loading vector at a time by power
+iteration and removing each found component from the data matrix before
+searching for the next.
 
 Both orient every loading vector so its largest-magnitude coefficient is
 positive, making fits reproducible bit for bit. The sample (n-1) variance
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import files
 from .errors import (
-    ConvergenceError,
+    JSON_TYPES,
     NumericalError,
     ParameterError,
     SchemaError,
@@ -183,20 +182,11 @@ def _orient_sign(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def fit_pca(
-    standardized: np.ndarray,
-    k: int,
-    standardization: StandardizationParams,
-    *,
-    method: str = "eig",
-) -> PcaModel:
-    """Fit the top-k components of mean-zero data.
-
-    ``method="eig"`` diagonalizes the sample covariance directly;
-    ``method="power"`` reproduces the sequential variance-maximization
-    procedure (power iteration plus deflation of the data matrix) and exists
-    as an independent check on the production path.
-    """
+def fit_pca(standardized: np.ndarray, k: int, standardization: StandardizationParams) -> PcaModel:
+    """Fit the top-k components of mean-zero data by diagonalizing its
+    sample covariance. The test suite checks the result against
+    :func:`_power_deflation`, the sequential variance-maximization
+    procedure (power iteration plus deflation of the data matrix)."""
     Z = np.asarray(standardized, dtype=float)
     if Z.ndim != 2:
         raise ParameterError("standardized input must be a 2-D matrix")
@@ -211,16 +201,11 @@ def fit_pca(
     cov = _covariance(Z)
     total_variance = float(np.trace(cov))
 
-    if method == "eig":
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        # stable sort: exactly tied eigenvalues keep first-encountered order
-        order = np.argsort(-eigvals, kind="stable")
-        variances = np.maximum(eigvals[order[:k]], 0.0)
-        loadings = np.array([_orient_sign(eigvecs[:, j]) for j in order[:k]])
-    elif method == "power":
-        loadings, variances = _power_deflation(Z, k)
-    else:
-        raise ParameterError(f"unknown method {method!r}; use 'eig' or 'power'")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    # stable sort: exactly tied eigenvalues keep first-encountered order
+    order = np.argsort(-eigvals, kind="stable")
+    variances = np.maximum(eigvals[order[:k]], 0.0)
+    loadings = np.array([_orient_sign(eigvecs[:, j]) for j in order[:k]])
 
     return PcaModel(
         standardization=standardization,
@@ -287,7 +272,10 @@ def _dominant_eigenvector(
         v = u
         if diff < POWER_TOL:
             return v
-    raise ConvergenceError(component, diff)
+    raise NumericalError(
+        f"power iteration did not converge for component {component + 1}; "
+        f"last residual {diff:.3e}"
+    )
 
 
 def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -437,18 +425,6 @@ def model_from_json(text: str) -> PcaModel:
     )
 
 
-# the JSON type of each Python type json.loads gives, as a message names it
-_JSON_TYPES = {
-    type(None): "null",
-    bool: "a boolean",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    list: "a list",
-    dict: "an object",
-}
-
-
 def _model_field(doc: dict, key: str, kind: type | None = None):
     try:
         value = doc[key]
@@ -456,7 +432,7 @@ def _model_field(doc: dict, key: str, kind: type | None = None):
         raise SchemaError(f"model is missing field {key!r}") from None
     if kind is not None and type(value) is not kind:  # a bool is no integer here
         raise SchemaError(
-            f"model field {key!r} is {_JSON_TYPES[type(value)]}, expected {_JSON_TYPES[kind]}"
+            f"model field {key!r} is {JSON_TYPES[type(value)]}, expected {JSON_TYPES[kind]}"
         )
     return value
 

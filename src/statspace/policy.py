@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, listed, quoted
+from .table import _duplicates
 
 # Role order for the metadata columns of a players CSV. A 4-name schema omits
 # the id column and reuses the name column as the id.
@@ -33,7 +34,7 @@ class FilterPolicy:
             raise ParameterError(f"min_games must be >= 0, got {min_games}")
         if column_mode not in ("rate-only", "all"):
             raise ParameterError(
-                f"column_mode must be 'rate-only' or 'all', got {column_mode!r}"
+                f"column_mode must be 'rate-only' or 'all', got {quoted(column_mode)}"
             )
         self.min_games = min_games
         self.column_mode = column_mode
@@ -46,7 +47,8 @@ Roles = tuple[str | None, str, str, str, str]
 def _roles(schema: Sequence[str]) -> Roles:
     """(id, name, team, games, minutes) column names; id is None for 4 names."""
     if len(set(schema)) != len(schema):
-        raise ParameterError(f"schema names a column more than once: {list(schema)}")
+        repeated = sorted(_duplicates(schema))
+        raise ParameterError(f"schema names a column more than once: {listed(repeated)}")
     if len(schema) == 4:
         return (None, *schema)
     if len(schema) == 5:

@@ -61,6 +61,8 @@ def fit_ols(
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(outcome, dtype=float)
+    if X.ndim != 2:
+        raise ParameterError("design must be a 2-D matrix")
     n, q = X.shape
     if y.shape != (n,):
         raise SchemaError(f"outcome length {y.shape} does not match {n} rows")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import files
-from .errors import EntityLookupError, ParameterError
+from .errors import EntityLookupError, ParameterError, quoted
 
 if TYPE_CHECKING:
     from .table import StatTable
@@ -93,7 +93,7 @@ def rank_similar(
     try:
         query = rows[scores.entity_ids.index(query_id)]
     except ValueError:
-        raise EntityLookupError(f"unknown query entity {query_id!r}") from None
+        raise EntityLookupError(f"unknown query entity {quoted(query_id)}") from None
     k = len(query)
     comps = _checked_components(components, k)
     ranked = sorted(

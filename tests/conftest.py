@@ -97,6 +97,17 @@ def fitted_pipeline(players_csv):
     return table, params, standardized, model
 
 
+def power_fit(standardized, k, params):
+    """The top-k fit of ``standardized`` by the deflation solver, built into
+    a ``PcaModel`` so that the model's checks run on its loadings and
+    variances: the reference that ``fit_pca`` is compared with."""
+    from statspace import pca
+
+    loadings, variances = pca._power_deflation(standardized, k)
+    total_variance = float(np.trace(pca._covariance(standardized)))
+    return pca.PcaModel(params, loadings, variances, total_variance, len(standardized))
+
+
 def assert_same_outcome(got, want):
     """``got`` is the parse outcome ``want``: the same exception type and
     message, or a RawTable with the same labels and the same array bits."""

@@ -32,7 +32,7 @@ from statspace import (
     transform,
 )
 from statspace.cli import main
-from conftest import players_csv_text
+from conftest import players_csv_text, power_fit
 
 TABLE_COEFFICIENTS = (0.35, 0.17, -0.20, 0.09)
 
@@ -90,7 +90,7 @@ def test_criterion_1_deflation_matches_brute_force_eigendecomposition():
         n = int(rng.integers(10, 41))
         p = int(rng.integers(2, 9))
         Z = _standardized_random(rng, n, p)
-        model = fit_pca(Z, p, _identity_params(p), method="power")
+        model = power_fit(Z, p, _identity_params(p))
 
         cov = Z.T @ Z / (n - 1)  # brute-force oracle
         vals, vecs = np.linalg.eigh(cov)

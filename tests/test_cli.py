@@ -356,6 +356,15 @@ class TestSimilar:
             "--query", "nobody", "--out", str(out),
         )
         assert "nobody" in diagnostic["error"]
+        # a long id is cut to its first 50 characters, then how many more
+        diagnostic = fails(
+            capsys, 3,
+            "similar", "--input", str(players_csv), "--model", str(out / "model.json"),
+            "--query", "q" * 100_000, "--out", str(out),
+        )
+        assert diagnostic["error"] == (
+            f"unknown query entity {'q' * 50!r} and 99950 more characters"
+        )
 
     def test_component_subset(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -617,11 +626,20 @@ class TestValueChecks:
                 ["teams", "--membership", "m.csv", "--weights", "0=1"],
                 "--weights needs 1-based component numbers",
             ),
+            (
+                ["similar", "--query", "p01", "--components", "x" * 100_000],
+                f"bad --components value: {'x' * 50!r} and 99950 more characters",
+            ),
+            (
+                ["teams", "--membership", "m.csv", "--weights", "2=nan" + "," * 100_000],
+                f"--weights must be finite numbers, got {'2=nan' + ',' * 45!r}"
+                " and 99955 more characters",
+            ),
         ],
         ids=[
             "top", "k", "min-games", "repeated-weight", "empty-weights", "only-commas",
             "components-not-a-number", "component-zero", "weight-without-equals",
-            "weight-component-zero",
+            "weight-component-zero", "long-components", "long-weights",
         ],
     )
     def test_before_any_input_is_read(
@@ -696,8 +714,7 @@ class TestValueChecks:
             ),
             (
                 ["player_id", "player_id", "team", "games_played", "minutes"],
-                "schema names a column more than once: "
-                "['player_id', 'player_id', 'team', 'games_played', 'minutes']",
+                "schema names a column more than once: ['player_id']",
             ),
         ],
         ids=["three-names", "repeated-name"],
@@ -2377,6 +2394,11 @@ class TestBadFiles:
         assert "stat_names" in diagnostic["error"]
         assert not (tmp_path / "out" / "scores.csv").exists()
 
+    def test_model_not_an_object(self, players_csv, tmp_path, capsys):
+        diagnostic = self._score_fails([], players_csv, tmp_path, capsys)
+        assert diagnostic["error"] == "model must be a JSON object"
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
     def test_model_nested_too_deep(self, players_csv, tmp_path, capsys):
         model = tmp_path / "deep_model.json"
         model.write_text("[" * 100_000, encoding="utf-8")
@@ -2480,14 +2502,25 @@ class TestBadFiles:
     @pytest.mark.parametrize("key", [*cli.FLAGS, *cli.CONFIG_ONLY])
     def test_each_config_key_refuses_another_type(self, players_csv, tmp_path, capsys, key):
         kind = cli.FLAGS[key].type if key in cli.FLAGS else cli.CONFIG_ONLY[key]
+        wanted = {int: "an integer", str: "a string", list: "a list"}[kind]
+        # the message names JSON types, so a long list gives a short line too
+        cases = [
+            (1, f"config key {key!r} is an integer, expected {wanted}")
+            if kind is str
+            else ("1", f"config key {key!r} is a string, expected {wanted}"),
+            ([*["a"] * 100_000, 1], f"config key {key!r} must list strings")
+            if kind is list
+            else (["0123456789"] * 5000, f"config key {key!r} is a list, expected {wanted}"),
+        ]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: 1 if kind is str else "1"}), encoding="utf-8")
-        diagnostic = fails(
-            capsys, 2, "fit", "--config", str(config),
-            "--input", str(players_csv), "--out", str(tmp_path / "o"),
-        )
-        assert f"config key {key!r} has a value of the wrong type" in diagnostic["error"]
-        assert not (tmp_path / "o").exists()
+        for value, message in cases:
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            diagnostic = fails(
+                capsys, 2, "fit", "--config", str(config),
+                "--input", str(players_csv), "--out", str(tmp_path / "o"),
+            )
+            assert diagnostic["error"] == message
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "key, value",

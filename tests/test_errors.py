@@ -1,4 +1,5 @@
-"""Every message that names columns, teams or keys names at most ten."""
+"""Every message that names columns, teams or keys names at most ten, and
+one that echoes a text quotes at most its first 50 characters."""
 
 import io
 import json
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 from statspace import (
+    FilterPolicy,
+    ParameterError,
     PcaModel,
     StandardizationParams,
     StatspaceError,
     StatTable,
     cli,
+    ingest,
     parse_csv,
     standardize,
     team_win_pct,
@@ -73,6 +77,10 @@ CASES = {
         ),
     ),
     "unknown-config-keys": ("unknown config keys: ", _unknown_config_keys),
+    "repeated-schema-name": (
+        "schema names a column more than once: ",
+        lambda tmp_path: ingest._roles(NAMES * 2),
+    ),
 }
 
 
@@ -87,3 +95,11 @@ def test_long_lists_are_cut(tmp_path, prefix, action):
         else:
             message = str(caught[0].message)
     assert message == f"{prefix}{NAMES[:10]} and 15 more"
+
+
+def test_long_texts_are_cut():
+    with pytest.raises(ParameterError) as raised:
+        FilterPolicy(column_mode="x" * 1000)
+    assert str(raised.value) == (
+        f"column_mode must be 'rate-only' or 'all', got {'x' * 50!r} and 950 more characters"
+    )

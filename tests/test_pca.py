@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import STATS
+from conftest import STATS, power_fit
 from statspace import pca
 from statspace import (
-    ConvergenceError,
     NumericalError,
     ParameterError,
     PcaModel,
@@ -139,8 +138,8 @@ class TestFitPca:
 
     def test_half_correlation_analytic(self):
         params, Z = standardize(correlated_pair_table())
-        for method in ("eig", "power"):
-            model = fit_pca(Z, 2, params, method=method)
+        for fit in (fit_pca, power_fit):
+            model = fit(Z, 2, params)
             np.testing.assert_allclose(
                 model.component_variances, [1.5, 0.5], atol=1e-12
             )
@@ -158,7 +157,7 @@ class TestFitPca:
         params, _ = standardize(
             make_table({f"s{j}": list(X[:, j]) for j in range(6)})
         )
-        model = fit_pca(Z, 6, params, method=method)
+        model = {"eig": fit_pca, "power": power_fit}[method](Z, 6, params)
         vals, vecs = brute_force_eig(Z)
         np.testing.assert_allclose(model.component_variances, vals, rtol=1e-10)
         for j in range(6):
@@ -179,7 +178,7 @@ class TestFitPca:
             return real(*args)
 
         monkeypatch.setattr(pca, "_orthogonal_completion", spy)
-        power = fit_pca(Z, 4, params, method="power")
+        power = power_fit(Z, 4, params)
         eig = fit_pca(Z, 4, params)
         assert completions == [2, 3]
         assert np.abs(power.loadings @ power.loadings.T - np.eye(4)).max() < 1e-12
@@ -204,8 +203,8 @@ class TestFitPca:
         monkeypatch.setattr(pca, "POWER_TOL", 0.0)
         monkeypatch.setattr(pca, "POWER_MAX_ITER", 3)
         params, Z = standardize(correlated_pair_table())
-        with pytest.raises(ConvergenceError, match="component 1"):
-            fit_pca(Z, 2, params, method="power")
+        with pytest.raises(NumericalError, match="component 1"):
+            pca._power_deflation(Z, 2)
 
     def test_orthonormal_loadings(self, fitted_pipeline):
         _, _, _, model = fitted_pipeline
@@ -346,7 +345,6 @@ class TestGuards:
                 SchemaError,
                 "matrix has 2 columns but standardization lists {p} names",
             ),
-            ("unknown-method", ParameterError, "unknown method 'qr'; use 'eig' or 'power'"),
             ("negative-count", ParameterError, "count must be >= 0, got -1"),
             ("one-row", ValidationError, "standardization needs at least 2 rows"),
             ("one-sample", ValidationError, "n_samples must be >= 2"),
@@ -357,7 +355,6 @@ class TestGuards:
         call = {
             "one-dimensional": lambda: fit_pca(Z[:, 0], 1, params),
             "column-count": lambda: fit_pca(Z[:, :2], 1, params),
-            "unknown-method": lambda: fit_pca(Z, 1, params, method="qr"),
             "negative-count": lambda: top_loadings(model, 0, count=-1),
             "one-row": lambda: standardize(StatTable(["a"], ["a"], [1.0], ["s"], np.ones((1, 1)))),
             "one-sample": lambda: PcaModel(

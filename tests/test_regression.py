@@ -95,6 +95,8 @@ class TestFitOls:
             ("term-names", ParameterError, "expected 2 term names, got 1"),
             ("nan-design", ValidationError, "design and outcome must be finite"),
             ("inf-outcome", ValidationError, "design and outcome must be finite"),
+            ("one-dimensional-design", ParameterError, "design must be a 2-D matrix"),
+            ("three-dimensional-design", ParameterError, "design must be a 2-D matrix"),
         ],
     )
     def test_raise_typed_errors(self, case, error, message):
@@ -105,8 +107,12 @@ class TestFitOls:
             names = ["a"]
         elif case == "nan-design":
             X[3, 1] = np.nan
-        else:
+        elif case == "inf-outcome":
             y[4] = np.inf
+        elif case == "one-dimensional-design":
+            X = X[:, 0]
+        else:
+            X = X[:, :, None]
         with pytest.raises(error) as raised:
             fit_ols(X, y, term_names=names)
         assert str(raised.value) == message
@@ -309,6 +315,9 @@ class TestTCdfAgainstStdtr:
         monkeypatch.setattr(regression, "MAX_TERMS", 20)
         with pytest.raises(NumericalError, match="20 terms"):
             t_cdf(-1.0, 10**5)
+        # |t| < 1 takes the series
+        with pytest.raises(NumericalError, match="series did not converge in 20 terms"):
+            t_cdf(-0.99, 1)
 
 
 class TestSummaries:
