@@ -33,14 +33,13 @@ _EXPORTS = {
         "explained_variance_ratio", "fit_pca", "load_model", "model_from_json",
         "model_to_json", "save_model", "standardize", "top_loadings", "transform",
     ),
-    "policy": ("DEFAULT_SCHEMA", "FilterPolicy"),
     "regression": ("RegressionFit", "fit_ols", "t_cdf"),
     "scoring": (
         "load_membership", "load_win_pct", "regression_weighted_score", "team_scores",
         "team_win_pct",
     ),
     "similarity": ("SdiRanking", "rank_similar", "sdi"),
-    "table": ("StatTable",),
+    "table": ("DEFAULT_SCHEMA", "FilterPolicy", "StatTable"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_MODULE_OF)

@@ -58,17 +58,17 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from . import files
 
 if TYPE_CHECKING:
-    from .policy import FilterPolicy
-    from .table import StatTable
+    from .table import FilterPolicy, StatTable
 
 TABLE = ".statspace-table"
 SCORES = ".statspace-scores"
 PLAYERS = ".statspace-players"
 
 _HERE = Path(__file__).parent
-# the sources that parse the players file, build the table, and read and
-# write this format; found by path, so that no module is imported for its key
-_TABLE_SOURCES = ("ingest.py", "policy.py", "table.py", "files.py", "cache.py")
+# the sources that parse the players file, hold its schema and filter
+# policy, build the table, and read and write this format; found by path, so
+# that no module is imported for its key
+_TABLE_SOURCES = ("ingest.py", "table.py", "files.py", "cache.py")
 _ALIGN = 64
 # what identifies the players file's contents in the record, in its order
 _STAT_FIELDS = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")

@@ -31,7 +31,7 @@ import sys
 import warnings
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 # Modules that import numpy are imported where they run.
 from . import cache, files
@@ -45,10 +45,7 @@ from .errors import (
     listed,
     quoted,
 )
-from .policy import DEFAULT_SCHEMA, FilterPolicy, _roles
-
-if TYPE_CHECKING:
-    from .table import StatTable
+from .table import DEFAULT_SCHEMA, FilterPolicy, StatTable, _roles
 
 # One BLAS thread unless the caller chose a number. The matrices here are a
 # few hundred columns wide at most, so a thread pool gains nothing, and

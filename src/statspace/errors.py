@@ -71,14 +71,18 @@ class DomainError(NumericalError):
 
 
 def listed(items: list) -> str:
-    """``items`` for a message: the first ten, then how many more."""
+    """``items`` for a message: the first ten, each as ``quoted`` shows it,
+    then how many more."""
+    shown = f"[{', '.join(map(quoted, items[:10]))}]"
     more = len(items) - 10
-    return f"{items[:10]} and {more} more" if more > 0 else f"{items}"
+    return f"{shown} and {more} more" if more > 0 else shown
 
 
 def quoted(value) -> str:
     """``repr(value)`` for a message; of a long string, the first 50
-    characters, then how many more."""
+    characters, then how many more; of a tuple, each item so."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(quoted, value))})"
     if isinstance(value, str) and len(value) > 50:
         return f"{value[:50]!r} and {len(value) - 50} more characters"
     return repr(value)

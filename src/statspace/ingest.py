@@ -1,4 +1,4 @@
-"""CSV ingestion: the raw players table, filtering policy, and the clean stat table.
+"""CSV ingestion: the raw players table, its filter, and the clean stat table.
 
 The pipeline is parse -> filter -> build: ``parse_csv`` reads a CSV once into
 a column-major :class:`RawTable` (metadata vectors plus one float matrix,
@@ -6,7 +6,9 @@ NaN for a missing cell; given the policy, only the columns it keeps) that
 indexes as :class:`RawRecord` rows; ``apply_filter`` enforces the row and
 column retention policy as row and column indices into that table; and
 ``build_table`` assembles a fully numeric :class:`StatTable` (rejecting,
-never imputing, missing values). Both take a ``RawTable`` only.
+never imputing, missing values). Both take a ``RawTable`` only. The schema
+and the filter policy live in the numpy-free ``table``; this module
+re-exports them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import files
-from .errors import ParseError, SchemaError, ValidationError, listed
-from .policy import DEFAULT_SCHEMA, FilterPolicy, Roles, _roles  # noqa: F401 (part of this API)
-from .table import StatTable, _duplicates
+from .errors import ParseError, SchemaError, ValidationError, listed, quoted
+from .table import DEFAULT_SCHEMA, FilterPolicy, Roles, StatTable, _duplicates, _roles
 
 COMBINED_TEAM_CODE = "TOT"
 
@@ -44,11 +45,11 @@ class RawRecord(NamedTuple):
 def _check_counts(player_id: str, games_played: int, minutes_total: float) -> None:
     if games_played < 0:
         raise ValidationError(
-            f"player {player_id!r}: games_played must be >= 0, got {games_played}"
+            f"player {quoted(player_id)}: games_played must be >= 0, got {games_played}"
         )
     if minutes_total < 0:
         raise ValidationError(
-            f"player {player_id!r}: minutes_total must be >= 0, got {minutes_total}"
+            f"player {quoted(player_id)}: minutes_total must be >= 0, got {minutes_total}"
         )
 
 
@@ -381,19 +382,21 @@ def _parse_rows(stream: IO[str], roles: Roles, policy: FilterPolicy | None) -> R
 def _parse_number(cell: str, column: str, line: int) -> float:
     value = _parse_stat(cell)
     if math.isnan(value):
-        raise ParseError(f"line {line}: column {column!r} must be numeric, got {cell!r}")
+        raise _bad_cell(cell, column, line, "numeric")
     return value
 
 
 def _parse_count(cell: str, column: str, line: int) -> int:
     value = _parse_number(cell, column, line)
     if value != int(value):
-        raise ParseError(f"line {line}: column {column!r} must be a count, got {cell!r}")
+        raise _bad_cell(cell, column, line, "a count")
     if value >= _COUNT_LIMIT:
-        raise ParseError(
-            f"line {line}: column {column!r} must be a count below 2**63, got {cell!r}"
-        )
+        raise _bad_cell(cell, column, line, "a count below 2**63")
     return int(value)
+
+
+def _bad_cell(cell: str, column: str, line: int, kind: str) -> ParseError:
+    return ParseError(f"line {line}: column {quoted(column)} must be {kind}, got {quoted(cell)}")
 
 
 def apply_filter(table: RawTable, policy: FilterPolicy) -> RawTable:

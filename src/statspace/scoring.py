@@ -28,6 +28,7 @@ from .errors import (
     SchemaError,
     ValidationError,
     listed,
+    quoted,
 )
 from .table import StatTable
 
@@ -70,7 +71,7 @@ def team_scores(players: StatTable, membership: Mapping[str, str]) -> StatTable:
         m = minutes[idx]
         total = float(m.sum())
         if total <= 0:
-            raise AggregationError(f"team {team!r} has zero total minutes")
+            raise AggregationError(f"team {quoted(team)} has zero total minutes")
         rows.append((m @ scores[idx]) / total)
         totals.append(total)
 
@@ -124,7 +125,7 @@ def load_membership(source: files.Target) -> dict[str, str]:
     for line, (player_id, team) in rows:
         if player_id in mapping and mapping[player_id] != team:
             raise ValidationError(
-                f"line {line}: conflicting team for player {player_id!r}"
+                f"line {line}: conflicting team for player {quoted(player_id)}"
             )
         mapping[player_id] = team
     return mapping
@@ -138,11 +139,11 @@ def load_win_pct(source: files.Target) -> dict[str, float]:
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(f"line {line}: win_pct must be numeric, got {cell!r}") from None
+            raise ParseError(f"line {line}: win_pct must be numeric, got {quoted(cell)}") from None
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"line {line}: win_pct {value} outside [0, 1]")
         if team in mapping and mapping[team] != value:
-            raise ValidationError(f"line {line}: conflicting win_pct for team {team!r}")
+            raise ValidationError(f"line {line}: conflicting win_pct for team {quoted(team)}")
         mapping[team] = value
     return mapping
 

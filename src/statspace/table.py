@@ -1,4 +1,5 @@
-"""The one profile table: entities by columns, with minutes.
+"""The one profile table, entities by columns with minutes, and what
+decides the players table: the metadata schema and the filter policy.
 
 Every profile the later stages read is one: the players' statistics, which
 ``ingest`` builds from a players file; the players' component scores, which
@@ -7,16 +8,27 @@ averages from the players'. The caches rebuild the first two from their
 files, so a process that finds them cached imports neither the parse code
 nor the fitting code. numpy is imported only by what needs it: a table over
 a memoryview, as the projection cache gives, needs none.
+
+The schema and the filter policy are settings, not data: the CLI checks
+them, and keys its caches on them, before it knows whether it will compute
+anything. So this module imports no numpy at its top, nor ``dataclasses``,
+whose import (with ``inspect``) would be a large share of a process that
+reads its result from a cache. ``ingest`` re-exports the policy's names.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ValidationError, listed
+from .errors import ParameterError, ValidationError, listed, quoted
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+# Role order for the metadata columns of a players CSV. A 4-name schema omits
+# the id column and reuses the name column as the id.
+DEFAULT_SCHEMA = ("player_id", "player_name", "team", "games_played", "minutes")
 
 
 class StatTable:
@@ -66,8 +78,8 @@ class StatTable:
             bad = np.argwhere(~np.isfinite(values))
             i, j = bad[0]
             raise ValidationError(
-                f"non-finite value for ({entity_ids[i]!r}, "
-                f"{stat_names[j]!r}) and {len(bad) - 1} more"
+                f"non-finite value for {quoted((entity_ids[i], stat_names[j]))} "
+                f"and {len(bad) - 1} more"
             )
 
     @property
@@ -87,3 +99,42 @@ def _duplicates(items: Iterable[str]) -> set[str]:
             dupes.add(item)
         seen.add(item)
     return dupes
+
+
+class FilterPolicy:
+    """Record and column retention policy applied before table assembly:
+    rows under ``min_games`` games go, and with ``column_mode`` "rate-only"
+    so do the stat columns that match ``excluded_column_patterns``."""
+
+    def __init__(
+        self,
+        min_games: int = 41,
+        column_mode: str = "all",
+        excluded_column_patterns: Sequence[str] = (),
+    ):
+        if min_games < 0:
+            raise ParameterError(f"min_games must be >= 0, got {min_games}")
+        if column_mode not in ("rate-only", "all"):
+            raise ParameterError(
+                f"column_mode must be 'rate-only' or 'all', got {quoted(column_mode)}"
+            )
+        self.min_games = min_games
+        self.column_mode = column_mode
+        self.excluded_column_patterns = list(excluded_column_patterns)
+
+
+Roles = tuple[str | None, str, str, str, str]
+
+
+def _roles(schema: Sequence[str]) -> Roles:
+    """(id, name, team, games, minutes) column names; id is None for 4 names."""
+    if len(set(schema)) != len(schema):
+        repeated = sorted(_duplicates(schema))
+        raise ParameterError(f"schema names a column more than once: {listed(repeated)}")
+    if len(schema) == 4:
+        return (None, *schema)
+    if len(schema) == 5:
+        return tuple(schema)
+    raise ParameterError(
+        f"schema must list 4 or 5 metadata column names, got {len(schema)}"
+    )

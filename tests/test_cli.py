@@ -39,11 +39,13 @@ CATEGORIES = {1: "internal", 2: "usage", 3: "data", 4: "numerical"}
 
 def fails(capsys, code: int, *argv) -> dict:
     """Run ``argv``, which must fail as the CLI promises: exit ``code``,
-    write nothing on stdout and one JSON line on stderr, which gives that
-    exit code and its category. Returns the line, parsed."""
+    write nothing on stdout and one JSON line of under 1,000 characters on
+    stderr, which gives that exit code and its category. Returns the line,
+    parsed."""
     got = main(list(argv))
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, ""), captured.err
+    assert len(captured.err) < 1_000, captured.err[:1_000]
     diagnostic = _one_error_line(captured.err)
     assert (diagnostic["exit_code"], diagnostic["category"]) == (code, CATEGORIES[code])
     return diagnostic
@@ -2651,6 +2653,53 @@ class TestBadFiles:
         assert "line 2: column 'games_played'" in diagnostic["error"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "case",
+        ["games-played", "negative-games", "missing-stat", "config-keys", "membership", "win-pct"],
+    )
+    def test_long_value_is_cut(self, players_csv, membership_csv, tmp_path, capsys, case):
+        def cut(text: str) -> str:
+            return f"{text[:50]!r} and {len(text) - 50} more characters"
+
+        long_id = "i" * 100_000
+        out = tmp_path / "out"
+        argvs = _chain(players_csv, membership_csv, tmp_path, out, "csv")
+        lines = players_csv_text().splitlines()
+        cells = lines[1].split(",")  # p01, 41 games
+        code = 3
+        if case in ("games-played", "negative-games", "missing-stat"):
+            if case == "games-played":
+                cells[3] = "9" * 99_999 + "x"
+                want = f"line 2: column 'games_played' must be numeric, got {cut(cells[3])}"
+            elif case == "negative-games":
+                cells[:4] = [long_id, "Player 01", "ATL", "-1"]
+                want = f"player {cut(long_id)}: games_played must be >= 0, got -1"
+            else:
+                cells[0], cells[5] = long_id, ""
+                want = f"missing values for (player, statistic): [({cut(long_id)}, 'pts_per48')]"
+            text = "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+            players_csv.write_text(text, encoding="utf-8")
+            argv = argvs[0]
+        elif case == "config-keys":
+            keys = [f"{i:02d}" + "k" * 39_998 for i in range(12)]
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(dict.fromkeys(keys, 1)), encoding="utf-8")
+            want = f"unknown config keys: [{', '.join(map(cut, keys[:10]))}] and 2 more"
+            argv, code = [*argvs[0], "--config", str(config)], 2
+        else:
+            _run_chain(capsys, argvs[:1])
+            if case == "membership":
+                with membership_csv.open("a", encoding="utf-8") as fh:
+                    fh.write(f"{long_id},ATL\n{long_id},BOS\n")
+                line = len(membership_csv_text().splitlines()) + 2
+                want = f"line {line}: conflicting team for player {cut(long_id)}"
+                argv = argvs[3]
+            else:
+                cell = "n" * 100_000
+                (tmp_path / "winpct.csv").write_text(f"ATL,{cell}\n", encoding="utf-8")
+                want = f"line 1: win_pct must be numeric, got {cut(cell)}"
+                argv = argvs[5]
+        assert fails(capsys, code, *argv)["error"] == want
 
 class TestLastResort:
     def test_unexpected_exception_is_one_internal_line(
