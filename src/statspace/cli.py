@@ -44,6 +44,7 @@ from .errors import (
     UsageError,
     listed,
     quoted,
+    quoted_path,
 )
 from .table import DEFAULT_SCHEMA, FilterPolicy, StatTable, _roles
 
@@ -143,19 +144,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    config_path = Path(path)
+    shown = quoted_path(Path(path))
     try:
-        text = files.read_bytes(config_path).decode()
+        text = files.read_bytes(Path(path)).decode()
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {config_path}") from None
+        raise UsageError(f"config file not found: {shown}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes not UTF-8
-        raise UsageError(f"config file {config_path} cannot be read: {exc}") from None
+        raise UsageError(f"config file {shown} cannot be read: {_error_text(exc)}") from None
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
-        raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from None
+        raise UsageError(f"config file {shown} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise UsageError(f"config file {config_path} must hold a JSON object")
+        raise UsageError(f"config file {shown} must hold a JSON object")
     types = {key: flag.type for key, flag in FLAGS.items()} | CONFIG_ONLY
     unknown = set(raw) - set(types)
     if unknown:
@@ -247,7 +248,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     output_dir = Path(used("out"))
     existing = next(path for path in (output_dir, *output_dir.parents) if path.exists())
     if not existing.is_dir():
-        raise UsageError(f"output directory {output_dir}: {existing} is not a directory")
+        out, taken = quoted_path(output_dir), quoted_path(existing)
+        raise UsageError(f"output directory {out}: {taken} is not a directory")
 
     schema = tuple(config.get("schema", DEFAULT_SCHEMA))
     _roles(schema)  # 4 or 5 names, none repeated
@@ -271,9 +273,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     for role, path in input_paths.items():
         if not path.exists():
-            raise DataError(f"{role} file not found: {path}")
+            raise DataError(f"{role} file not found: {quoted_path(path)}")
         if path.is_dir():  # not `is_file()`: a pipe such as `<(zcat ...)` is read
-            raise DataError(f"{role} file is a directory: {path}")
+            raise DataError(f"{role} file is a directory: {quoted_path(path)}")
     return resolved
 
 
@@ -443,7 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except StatspaceError as exc:
             return _fail(exc, exc.exit_code)
         except OSError as exc:
-            return _fail(exc, DataError.exit_code)
+            return _fail(DataError(_error_text(exc)), DataError.exit_code)
         except (ValueError, ArithmeticError) as exc:
             return _fail(exc, NumericalError.exit_code)
         except Exception as exc:
@@ -455,6 +457,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     for warning in held:
         warnings.warn_explicit(warning.message, warning.category, warning.filename, warning.lineno)
     return 0
+
+
+def _error_text(exc: Exception) -> str:
+    """``str(exc)``, with each file name an OSError holds as ``quoted_path``
+    shows it: whole and quoted, or cut."""
+    text = str(exc)
+    for name in (getattr(exc, "filename", None), getattr(exc, "filename2", None)):
+        text = text.replace(repr(name), quoted_path(name, repr))
+    return text
 
 
 def _fail(exc: Exception, code: int) -> int:

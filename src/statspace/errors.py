@@ -88,6 +88,14 @@ def quoted(value) -> str:
     return repr(value)
 
 
+def quoted_path(path, whole=str) -> str:
+    """``whole(path)`` for a message, by default its text; of a path longer
+    than 200 characters, how many characters are cut, then the last 200,
+    where the file name is."""
+    cut = len(str(path)) - 200
+    return whole(path) if cut <= 0 else f"[{cut} characters cut]{str(path)[cut:]}"
+
+
 # the JSON type of each Python type json.loads gives, as a message names it
 JSON_TYPES = {
     type(None): "null",

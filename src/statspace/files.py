@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, quoted_path
 
 if TYPE_CHECKING:
     from .table import StatTable
@@ -62,7 +62,7 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO]:
         else:
             raise TypeError(f"not a path or a text stream: {type(target).__name__}")
     except UnicodeDecodeError as exc:
-        where = f"{target}: " if isinstance(target, (str, Path)) else ""
+        where = f"{quoted_path(target)}: " if isinstance(target, (str, Path)) else ""
         raise ParseError(
             f"{where}not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
         ) from None

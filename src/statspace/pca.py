@@ -1,13 +1,12 @@
 """Principal component core: standardization, the fit, projection.
 
 ``fit_pca`` fits by one symmetric eigendecomposition of the p-by-p sample
-covariance of the standardized data. ``_power_deflation`` is the deflation
-solver that the test suite checks it against: iterative variance
-maximization, extracting one unit loading vector at a time by power
-iteration and removing each found component from the data matrix before
-searching for the next.
+covariance of the standardized data. The test suite checks it against a
+deflation solver of its own: iterative variance maximization, extracting one
+unit loading vector at a time by power iteration and removing each found
+component from the data matrix before searching for the next.
 
-Both orient every loading vector so its largest-magnitude coefficient is
+Every loading vector is oriented so its largest-magnitude coefficient is
 positive, making fits reproducible bit for bit. The sample (n-1) variance
 convention is used throughout, so standardized columns have variance exactly 1
 and total variance equals the column count.
@@ -34,12 +33,6 @@ from .errors import (
 from .table import StatTable, _duplicates
 
 MODEL_FORMAT_VERSION = 1
-
-# Power iteration stops when successive vectors differ by less than this in
-# Euclidean norm, or fails after this many iterations. Both are read when the
-# solver runs.
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
 
 
 class StandardizationParams:
@@ -184,9 +177,9 @@ def _orient_sign(vector: np.ndarray) -> np.ndarray:
 
 def fit_pca(standardized: np.ndarray, k: int, standardization: StandardizationParams) -> PcaModel:
     """Fit the top-k components of mean-zero data by diagonalizing its
-    sample covariance. The test suite checks the result against
-    :func:`_power_deflation`, the sequential variance-maximization
-    procedure (power iteration plus deflation of the data matrix)."""
+    sample covariance. The test suite checks the result against the
+    sequential variance-maximization procedure (power iteration plus
+    deflation of the data matrix)."""
     Z = np.asarray(standardized, dtype=float)
     if Z.ndim != 2:
         raise ParameterError("standardized input must be a 2-D matrix")
@@ -214,87 +207,6 @@ def fit_pca(standardized: np.ndarray, k: int, standardization: StandardizationPa
         total_variance=total_variance,
         n_samples=n,
     )
-
-
-def _power_deflation(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Extract k loading vectors by repeated variance maximization.
-
-    The direction maximizing the variance of the projected data is the
-    dominant eigenvector of the deflated cross-product matrix; after each
-    component is found the data matrix is rebuilt with every found component
-    subtracted before searching for the next one.
-    """
-    n, p = Z.shape
-    rng = np.random.default_rng(0)  # fixed seed: fits must be reproducible
-    found: list[np.ndarray] = []
-    variances: list[float] = []
-
-    for component in range(k):
-        if found:
-            W = np.array(found)  # deflate: remove span of found components
-            deflated = Z - (Z @ W.T) @ W
-        else:
-            deflated = Z
-        A = deflated.T @ deflated
-
-        # A has negligible residual variance once the data rank is exhausted;
-        # any direction orthogonal to the found components is then optimal.
-        if np.trace(A) <= 1e-12 * max(1.0, float(np.trace(Z.T @ Z))):
-            w = _orthogonal_completion(found, p)
-        else:
-            w = _dominant_eigenvector(A, found, rng, component)
-
-        w = _orient_sign(w)
-        found.append(w)
-        variances.append(float(np.var(Z @ w, ddof=1)))
-
-    return np.array(found), np.array(variances)
-
-
-def _dominant_eigenvector(
-    A: np.ndarray,
-    previous: list[np.ndarray],
-    rng: np.random.Generator,
-    component: int,
-) -> np.ndarray:
-    v = rng.normal(size=A.shape[0])
-    v = _project_out(v, previous)
-    v /= np.linalg.norm(v)
-    diff = np.inf
-    for _ in range(POWER_MAX_ITER):
-        u = A @ v
-        u = _project_out(u, previous)  # keep rounding drift out of found span
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return _orthogonal_completion(previous, A.shape[0])
-        u /= norm
-        diff = float(np.linalg.norm(u - v))
-        v = u
-        if diff < POWER_TOL:
-            return v
-    raise NumericalError(
-        f"power iteration did not converge for component {component + 1}; "
-        f"last residual {diff:.3e}"
-    )
-
-
-def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for w in basis:
-        v = v - (v @ w) * w
-    return v
-
-
-def _orthogonal_completion(previous: list[np.ndarray], p: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to all found loadings."""
-    best, best_residual = None, -1.0
-    for j in range(p):
-        candidate = _project_out(np.eye(p)[j], previous)
-        residual = float(np.linalg.norm(candidate))
-        if residual > best_residual + 1e-12:
-            best, best_residual = candidate, residual
-    if best is None or best_residual <= 1e-8:
-        raise ParameterError("cannot extend orthonormal basis")
-    return best / best_residual
 
 
 def component_spectrum(standardized: np.ndarray) -> np.ndarray:

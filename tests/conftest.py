@@ -1,11 +1,12 @@
-"""Shared fixtures: a small deterministic players dataset with team structure."""
+"""Shared fixtures: a small deterministic players dataset with team structure,
+and the deflation solver that ``fit_pca`` is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from statspace import RawTable
+from statspace import NumericalError, ParameterError, RawTable, pca
 
 TEAMS = ["ATL", "BOS", "CHI", "DEN", "GSW", "HOU", "MIA", "NYK"]
 STATS = [
@@ -88,7 +89,7 @@ def membership_csv(tmp_path):
 @pytest.fixture
 def fitted_pipeline(players_csv):
     """(table, params, standardized, model) for the fixture dataset."""
-    from statspace import ingest, pca
+    from statspace import ingest
 
     records = ingest.parse_csv(players_csv)
     table = ingest.build_table(ingest.apply_filter(records, ingest.FilterPolicy()))
@@ -97,15 +98,101 @@ def fitted_pipeline(players_csv):
     return table, params, standardized, model
 
 
+# Power iteration stops when successive vectors differ by less than this in
+# Euclidean norm, or fails after this many iterations. Both are read when the
+# solver runs.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 10_000
+
+
 def power_fit(standardized, k, params):
     """The top-k fit of ``standardized`` by the deflation solver, built into
     a ``PcaModel`` so that the model's checks run on its loadings and
     variances: the reference that ``fit_pca`` is compared with."""
-    from statspace import pca
-
-    loadings, variances = pca._power_deflation(standardized, k)
+    loadings, variances = _power_deflation(standardized, k)
     total_variance = float(np.trace(pca._covariance(standardized)))
     return pca.PcaModel(params, loadings, variances, total_variance, len(standardized))
+
+
+def _power_deflation(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extract k loading vectors by repeated variance maximization.
+
+    The direction maximizing the variance of the projected data is the
+    dominant eigenvector of the deflated cross-product matrix; after each
+    component is found the data matrix is rebuilt with every found component
+    subtracted before searching for the next one.
+    """
+    n, p = Z.shape
+    rng = np.random.default_rng(0)  # fixed seed: fits must be reproducible
+    found: list[np.ndarray] = []
+    variances: list[float] = []
+
+    for component in range(k):
+        if found:
+            W = np.array(found)  # deflate: remove span of found components
+            deflated = Z - (Z @ W.T) @ W
+        else:
+            deflated = Z
+        A = deflated.T @ deflated
+
+        # A has negligible residual variance once the data rank is exhausted;
+        # any direction orthogonal to the found components is then optimal.
+        if np.trace(A) <= 1e-12 * max(1.0, float(np.trace(Z.T @ Z))):
+            w = _orthogonal_completion(found, p)
+        else:
+            w = _dominant_eigenvector(A, found, rng, component)
+
+        w = pca._orient_sign(w)
+        found.append(w)
+        variances.append(float(np.var(Z @ w, ddof=1)))
+
+    return np.array(found), np.array(variances)
+
+
+def _dominant_eigenvector(
+    A: np.ndarray,
+    previous: list[np.ndarray],
+    rng: np.random.Generator,
+    component: int,
+) -> np.ndarray:
+    v = rng.normal(size=A.shape[0])
+    v = _project_out(v, previous)
+    v /= np.linalg.norm(v)
+    diff = np.inf
+    for _ in range(POWER_MAX_ITER):
+        u = A @ v
+        u = _project_out(u, previous)  # keep rounding drift out of found span
+        norm = np.linalg.norm(u)
+        if norm == 0.0:
+            return _orthogonal_completion(previous, A.shape[0])
+        u /= norm
+        diff = float(np.linalg.norm(u - v))
+        v = u
+        if diff < POWER_TOL:
+            return v
+    raise NumericalError(
+        f"power iteration did not converge for component {component + 1}; "
+        f"last residual {diff:.3e}"
+    )
+
+
+def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    for w in basis:
+        v = v - (v @ w) * w
+    return v
+
+
+def _orthogonal_completion(previous: list[np.ndarray], p: int) -> np.ndarray:
+    """Deterministic unit vector orthogonal to all found loadings."""
+    best, best_residual = None, -1.0
+    for j in range(p):
+        candidate = _project_out(np.eye(p)[j], previous)
+        residual = float(np.linalg.norm(candidate))
+        if residual > best_residual + 1e-12:
+            best, best_residual = candidate, residual
+    if best is None or best_residual <= 1e-8:
+        raise ParameterError("cannot extend orthonormal basis")
+    return best / best_residual
 
 
 def assert_same_outcome(got, want):

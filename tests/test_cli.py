@@ -593,6 +593,81 @@ class TestInputFiles:
         ]
 
 
+def _long_path(base: Path, form: str) -> str:
+    """A path of 3,000 characters under ``base``: one name longer than a
+    file system takes, or many names of under 100 characters."""
+    if form == "long-name":
+        return str(base / ("x" * (3000 - len(str(base)) - 1)))
+    path = str(base)
+    while len(path) < 2900:
+        path += "/" + "d" * 49
+    return path + "/" + "f" * (3000 - len(path) - 1)
+
+
+def _cut(path: str) -> str:
+    """A 3,000-character path as a failure line shows it."""
+    return f"[2800 characters cut]{path[-200:]}"
+
+
+class TestLongPaths:
+    """A failure that names a long path shows how much of it was cut and
+    then its end, where the file name is, and keeps its line under 1,000
+    characters. The exit code is the one a short path gets."""
+
+    @pytest.mark.parametrize("form", ["long-name", "many-names"])
+    @pytest.mark.parametrize(
+        "flag, code",
+        [("input", 3), ("model", 3), ("membership", 3), ("winpct", 3), ("config", 2)],
+    )
+    def test_input_file(self, players_csv, membership_csv, tmp_path, capsys, flag, code, form):
+        fitted = tmp_path / "fitted"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        winpct = tmp_path / "winpct.csv"
+        winpct.write_text("ATL,0.5\n", encoding="utf-8")
+        paths = {
+            "input": players_csv,
+            "model": fitted / "model.json",
+            "membership": membership_csv,
+            "winpct": winpct,
+            "config": None,
+        }
+        path = paths[flag] = _long_path(tmp_path, form)
+        given = [arg for key, p in paths.items() if p for arg in (f"--{key}", str(p))]
+        error = fails(capsys, code, "regress", *given, "--out", str(tmp_path / "out"))["error"]
+        # a name too long fails as an OSError (or as not found, where a
+        # Python's existence check answers False); many names are not found
+        assert error.endswith(": " + _cut(path))
+        if form == "many-names":
+            role = "players" if flag == "input" else flag
+            assert error == f"{role} file not found: {_cut(path)}"
+
+    def test_out_with_a_long_name(self, players_csv, tmp_path, capsys):
+        out = _long_path(tmp_path, "long-name")
+        error = fails(capsys, 3, "fit", "--input", str(players_csv), "--out", out)["error"]
+        reason = os.strerror(errno.ENAMETOOLONG)
+        assert error == f"[Errno {errno.ENAMETOOLONG}] {reason}: {_cut(out)}"
+
+    def test_out_under_a_file(self, players_csv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        out = _long_path(taken, "many-names")
+        error = fails(capsys, 2, "fit", "--input", str(players_csv), "--out", out)["error"]
+        assert error == f"output directory {_cut(out)}: {taken} is not a directory"
+
+    def test_file_not_utf8(self, players_csv, tmp_path, capsys):
+        fitted = tmp_path / "fitted"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        membership = Path(_long_path(tmp_path, "many-names"))
+        membership.parent.mkdir(parents=True)
+        membership.write_bytes(b"player_id,team_code\np01,B\xe9S\n")
+        error = fails(
+            capsys, 3, "teams", "--input", str(players_csv), "--model", str(fitted / "model.json"),
+            "--membership", str(membership), "--out", str(fitted),
+        )["error"]
+        reason = "not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+        assert error == f"{_cut(str(membership))}: {reason}"
+
+
 class TestValueChecks:
     """A value out of range, or an --out that cannot be a directory, exits 2
     before any input is read."""
@@ -2723,11 +2798,14 @@ class TestLastResort:
     def test_os_error_is_a_data_error(self, players_csv, tmp_path, capsys):
         # a name longer than any file system takes fails as an OSError: on
         # the existence check of --out, or where a Python answers that check
-        # False, on the directory's creation
+        # False, on the directory's creation. A name of up to 200 characters
+        # is quoted whole, as str() of the OSError quotes it.
         out = tmp_path / ("o" * 300)
         diagnostic = fails(capsys, 3, "fit", "--input", str(players_csv), "--out", str(out))
         reason = os.strerror(errno.ENAMETOOLONG)
-        assert diagnostic["error"] == f"[Errno {errno.ENAMETOOLONG}] {reason}: {str(out)!r}"
+        cut = len(str(out)) - 200
+        shown = f"[{cut} characters cut]{str(out)[cut:]}"
+        assert diagnostic["error"] == f"[Errno {errno.ENAMETOOLONG}] {reason}: {shown}"
 
 
 class TestNumericalExit:

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
 from conftest import STATS, power_fit
-from statspace import pca
 from statspace import (
     NumericalError,
     ParameterError,
@@ -171,13 +171,13 @@ class TestFitPca:
         X = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 5))
         params, Z = standardize(make_table({f"s{j}": list(X[:, j]) for j in range(5)}))
         completions = []
-        real = pca._orthogonal_completion
+        real = conftest._orthogonal_completion
 
         def spy(*args):
             completions.append(len(args[0]))
             return real(*args)
 
-        monkeypatch.setattr(pca, "_orthogonal_completion", spy)
+        monkeypatch.setattr(conftest, "_orthogonal_completion", spy)
         power = power_fit(Z, 4, params)
         eig = fit_pca(Z, 4, params)
         assert completions == [2, 3]
@@ -200,11 +200,11 @@ class TestFitPca:
             fit_pca(Z + 1.0, 2, params)
 
     def test_power_budget_exhaustion_reports_component(self, monkeypatch):
-        monkeypatch.setattr(pca, "POWER_TOL", 0.0)
-        monkeypatch.setattr(pca, "POWER_MAX_ITER", 3)
+        monkeypatch.setattr(conftest, "POWER_TOL", 0.0)
+        monkeypatch.setattr(conftest, "POWER_MAX_ITER", 3)
         params, Z = standardize(correlated_pair_table())
         with pytest.raises(NumericalError, match="component 1"):
-            pca._power_deflation(Z, 2)
+            conftest._power_deflation(Z, 2)
 
     def test_orthonormal_loadings(self, fitted_pipeline):
         _, _, _, model = fitted_pipeline
