@@ -29,9 +29,8 @@ from .errors import (
 _EXPORTS = {
     "ingest": ("RawRecord", "RawTable", "apply_filter", "build_table", "parse_csv"),
     "pca": (
-        "PcaModel", "StandardizationParams", "component_spectrum",
-        "explained_variance_ratio", "fit_pca", "load_model", "model_from_json",
-        "model_to_json", "save_model", "standardize", "top_loadings", "transform",
+        "PcaModel", "StandardizationParams", "component_spectrum", "explained_variance_ratio",
+        "fit_pca", "load_model", "save_model", "standardize", "top_loadings", "transform",
     ),
     "regression": ("RegressionFit", "fit_ols", "t_cdf"),
     "scoring": (

@@ -1,12 +1,14 @@
 """File access and the output text format shared by every reader and writer.
 
-A target is a path or an open text stream. A path opens as UTF-8 with
+A target is a path or an open text stream, and to read text, also a
+bytearray holding a file's bytes as already read. A path opens as UTF-8 with
 ``newline=""`` (so CSV quoting sees raw line ends and ``"\\n"`` is written
-as is), or as bytes in mode ``"rb"`` or ``"wb"``, and is closed on exit; an
-open text stream is used as given and left open. Any other target raises
-TypeError. A path opened for writing is replaced atomically: readers see
-the old file or the whole new one, and a write that fails leaves the old
-file as it was.
+as is), or as bytes in mode ``"rb"`` or ``"wb"``, and is closed on exit; a
+bytearray is read the same way as a path's text and left as it was (only
+``ingest.parse_csv`` empties one, as it parses); an open text stream is
+used as given and left open. Any other target raises TypeError. A path
+opened for writing is replaced atomically: readers see the old file or the
+whole new one, and a write that fails leaves the old file as it was.
 
 Every output is written in one call given its target: a table, given
 column by column, by :func:`write_table`, and any other text by
@@ -42,13 +44,14 @@ _LINE_BLOCK = 1 << 13
 
 
 @contextmanager
-def opened(target: Target, mode: str = "r") -> Iterator[IO]:
+def opened(target: Target | bytearray, mode: str = "r") -> Iterator[IO]:
     """A stream on ``target``, closed on exit only if opened here: text in
     mode ``"r"`` or ``"w"``, and for a path, bytes in ``"rb"`` or ``"wb"``.
+    In mode ``"r"``, a bytearray is read as a file's bytes: the stream has
+    its own copy, so the caller may empty the bytearray once it is opened.
 
     Bytes that are not UTF-8, met while a text stream is read, raise
-    :class:`ParseError`; a target that is neither a path nor a text stream
-    raises TypeError.
+    :class:`ParseError`; any other target raises TypeError.
     """
     try:
         if isinstance(target, (str, Path)) and mode.startswith("w"):
@@ -56,6 +59,9 @@ def opened(target: Target, mode: str = "r") -> Iterator[IO]:
                 yield fh
         elif isinstance(target, (str, Path)):
             with _open(target, mode) as fh:
+                yield fh
+        elif isinstance(target, bytearray) and mode == "r":
+            with io.TextIOWrapper(io.BytesIO(target), encoding="utf-8", newline="") as fh:
                 yield fh
         elif isinstance(target, io.TextIOBase):
             yield target
@@ -128,7 +134,7 @@ def _nul_free(stream: IO[str], what: str) -> Iterator[list[str]]:
         yield block
 
 
-def read_text(source: Target) -> str:
+def read_text(source: Target | bytearray) -> str:
     with opened(source) as fh:
         return fh.read()
 

@@ -150,9 +150,8 @@ def parse_csv(
     except ValueError:  # a row or cell loadtxt rejects, or bytes that are not UTF-8
         table = None
     if table is None:
-        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-        data.clear()  # the stream holds its own copy
-        with files.opened(stream):  # a byte that is not UTF-8 raises ParseError
+        with files.opened(data) as stream:  # a byte that is not UTF-8 raises ParseError
+            data.clear()  # the stream holds its own copy
             table = _parse_rows(stream, roles, policy)
     return table
 

@@ -14,7 +14,6 @@ and total variance equals the column count.
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 
@@ -285,8 +284,16 @@ def top_loadings(
     return positives[:count], negatives[:count]
 
 
-def model_to_json(model: PcaModel) -> str:
-    """Serialize to JSON with full-precision (round-trippable) numbers."""
+def save_model(model: PcaModel, destination: files.Target) -> bytes:
+    """Write ``model`` to ``destination`` as a JSON object, and return the
+    bytes written: its text as UTF-8.
+
+    The object holds ``format_version`` (1), ``n_samples``,
+    ``total_variance``, ``standardization`` (``stat_names``, ``means`` and
+    ``std_devs``), ``component_variances`` and ``loadings`` (a list per
+    component), in :func:`files.to_json`'s form: every number round-trips
+    bit for bit.
+    """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "n_samples": model.n_samples,
@@ -299,19 +306,23 @@ def model_to_json(model: PcaModel) -> str:
         "component_variances": model.component_variances.tolist(),
         "loadings": model.loadings.tolist(),
     }
-    return files.to_json(doc)
+    text = files.to_json(doc)
+    files.write_text(destination, text)
+    return text.encode()
 
 
-def model_from_json(text: str) -> PcaModel:
-    """Parse a model document written by :func:`model_to_json`.
+def load_model(source: files.Target | bytearray) -> PcaModel:
+    """The model :func:`save_model` wrote to ``source``: a path, an open
+    text stream, or a bytearray holding a model file's bytes as already read.
 
-    A malformed document, a missing or non-numeric field, a
-    ``format_version`` other than the integer 1, or an ``n_samples`` outside
-    2 to 2**63 - 1 raises :class:`SchemaError`; a non-finite number raises
+    Bytes that are not UTF-8 raise :class:`ParseError`. A malformed
+    document, a missing or non-numeric field, a ``format_version`` other
+    than the integer 1, or an ``n_samples`` outside 2 to 2**63 - 1 raises
+    :class:`SchemaError`; a non-finite number raises
     :class:`ValidationError`.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(files.read_text(source))
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         raise SchemaError(f"model is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -371,19 +382,3 @@ def _model_numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValidationError(f"model field {key!r} holds a non-finite value")
     return values
-
-
-def save_model(model: PcaModel, destination: files.Target) -> bytes:
-    """Write :func:`model_to_json` of ``model`` to ``destination``, and
-    return the bytes written: that text as UTF-8."""
-    text = model_to_json(model)
-    files.write_text(destination, text)
-    return text.encode()
-
-
-def load_model(source: files.Target | bytearray) -> PcaModel:
-    """The model in ``source``: a path, an open text stream, or a bytearray
-    holding a model file's bytes as already read."""
-    if isinstance(source, bytearray):
-        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
-    return model_from_json(files.read_text(source))

@@ -118,7 +118,7 @@ def _checked_weights(weights: Mapping[int, float], k: int) -> None:
         raise ParameterError(f"weights of component indices {sorted(bad)} are not finite")
 
 
-def load_membership(source: files.Target) -> dict[str, str]:
+def load_membership(source: files.Target | bytearray) -> dict[str, str]:
     """Read a two-column (player_id, team_code) CSV into a map."""
     rows = _read_two_columns(source, "membership", ("player_id", "team_code"))
     mapping: dict[str, str] = {}
@@ -131,7 +131,7 @@ def load_membership(source: files.Target) -> dict[str, str]:
     return mapping
 
 
-def load_win_pct(source: files.Target) -> dict[str, float]:
+def load_win_pct(source: files.Target | bytearray) -> dict[str, float]:
     """Read a two-column (team_code, win_pct) CSV into a map."""
     rows = _read_two_columns(source, "win_pct", ("team_code", "win_pct"))
     mapping: dict[str, float] = {}
@@ -149,7 +149,7 @@ def load_win_pct(source: files.Target) -> dict[str, float]:
 
 
 def _read_two_columns(
-    source: files.Target, what: str, header: tuple[str, str]
+    source: files.Target | bytearray, what: str, header: tuple[str, str]
 ) -> list[tuple[int, tuple[str, str]]]:
     """Rows of a two-column CSV; a leading row equal to ``header`` is skipped."""
     with files.opened(source) as fh:

@@ -84,8 +84,7 @@ def rank_similar(
     """The ``top`` entities with the smallest index against the query.
 
     Ties break lexicographically by entity id, so the ranking is
-    independent of input row order. The query itself is excluded; an id
-    given twice is ranked by its first row.
+    independent of input row order. The query itself is excluded.
     """
     if top < 1:
         raise ParameterError(f"top must be >= 1, got {top}")

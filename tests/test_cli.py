@@ -104,7 +104,8 @@ class TestFit:
         )
         params, standardized = pca.standardize(table)
         model = pca.fit_pca(standardized, 4, params)
-        assert (out / "model.json").read_text(encoding="utf-8") == pca.model_to_json(model)
+        library = pca.save_model(model, io.StringIO()).decode()
+        assert (out / "model.json").read_text(encoding="utf-8") == library
 
 
 class TestScores:
@@ -120,6 +121,27 @@ class TestScores:
         rows = read_rows(out / "scores.csv")
         assert rows[0] == ["entity_id", "entity_name", "minutes", "PC1", "PC2", "PC3", "PC4"]
         assert len(rows) - 1 == 17  # 16 regulars + 1 combined record
+
+    def test_players_who_share_a_name(self, tmp_path, capsys):
+        # with 4 names the name is the id: the two read as one player with two
+        # teams' rows and no TOT row, which the filter drops; 5 names keep both
+        text = players_csv_text().replace("Player 02", "Player 01")
+        schema = ["player_id", "player_name", "team", "games_played", "minutes"]
+        no_ids = "".join(line.split(",", 1)[1] for line in text.splitlines(keepends=True))
+        kept = {}
+        for names, players_text in ((5, text), (4, no_ids)):
+            players, config = tmp_path / f"players{names}.csv", tmp_path / f"config{names}.json"
+            players.write_text(players_text, encoding="utf-8")
+            config.write_text(json.dumps({"schema": schema[-names:]}), encoding="utf-8")
+            out = tmp_path / f"out{names}"
+            argv = ["--input", str(players), "--config", str(config), "--out", str(out)]
+            assert run(capsys, "fit", *argv) == (0, "")
+            assert run(capsys, "scores", *argv, "--model", str(out / "model.json")) == (0, "")
+            kept[names] = [row[:2] for row in read_rows(out / "scores.csv")[1:]]
+        assert len(kept[5]) == 17
+        assert ["p01", "Player 01"] in kept[5] and ["p02", "Player 01"] in kept[5]
+        assert len(kept[4]) == 15
+        assert not [row for row in kept[4] if row[1] == "Player 01"]
 
     def test_values_match_library(self, players_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -2486,6 +2508,18 @@ class TestBadFiles:
         )
         assert diagnostic["category"] == "data"
 
+    def test_model_not_utf8(self, players_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "n_samples": "B\xe9S"}\n')
+        out = tmp_path / "out"
+        diagnostic = fails(
+            capsys, 3,
+            "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out),
+        )
+        assert diagnostic["error"].endswith("not UTF-8 text: byte 0xe9 (invalid continuation byte)")
+        assert not (out / "scores.csv").exists()
+        assert not (out / cache.SCORES).exists()
+
     def test_config_nested_too_deep(self, players_csv, tmp_path, capsys):
         config = tmp_path / "deep_config.json"
         config.write_text("[" * 100_000, encoding="utf-8")
@@ -2889,14 +2923,12 @@ class TestOverflow:
             encoding="utf-8",
         )
         model = tmp_path / "model.json"
-        model.write_text(
-            pca.model_to_json(
-                pca.PcaModel(
-                    pca.StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 1.0]),
-                    [[0.6, 0.8]], [1.0], 2.0, 3,
-                )
+        pca.save_model(
+            pca.PcaModel(
+                pca.StandardizationParams(["a", "b"], [0.0, 0.0], [1.0, 1.0]),
+                [[0.6, 0.8]], [1.0], 2.0, 3,
             ),
-            encoding="utf-8",
+            model,
         )
         out = tmp_path / "out"
         diagnostic = fails(

@@ -36,6 +36,30 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
+class TestOpenedBytearray:
+    """A bytearray opened for reading is a file's bytes, read as a path's text."""
+
+    def test_line_ends_are_kept(self):
+        with files.opened(bytearray(b"a\rb\r\nc\n")) as fh:
+            assert fh.read() == "a\rb\r\nc\n"  # newline="": a lone "\r" survives
+        assert fh.closed
+
+    def test_not_utf8_is_a_parse_error_without_a_path(self):
+        with pytest.raises(ParseError) as caught:
+            files.read_text(bytearray(b"team\nB\xe9S\n"))
+        assert str(caught.value) == "not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+
+    def test_bytearray_is_left_as_given(self):
+        data = bytearray("id,name\np01,Jos\u00e9\n".encode())
+        assert files.read_text(data) == "id,name\np01,Jos\u00e9\n"
+        assert data == "id,name\np01,Jos\u00e9\n".encode()
+
+    def test_not_a_destination(self):
+        with pytest.raises(TypeError, match="bytearray"):
+            with files.opened(bytearray(), "w"):
+                pass
+
+
 class TestReadLines:
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
     @pytest.mark.parametrize("kind", ["path", "stream"])
