@@ -37,18 +37,23 @@ def run(capsys, *argv) -> tuple[int, str]:
 CATEGORIES = {1: "internal", 2: "usage", 3: "data", 4: "numerical"}
 
 
-def fails(capsys, code: int, *argv) -> dict:
-    """Run ``argv``, which must fail as the CLI promises: exit ``code``,
-    write nothing on stdout and one JSON line of under 1,000 characters on
+def failure(code: int, got: int, out: str, err: str) -> dict:
+    """Check a run that must fail as the CLI promises: exit ``code``, write
+    nothing on stdout and one JSON line of under 1,000 characters on
     stderr, which gives that exit code and its category. Returns the line,
     parsed."""
-    got = main(list(argv))
-    captured = capsys.readouterr()
-    assert (got, captured.out) == (code, ""), captured.err
-    assert len(captured.err) < 1_000, captured.err[:1_000]
-    diagnostic = _one_error_line(captured.err)
+    assert (got, out) == (code, ""), err
+    assert len(err) < 1_000, err[:1_000]
+    diagnostic = _one_error_line(err)
     assert (diagnostic["exit_code"], diagnostic["category"]) == (code, CATEGORIES[code])
     return diagnostic
+
+
+def fails(capsys, code: int, *argv) -> dict:
+    """Run ``argv`` in this process; it must fail as ``failure`` checks."""
+    got = main(list(argv))
+    captured = capsys.readouterr()
+    return failure(code, got, captured.out, captured.err)
 
 
 def read_rows(path):
@@ -1707,14 +1712,22 @@ class TestProcessEntry:
         [
             (["fit", "--bogus"], 2, "unrecognized arguments: --bogus"),
             (["fit", "--input", "nope.csv"], 3, "players file not found: nope.csv"),
+            (
+                ["scores", "--input", "players.csv", "--model", "tiny.json"],
+                4, "standardization overflows to a non-finite value",
+            ),
         ],
-        ids=["unknown-flag", "missing-input"],
+        ids=["unknown-flag", "missing-input", "overflowing-model"],
     )
-    def test_failure_is_one_json_line(self, tmp_path, argv, code, message):
-        argv = [*argv, "--out", str(tmp_path / "out")]
-        done = _python("-m", "statspace.cli", *argv, cwd=tmp_path)
-        assert (done.returncode, done.stdout) == (code, "")
-        assert _one_error_line(done.stderr)["error"].startswith(message)
+    def test_failure_is_one_json_line(self, players_csv, tmp_path, capsys, argv, code, message):
+        fitted = tmp_path / "fitted"
+        assert run(capsys, "fit", "--input", str(players_csv), "--out", str(fitted))[0] == 0
+        doc = json.loads((fitted / "model.json").read_text(encoding="utf-8"))
+        doc["standardization"]["std_devs"] = [5e-324] * len(STATS)  # positive, so it loads
+        (tmp_path / "tiny.json").write_text(json.dumps(doc), encoding="utf-8")
+        done = _python("-m", "statspace.cli", *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
+        diagnostic = failure(code, done.returncode, done.stdout, done.stderr)
+        assert diagnostic["error"].startswith(message)
 
     def test_warning_reaches_stderr(self, players_csv, membership_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1811,33 +1824,13 @@ class TestTracedChain:
 
 
 class TestColdStart:
-    def test_no_subcommand_loads_scipy(self, players_csv, membership_csv, tmp_path):
-        # a fresh process, with scipy importable: this one has imported it already
-        argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
-        assert [argv[0] for argv in argvs] == [
-            "fit", "scree", "scores", "teams", "similar", "regress"
-        ]
-        script = textwrap.dedent(
-            """
-            import json, sys
-            import statspace.cli
-            for argv in json.loads(sys.argv[1]):
-                assert statspace.cli.main(argv) == 0, argv[0]
-            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-            """
-        )
-        src = str(Path(statspace.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
-
-    def test_no_subcommand_needs_scipy(self, players_csv, membership_csv, tmp_path):
-        # a fresh process in which any scipy import fails
-        argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", "csv")
+    @staticmethod
+    def _chain_imports_nothing_else(players_csv, membership_csv, tmp_path, fmt):
+        # a fresh process whose first finder records, and refuses, every
+        # import from outside the standard library, numpy and statspace; so
+        # a module the chain loads without needing it (scipy, say) is caught
+        # as surely as one it needs
+        argvs = _chain(players_csv, membership_csv, tmp_path, tmp_path / "out", fmt)
         assert [argv[0] for argv in argvs] == [
             "fit", "scree", "scores", "teams", "similar", "regress"
         ]
@@ -1845,27 +1838,33 @@ class TestColdStart:
             """
             import importlib.abc, json, sys
 
-            class NoScipy(importlib.abc.MetaPathFinder):
-                def find_spec(self, name, path=None, target=None):
-                    if name.split(".")[0] == "scipy":
-                        raise ImportError(f"{name} is blocked")
+            class Refuse(importlib.abc.MetaPathFinder):
+                # org: copy and pickle look for Jython's org.python.core
+                allowed = sys.stdlib_module_names | {"numpy", "statspace", "org"}
+                names = []
 
-            sys.meta_path.insert(0, NoScipy())
-            import statspace.cli
-            for argv in json.loads(sys.argv[1]):
-                assert statspace.cli.main(argv) == 0, argv[0]
-            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] not in self.allowed:
+                        self.names.append(name)
+                        raise ImportError(f"{name} is refused")
+
+            sys.meta_path.insert(0, Refuse())
+            from statspace import cli
+            codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, Refuse.names]))
             """
         )
-        src = Path(statspace.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        done = _python("-c", script, json.dumps(argvs))
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(argvs), []]
 
+    def test_no_subcommand_loads_scipy(self, players_csv, membership_csv, tmp_path):
+        self._chain_imports_nothing_else(players_csv, membership_csv, tmp_path, "csv")
+
+    def test_no_subcommand_needs_scipy(self, players_csv, membership_csv, tmp_path):
+        self._chain_imports_nothing_else(players_csv, membership_csv, tmp_path, "json")
+
+        src = Path(statspace.__file__).resolve().parents[1]
         pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
         runtime = re.search(r"^\[project\]$.*?^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
         assert "numpy" in runtime.group(1) and "scipy" not in runtime.group(1)
@@ -1873,15 +1872,8 @@ class TestColdStart:
         scripts = re.search(r"^\[project\.scripts\]$\n(.*?)$", pyproject, re.M)
         assert scripts.group(1) == 'statspace = "statspace.cli:console_main"'
 
-
     def test_import_statspace_leaves_numpy_unimported(self):
-        script = "import sys, statspace; print('numpy' in sys.modules)"
-        src = str(Path(statspace.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=60,
-        )
+        done = _python("-c", "import sys, statspace; print('numpy' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["False"]
 
@@ -1956,14 +1948,14 @@ class TestColdStart:
             2, [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], [["a", 1.0], ["b", 9.0]]
         ]
 
-    @pytest.mark.parametrize("command", ["scree", "teams", "regress"])
+    @pytest.mark.parametrize("command", ["fit", "scree", "teams", "regress"])
     def test_warm_hit_loads_no_dataclasses_or_parse_code(
         self, players_csv, membership_csv, tmp_path, capsys, command
     ):
         # a warm --out holds the table and the projection; these commands
         # compute from them with numpy, but need neither the parse nor
-        # dataclasses, nor (but for scree) the fitting code, and key from
-        # the players file's record
+        # dataclasses, nor (but for fit and scree) the fitting code, and key
+        # from the players file's record
         out = tmp_path / "out"
         _settle(players_csv)
         chain = _chain(players_csv, membership_csv, tmp_path, out, "csv")
@@ -1988,7 +1980,7 @@ class TestColdStart:
         written = _files(out)
         done = _python("-c", script, json.dumps(argvs[command]), str(players_csv))
         assert done.returncode == 0, done.stderr
-        fitting = ["statspace.pca"] if command == "scree" else []
+        fitting = ["statspace.pca"] if command in ("fit", "scree") else []
         assert json.loads(done.stdout.splitlines()[-1]) == [0, fitting, 0, True]
         assert _files(out) == written
 

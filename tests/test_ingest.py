@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from fnmatch import fnmatchcase
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +417,24 @@ class TestFastPath:
         assert table.stat_names == ["a_rate", "c_rate"]
         kept = apply_filter(table, policy)
         assert (kept.player_ids, kept.team_codes) == (["p0", "p1"], ["BOS", "TOT"])
+
+    def test_taken_for_the_archive_input(self, monkeypatch, tmp_path):
+        # the benchmark's archive input spans many _SCAN_BYTES blocks; its
+        # bytes go in as the CLI reads them, and the parse empties them
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+
+        players = gen.make_players(1001, 10_000)
+        inputs = gen.write_inputs(players, tmp_path, rate_only=True)
+        policy = FilterPolicy(**gen.RATE_ONLY_CONFIG)
+        monkeypatch.setattr(ingest, "_parse_rows", _no_loop)
+        data = files.read_bytes(inputs["players"])
+        assert len(data) > 50 * ingest._SCAN_BYTES
+        table = parse_csv(data, DEFAULT_SCHEMA, policy)
+        assert not data
+        assert len(table) == players.csv_text.count("\n") - 1
+        assert table.stat_names == [players.stat_names[j] for j in players.columns(rate_only=True)]
+        assert apply_filter(table, policy).player_ids == players.kept_ids
 
     @pytest.mark.parametrize(
         "row",
