@@ -142,9 +142,11 @@ def _put(path: Path, pieces: list) -> None:
 
 
 def _load(path: Path, key: str, view: Callable[[memoryview], object]) -> StatTable | None:
-    """The table that ``_save`` wrote to ``path`` under ``key``, its values
-    ``view`` of a 2-D memoryview of the file's bytes as read, or None for
-    any other file."""
+    """The table that ``_save`` wrote to ``path`` under ``key``, or None for
+    any other file. Its values are ``view`` of a 2-D memoryview of the
+    file's bytes as read, so they cost no copy: ``np.asarray`` for the
+    players table, whose values ``StatTable`` then checks finite, and
+    ``memoryview`` for the scores, which need no numpy."""
     from .table import StatTable
 
     try:
@@ -165,22 +167,6 @@ def _load(path: Path, key: str, view: Callable[[memoryview], object]) -> StatTab
         return StatTable(ids, names, minutes.cast("d").tolist(), columns, values)
     except Exception:  # whatever the fault in a damaged or foreign file, a miss
         return None
-
-
-def load_table(path: Path, key: str) -> StatTable | None:
-    """The players table cached at ``path`` under ``key``, or None. Its
-    values are a numpy view of the file's bytes as read, so the table costs
-    no copy, and are checked finite."""
-    import numpy as np
-
-    return _load(path, key, np.asarray)
-
-
-def load_scores(path: Path, key: str) -> StatTable | None:
-    """The players' scores cached at ``path`` under ``key``, or None. Their
-    values are a 2-D memoryview of the file's bytes as read, so neither
-    numpy nor a copy is needed."""
-    return _load(path, key, memoryview)
 
 
 class Store:
@@ -230,13 +216,15 @@ class Store:
         file's key, else the file's bytes parsed, filtered and built, then
         cached under the key of those bytes.
 
-        The cache file is read once, by one ``load_table``. The players
+        The cache file is read once, by one ``_load``. The players
         file is read only on a miss, or where its key was not recorded, and
         then once: the bytes serve the key and the parse, so the table cached
         is the one the key names. A hit drops them once it has loaded the table.
         """
+        import numpy as np
+
         path = self._out / TABLE
-        table = load_table(path, self._key)
+        table = _load(path, self._key, np.asarray)
         if table is not None:
             self._data = None  # a hit needs the bytes no more
             self._remember()
@@ -263,7 +251,7 @@ class Store:
         hit has the k of the model it was projected on.
         """
         data = files.read_bytes(model)
-        found = load_scores(self._out / SCORES, scores_key(self._key, data))
+        found = _load(self._out / SCORES, scores_key(self._key, data), memoryview)
         if found is not None:
             check(found.n_stats)
             self._remember()

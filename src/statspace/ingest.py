@@ -128,32 +128,28 @@ def parse_csv(
 
     ``source`` is a path or an open text stream, or a bytearray holding a
     players file's bytes as already read. Everything reads one buffer of
-    UTF-8 bytes (a path's file is read once; a stream's text is encoded,
-    unless it holds a lone surrogate, which only the loop below reads),
-    and the parse empties it: the buffer's memory goes before the statistics
-    are copied out, even where the caller still holds it. numpy's C reader
-    parses the buffer wherever it reads it as the strict ``files.csv_rows``
-    does; elsewhere, and on every faulty file, a loop over that reader
-    parses it and reports the fault. The loop decodes as it reads, so a
-    fault before a byte that is not UTF-8 is still the one reported.
+    UTF-8 bytes: a path's file is read once, and a stream's text is encoded
+    with ``surrogatepass``, so a lone surrogate in it is a byte sequence that
+    is not UTF-8, as it would be in a file. The parse empties the buffer:
+    its memory goes before the statistics are copied out, even where the
+    caller still holds it. numpy's C reader parses the buffer wherever it
+    reads it as the strict ``files.csv_rows`` does; where it declines, which
+    it does by raising ValueError, a loop over that reader parses the buffer
+    and reports the fault. The loop decodes as it reads, so a fault before a
+    byte that is not UTF-8 is still the one reported, and such a byte raises
+    ParseError ("not UTF-8 text").
     """
     roles = _roles(schema)
     if isinstance(source, io.TextIOBase):
-        text = files.read_text(source)
-        try:
-            source = bytearray(text, "utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file holds
-            return _parse_rows(io.StringIO(text, newline=""), roles, policy)
+        source = bytearray(files.read_text(source), "utf-8", "surrogatepass")
     data = source if isinstance(source, bytearray) else files.read_bytes(source)
     try:
-        table = _parse_fast(data, roles, policy)
-    except ValueError:  # a row or cell loadtxt rejects, or bytes that are not UTF-8
-        table = None
-    if table is None:
-        with files.opened(data) as stream:  # a byte that is not UTF-8 raises ParseError
-            data.clear()  # the stream holds its own copy
-            table = _parse_rows(stream, roles, policy)
-    return table
+        return _parse_fast(data, roles, policy)
+    except ValueError:  # the fast path declines
+        pass
+    with files.opened(data) as stream:  # a byte that is not UTF-8 raises ParseError
+        data.clear()  # the stream holds its own copy
+        return _parse_rows(stream, roles, policy)
 
 
 def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy | None) -> list[str]:
@@ -224,9 +220,9 @@ def _lines(data: bytearray) -> Iterator[str]:
     return chain.from_iterable(block.decode().split("\n") for block in _blocks(data))
 
 
-def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> RawTable | None:
+def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> RawTable:
     """The table ``np.loadtxt`` reads from the players file's bytes
-    ``data``, or None to decline.
+    ``data``; ValueError, its one way to decline, leaves the file to the loop.
 
     One loadtxt pass reads every column into a structured array: the id,
     name and team cells as str objects, games, minutes and the stat columns
@@ -234,9 +230,10 @@ def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> R
     count is the header's, so loadtxt raises ValueError on a row with other
     cells than the header's outside quotes; it raises too on a cell it
     cannot convert (``n/a`` or ``1_000`` in a float column, a character
-    beyond Latin-1 in a one-byte one), or on bytes that are not UTF-8, but
-    only once it has parsed the rows before it. Its float parser accepts a
-    subset of what ``float()`` does, with the same values.
+    beyond Latin-1 in a one-byte one), or on bytes that are not UTF-8
+    (UnicodeDecodeError is a ValueError), but only once it has parsed the
+    rows before it. Its float parser accepts a subset of what ``float()``
+    does, with the same values.
 
     loadtxt is looser than the strict ``files.csv_rows`` in other ways, so
     this declines wherever the two could read the text differently: what
@@ -248,24 +245,19 @@ def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> R
     file costs the loop one scan more.
 
     Once the table is certain, ``data`` is emptied, so its memory is free
-    before the stats are copied out; a decline or a ValueError leaves it
-    whole.
+    before the stats are copied out; a decline leaves it whole.
     """
     if not _scan(data):
-        return None
+        raise ValueError("the C reader could read the text otherwise")
     header_end = data.find(b"\n")
-    try:
-        header_line = (data[:header_end] if header_end >= 0 else data).decode()
-    except UnicodeDecodeError:
-        return None
-    header_line = header_line.removesuffix("\r")
+    header_line = (data[:header_end] if header_end >= 0 else data).decode().removesuffix("\r")
     if '"' in header_line or "\r" in header_line or header_line.startswith("\ufeff"):
-        return None
+        raise ValueError("a header the C reader could read otherwise")
     header = header_line.split(",")
     if len(set(header)) != len(header) or any(c not in header for c in roles if c is not None):
-        return None  # the loop raises the SchemaError
+        raise ValueError("a header the loop raises SchemaError on")
     if header_end < 0 or _NOT_BLANK.search(data, header_end) is None:
-        return None  # no data rows; blank lines both skip
+        raise ValueError("no data rows")  # blank lines both skip
 
     id_col, name_col, team_col, games_col, minutes_col = roles
     stat_names = _kept_stats([name for name in header if name not in roles], policy)
@@ -282,7 +274,7 @@ def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> R
     )
     games, minutes = rows[field[games_col]], rows[field[minutes_col]]
     if not _loop_takes_counts(games, minutes):
-        return None
+        raise ValueError("a count the loop refuses")
     data.clear()  # the table is certain; the bytes go before the copies
     kept = [field[name] for name in stat_names]
     # one packed copy of the kept floats, viewed as the n x p matrix

@@ -18,6 +18,7 @@ reads its result from a cache. ``ingest`` re-exports the policy's names.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ParameterError, ValidationError, listed, quoted
@@ -36,7 +37,8 @@ class StatTable:
 
     ``values`` is n x p: a 2-D memoryview of floats is kept as given, and
     anything else becomes a C-contiguous float numpy array, whose values
-    must all be finite. Rows keep their input order and columns their
+    must all be finite. Minutes must be finite and non-negative, and the
+    column names distinct. Rows keep their input order and columns their
     source's order: the CSV header's for statistics, which fixes the
     component coefficient order downstream; for scores, the component
     names ``pca.project`` gives, which teams keep. ``files.write_table``
@@ -69,8 +71,13 @@ class StatTable:
             raise ValidationError("entity_ids, entity_names, minutes lengths differ")
         if values.shape != (n, p):
             raise ValidationError(f"values shape {values.shape} does not match ({n}, {p})")
-        if any(m < 0 for m in minutes):
+        if not all(map(math.isfinite, minutes)):
+            raise ValidationError("minutes must be finite")
+        if min(minutes, default=0) < 0:
             raise ValidationError("minutes must be >= 0")
+        if len(set(stat_names)) != p:
+            dupes = sorted(_duplicates(stat_names))
+            raise ValidationError(f"duplicate stat_names: {listed(dupes)}")
         if len(set(entity_ids)) != n:
             dupes = sorted(_duplicates(entity_ids))
             raise ValidationError(f"duplicate entity_ids: {listed(dupes)}")

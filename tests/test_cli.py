@@ -44,7 +44,9 @@ def failure(code: int, got: int, out: str, err: str) -> dict:
     parsed."""
     assert (got, out) == (code, ""), err
     assert len(err) < 1_000, err[:1_000]
-    diagnostic = _one_error_line(err)
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    diagnostic = json.loads(lines[0])
     assert (diagnostic["exit_code"], diagnostic["category"]) == (code, CATEGORIES[code])
     return diagnostic
 
@@ -251,8 +253,7 @@ class TestDroppedColumn:
         players = self._with_constant_column(tmp_path)
         fit = ("-m", "statspace.cli", "fit", "--input", str(players), "--out", str(tmp_path / "o"))
         failed = _python(*fit, "--k", "1000")
-        assert (failed.returncode, failed.stdout) == (2, "")
-        assert _one_error_line(failed.stderr)["exit_code"] == 2
+        failure(2, failed.returncode, failed.stdout, failed.stderr)
         done = _python(*fit)
         assert (done.returncode, done.stdout) == (0, "")
         assert "UserWarning: dropping zero-variance columns: ['const']" in done.stderr
@@ -877,7 +878,7 @@ class TestArgparseErrors:
     def test_one_json_line(self, capsys, argv, message):
         assert fails(capsys, 2, *argv)["error"].startswith(message)
 
-    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.SUBCOMMANDS)])
     def test_help_keeps_its_text(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:
             main(argv)
@@ -1471,7 +1472,7 @@ class TestProjectionCache:
         (out / "model.json").write_bytes(before["model.json"])
         calls = self._spy(monkeypatch)
         monkeypatch.setattr(ingest, "parse_csv", _no_parse)
-        monkeypatch.setattr(cache, "load_table", _no_parse)
+        monkeypatch.setattr(cache.Store, "table", _no_parse)
         _run_chain(capsys, argvs[2:])  # scores, teams, similar, regress
         assert calls == []
         after = _files(out)
@@ -2123,10 +2124,11 @@ class TestConfigFile:
             argv += ["--out", str(out / "o")]
         config = tmp_path / "fuzz.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
-        code, err = run(capsys, *argv, "--config", str(config))
-        assert code in (0, 2, 3), err
+        code = main([*argv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), captured.err
         if code:
-            assert _one_error_line(err)["exit_code"] == code
+            failure(code, code, captured.out, captured.err)
 
 
 class TestModelFile:
@@ -2230,14 +2232,15 @@ class TestModelFile:
             self._replace(doc, path, value)
         model = tmp_path / "changed.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
-        code, err = run(
-            capsys, "scores", "--input", str(players_csv), "--model", str(model), "--out", str(out)
+        code = main(
+            ["scores", "--input", str(players_csv), "--model", str(model), "--out", str(out)]
         )
-        assert code in (0, 2, 3, 4), err
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), captured.err
         if code:
-            assert _one_error_line(err)["exit_code"] == code
+            failure(code, code, captured.out, captured.err)
         else:
-            assert err == ""
+            assert (captured.out, captured.err) == ("", "")
 
 
 
@@ -2331,7 +2334,7 @@ class TestDamagedFiles:
             assert (out / output).read_bytes() == written[output]
         elif code:
             assert code in (2, 3, 4), captured.err
-            assert _one_error_line(captured.err)["exit_code"] == code
+            failure(code, code, captured.out, captured.err)
         else:
             assert captured.err == ""
 
@@ -2398,7 +2401,7 @@ class TestDamagedPlayersFile:
         roles = ingest._roles(ingest.DEFAULT_SCHEMA)
         try:
             fast = ingest._parse_fast(bytearray(data), roles, None)
-        except ValueError:  # a row or cell loadtxt rejects: the loop reads the file
+        except ValueError:  # the fast path declines: the loop reads the file
             fast = None
         if fast is not None:
             stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
@@ -2424,12 +2427,6 @@ def test_readme_flags_table_matches_the_tables():
 
 def _no_parse(*args, **kwargs):
     raise AssertionError("the players CSV was parsed")
-
-
-def _one_error_line(err: str) -> dict:
-    lines = err.splitlines()
-    assert len(lines) == 1, err
-    return json.loads(lines[0])
 
 
 class TestBadFiles:
@@ -2710,7 +2707,8 @@ class TestBadFiles:
         data = players_csv_text().replace("player_name", "player_n\xe9me", 1).encode("latin-1")
         # the fast path declines a header it cannot decode and leaves the bytes whole
         unread = bytearray(data)
-        assert ingest._parse_fast(unread, ingest._roles(ingest.DEFAULT_SCHEMA), None) is None
+        with pytest.raises(ValueError):
+            ingest._parse_fast(unread, ingest._roles(ingest.DEFAULT_SCHEMA), None)
         assert unread == data
         players = tmp_path / "players.csv"
         players.write_bytes(data)
@@ -3001,8 +2999,7 @@ class TestOverflow:
             "-m", "statspace.cli", "scores", "--input", str(players_csv), "--model", str(model),
             "--out", str(out), "--format", fmt,
         )
-        assert (done.returncode, done.stdout) == (4, "")
-        assert _one_error_line(done.stderr)["category"] == "numerical"
+        failure(4, done.returncode, done.stdout, done.stderr)
         assert not (out / f"scores.{fmt}").exists() and not (out / cache.SCORES).exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -3019,8 +3016,7 @@ class TestOverflow:
         scree = ("scree", "--input", str(_every_stat_constant(tmp_path)))
         for argv, code in ((teams, 4), (scree, 3)):
             done = _python("-m", "statspace.cli", *argv, "--out", str(out), "--format", fmt)
-            assert (done.returncode, done.stdout) == (code, "")
-            assert _one_error_line(done.stderr)["exit_code"] == code
+            failure(code, done.returncode, done.stdout, done.stderr)
         assert not (out / f"teams.{fmt}").exists() and not (out / f"scree.{fmt}").exists()
 
 

@@ -137,16 +137,26 @@ class TestParseCsv:
     def test_negative_count_raised_by_parse(self, row, message):
         # the fast path declines the file, so the loop's check raises
         text = f"name,team,gp,min,pts48\n{row}\n"
-        assert ingest._parse_fast(bytearray(text.encode()), ingest._roles(SCHEMA4), None) is None
+        with pytest.raises(ValueError):
+            ingest._parse_fast(bytearray(text.encode()), ingest._roles(SCHEMA4), None)
         with pytest.raises(ValidationError) as raised:
             parse_csv(bytearray(text.encode()), SCHEMA4)
         assert str(raised.value) == message
 
-    def test_lone_surrogate_in_a_text_stream_is_a_missing_cell(self):
-        # such text cannot be encoded as UTF-8, so the loop reads it as text
-        source = io.StringIO("name,team,gp,min,s0,s1\np0,BOS,50,1200,\ud800,2.5\n")
-        records = parse_csv(source, SCHEMA4)
-        assert records[0].stats == {"s0": None, "s1": 2.5}
+    @pytest.mark.parametrize(
+        "row", ["p0,BOS,50,1200,\ud800,2.5", "p\udfff,BOS,50,1200,1.5,2.5"], ids=["stat", "label"]
+    )
+    def test_lone_surrogate_in_a_text_stream_is_a_parse_error(self, tmp_path, row):
+        # a stream is read as the UTF-8 encoding of its text, with each lone
+        # surrogate as its three bytes: a file holding those bytes fails alike
+        text = f"name,team,gp,min,s0,s1\n{row}\n"
+        path = tmp_path / "players.csv"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        for source in (io.StringIO(text), path):
+            with pytest.raises(ParseError) as raised:
+                parse_csv(source, SCHEMA4)
+            message = str(raised.value)
+            assert message.endswith("not UTF-8 text: byte 0xed (invalid continuation byte)")
 
     @given(data=st.data())
     def test_cell_semantics_match_float_and_isfinite(self, data):
@@ -166,6 +176,10 @@ class TestParseCsv:
             writer.writerow([f"p{i}", "BOS", "50", "1200", *cells])
         source.seek(0)
 
+        if any("\ud800" <= char <= "\udfff" for cells in rows for c in cells for char in c):
+            with pytest.raises(ParseError, match="not UTF-8 text"):
+                parse_csv(source, SCHEMA4)
+            return
         records = parse_csv(source, SCHEMA4)
         assert len(records) == len(rows)
         for i, cells in enumerate(rows):
@@ -195,7 +209,7 @@ QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
 
 
 def _fast(text, roles=ROLES5, policy=None):
-    """The fast path's table, or None where it declines or raises."""
+    """The fast path's table, or None where it declines (raises ValueError)."""
     try:
         return ingest._parse_fast(bytearray(text.encode()), roles, policy)
     except ValueError:
@@ -450,7 +464,7 @@ class TestFastPath:
             raise AssertionError("loadtxt ran")
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        assert ingest._parse_fast(bytearray(text.encode()), ROLES5, None) is None
+        assert _fast(text) is None
         assert_same_outcome(parse_csv(io.StringIO(text), SCHEMA5), want)
 
     @pytest.mark.parametrize("missing", ["n/a", "NA"])
@@ -729,8 +743,15 @@ class TestStatTable:
             (["s"], ["A", "B"], [1.0], (2, 1), "entity_ids, entity_names, minutes lengths differ"),
             (["s"], ["A", "B"], [1.0, 2.0], (2, 2), "values shape (2, 2) does not match (2, 1)"),
             (["s"], ["A", "B"], [1.0, -2.0], (2, 1), "minutes must be >= 0"),
+            (["s"], ["A", "B"], [1.0, math.nan], (2, 1), "minutes must be finite"),
+            (["s"], ["A", "B"], [math.inf, 2.0], (2, 1), "minutes must be finite"),
+            (["s"], ["A", "B"], [1.0, -math.inf], (2, 1), "minutes must be finite"),
+            (["s", "t", "s"], ["A", "B"], [1.0, 2.0], (2, 3), "duplicate stat_names: ['s']"),
         ],
-        ids=["no-column", "names-short", "minutes-short", "values-shape", "negative-minutes"],
+        ids=[
+            "no-column", "names-short", "minutes-short", "values-shape", "negative-minutes",
+            "nan-minutes", "infinite-minutes", "minus-infinite-minutes", "repeated-column",
+        ],
     )
     def test_rejects_an_inconsistent_table(self, stat_names, names, minutes, shape, message):
         with pytest.raises(ValidationError) as raised:
