@@ -77,7 +77,7 @@ class Flag(NamedTuple):
     """A command-line flag, which a config file may give under the same name."""
 
     type: type  # int or str
-    default: int | str | None = None  # None: unset, or the library's default
+    default: int | str | None = None  # None: unset
     help: str | None = None
     choices: tuple[str, ...] | None = None
 
@@ -85,7 +85,7 @@ class Flag(NamedTuple):
 FLAGS = {
     "input": Flag(str, help="players CSV"),
     "model": Flag(str, help="fitted model JSON (from `fit`)"),
-    "min_games": Flag(int),
+    "min_games": Flag(int, FilterPolicy().min_games, "fewest games played to keep a player"),
     "k": Flag(int, 4, "components to fit"),
     "components": Flag(str, help="comma-separated 1-based component numbers, e.g. 1,2,3,4"),
     "top": Flag(int, 5, "ranking size"),
@@ -94,7 +94,7 @@ FLAGS = {
     "winpct": Flag(str, help="team_code,win_pct CSV"),
     "weights": Flag(str, help="component weights like 2=0.17,4=0.09 (1-based numbers)"),
     "out": Flag(str, help="output directory"),
-    "format": Flag(str, "csv", choices=("csv", "json")),
+    "format": Flag(str, "csv", "output file format", ("csv", "json")),
 }
 # Config-file keys that no flag sets, with the type of each value.
 CONFIG_ONLY = {"column_mode": str, "excluded_column_patterns": list, "schema": list}
@@ -146,10 +146,10 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     shown = quoted_path(Path(path))
     try:
-        text = files.read_bytes(Path(path)).decode()
+        text = files.read_text(files.read_bytes(Path(path)))
     except FileNotFoundError:
         raise UsageError(f"config file not found: {shown}") from None
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes not UTF-8
+    except (OSError, DataError) as exc:  # a directory, say, or bytes not UTF-8
         raise UsageError(f"config file {shown} cannot be read: {_error_text(exc)}") from None
     try:
         raw = json.loads(text)
@@ -309,11 +309,12 @@ def cmd_fit(config: RunConfig) -> None:
     store = _store(config)
     table = store.table()
     params, standardized = pca.standardize(table)
-    if config.k is not None:
-        model = pca.fit_pca(standardized, config.k, params)
-        written = pca.save_model(model, _out_file(config, "model", "json"))
-        store.keep_scores(written, pca.project(model, table, standardized))
+    model = None if config.k is None else pca.fit_pca(standardized, config.k, params)
     spectrum = pca.component_spectrum(standardized)
+    del standardized  # freed before transform standardizes the table anew
+    if model is not None:
+        written = pca.save_model(model, _out_file(config, "model", "json"))
+        store.keep_scores(written, pca.transform(model, table))
     total = float(spectrum.sum())
     variance = spectrum[:SCREE_COMPONENTS].tolist()
     cumulative = list(accumulate(variance, initial=0.0))[1:]

@@ -113,18 +113,19 @@ def _parse_stat(cell: str) -> float:
 def parse_csv(
     source: files.Target | bytearray,
     schema: Sequence[str] = DEFAULT_SCHEMA,
-    policy: FilterPolicy | None = None,
+    policy: FilterPolicy = FilterPolicy(),
 ) -> RawTable:
     """Parse a players CSV into a column-major :class:`RawTable`.
 
     ``schema`` names, in role order, the metadata columns holding
     (player_id, player_name, team_code, games_played, minutes); with four
     names the player name doubles as the id. Every other header column is a
-    statistic; given a ``policy``, only those it keeps are parsed and
-    returned, while ``apply_filter`` still decides the rows. Unparseable or
-    non-finite stat cells become NaN (missing); malformed structure raises
-    :class:`ParseError` with the line number, and the first fault in the
-    file is the one reported.
+    statistic; only those ``policy`` keeps (by default, all) are parsed
+    and returned, while ``apply_filter`` still decides the rows.
+    Unparseable or non-finite stat cells become NaN (missing); malformed
+    structure raises :class:`ParseError` with the line number, and the
+    first fault in the file is the one reported (but see below for a byte
+    that is not UTF-8).
 
     ``source`` is a path or an open text stream, or a bytearray holding a
     players file's bytes as already read. Everything reads one buffer of
@@ -135,9 +136,10 @@ def parse_csv(
     caller still holds it. numpy's C reader parses the buffer wherever it
     reads it as the strict ``files.csv_rows`` does; where it declines, which
     it does by raising ValueError, a loop over that reader parses the buffer
-    and reports the fault. The loop decodes as it reads, so a fault before a
-    byte that is not UTF-8 is still the one reported, and such a byte raises
-    ParseError ("not UTF-8 text").
+    and reports the fault. A byte that is not UTF-8 raises ParseError ("not
+    UTF-8 text"). The loop decodes 8 KB at a time and reads lines in blocks
+    of about 8 KB, so a fault about 16 KB or more before such a byte is
+    still the one reported; a nearer one may lose to the byte.
     """
     roles = _roles(schema)
     if isinstance(source, io.TextIOBase):
@@ -152,9 +154,9 @@ def parse_csv(
         return _parse_rows(stream, roles, policy)
 
 
-def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy | None) -> list[str]:
-    """The ``stat_names`` that ``policy`` keeps, in order; None keeps all."""
-    if policy is None or policy.column_mode != "rate-only":
+def _kept_stats(stat_names: Sequence[str], policy: FilterPolicy) -> list[str]:
+    """The ``stat_names`` that ``policy`` keeps, in order."""
+    if policy.column_mode != "rate-only":
         return list(stat_names)
     patterns = policy.excluded_column_patterns
     return [n for n in stat_names if not any(fnmatchcase(n, p) for p in patterns)]
@@ -220,7 +222,7 @@ def _lines(data: bytearray) -> Iterator[str]:
     return chain.from_iterable(block.decode().split("\n") for block in _blocks(data))
 
 
-def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy | None) -> RawTable:
+def _parse_fast(data: bytearray, roles: Roles, policy: FilterPolicy) -> RawTable:
     """The table ``np.loadtxt`` reads from the players file's bytes
     ``data``; ValueError, its one way to decline, leaves the file to the loop.
 
@@ -306,7 +308,7 @@ def _loop_takes_counts(games: np.ndarray, minutes: np.ndarray) -> bool:
     )
 
 
-def _parse_rows(stream: IO[str], roles: Roles, policy: FilterPolicy | None) -> RawTable:
+def _parse_rows(stream: IO[str], roles: Roles, policy: FilterPolicy) -> RawTable:
     """Parse the text ``stream`` row by row through :func:`files.csv_rows`.
 
     The reference parse, and the one that reports every fault.

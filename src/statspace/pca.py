@@ -225,6 +225,8 @@ def transform(model: PcaModel, table: StatTable) -> StatTable:
     The model's statistic columns are taken from the table by name, so column
     order does not matter and other columns (say, ones the fit dropped as
     constant) are ignored. A missing column raises :class:`SchemaError`.
+    The scores keep the table's ids, names and minutes; their columns are
+    named ``PC1`` to ``PCk``, the names every later stage reads.
     """
     expected = model.standardization.stat_names
     values = table.values
@@ -234,17 +236,8 @@ def transform(model: PcaModel, table: StatTable) -> StatTable:
         if missing:
             raise SchemaError(f"table lacks model columns: {listed(missing)}")
         values = values[:, [position[name] for name in expected]]
-    return project(model, table, model.standardization.apply(values))
-
-
-def project(model: PcaModel, table: StatTable, standardized: np.ndarray) -> StatTable:
-    """The scores of ``table``'s rows from ``standardized``, its values in
-    the model's columns standardized by the model's parameters: what
-    :func:`standardize` returned for the table the model was fit on. The
-    scores keep the table's ids, names and minutes; their columns are
-    named ``PC1`` to ``PCk``, the names every later stage reads."""
     with np.errstate(all="ignore"):  # an overflow is caught as a non-finite value
-        scores = standardized @ model.loadings.T
+        scores = model.standardization.apply(values) @ model.loadings.T
     components = [f"PC{i + 1}" for i in range(model.k)]
     return StatTable(
         entity_ids=table.entity_ids,

@@ -41,7 +41,7 @@ class StatTable:
     column names distinct. Rows keep their input order and columns their
     source's order: the CSV header's for statistics, which fixes the
     component coefficient order downstream; for scores, the component
-    names ``pca.project`` gives, which teams keep. ``files.write_table``
+    names ``pca.transform`` gives, which teams keep. ``files.write_table``
     writes the columns under ``stat_names``.
     """
 

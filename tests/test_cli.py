@@ -887,6 +887,16 @@ class TestArgparseErrors:
         assert captured.out.startswith(f"usage: statspace {' '.join(argv[:-1])}".rstrip())
         assert captured.err == ""
 
+    def test_help_gives_min_games_and_format_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        games = ingest.FilterPolicy().min_games
+        assert f"--min-games MIN_GAMES fewest games played to keep a player (default {games})" in (
+            text
+        )
+        assert "--format {csv,json} output file format (default csv)" in text
+
 
 class TestEmit:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -1177,6 +1187,28 @@ class TestTableCache:
         argv = ["scores", "--input", str(players_csv), "--model", str(out / "model.json")]
         self._like_fresh(capsys, tmp_path, [*argv, "--config", str(config)], "scores.csv")
         assert read_rows(out / "scores.csv")[1][:2] == ["Player 01", "p01"]
+
+    def test_source_edit_misses_the_caches_readme_names(self, tmp_path, monkeypatch):
+        # README: an edit to the sources that parse the file, build the table
+        # or read and write the caches misses both caches; one to pca.py,
+        # only the projection cache; one to any other source, neither
+        copy = tmp_path / "statspace"
+        package = Path(cache.__file__).parent
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(cache, "_HERE", copy)
+
+        def keys():
+            table = cache.table_key(ingest.DEFAULT_SCHEMA, ingest.FilterPolicy(), "players")
+            return table, cache.scores_key(table, b"model")
+
+        table_sources = {"ingest.py", "table.py", "files.py", "cache.py"}
+        for source in sorted(copy.glob("*.py")):
+            before = keys()
+            with source.open("a", encoding="utf-8") as fh:
+                fh.write("# an edit\n")
+            misses = [now != then for now, then in zip(keys(), before)]
+            table_miss = source.name in table_sources
+            assert misses == [table_miss, table_miss or source.name == "pca.py"], source.name
 
     @pytest.mark.parametrize(
         "damage",
@@ -1791,12 +1823,13 @@ class TestTracedChain:
     stops calling it through its module, would leave its spans uncounted."""
 
     # Spans of each wrapped name, and the calls counted, in the fixture chain
-    # run once in CSV and once in JSON. fit keeps the players' scores, so no
-    # later subcommand loads the model or projects.
+    # run once in CSV and once in JSON. fit projects the players through
+    # transform and keeps their scores, so no later subcommand loads the
+    # model or projects.
     SPANS = {
         "ingest.parse_csv": 2, "ingest.apply_filter": 2, "ingest.build_table": 2,
         "pca.standardize": 4, "pca.fit_pca": 2, "pca.component_spectrum": 4,
-        "pca.transform": 0, "pca.load_model": 0, "pca.save_model": 2,
+        "pca.transform": 2, "pca.load_model": 0, "pca.save_model": 2,
         "scoring.load_membership": 4, "scoring.load_win_pct": 4, "scoring.team_scores": 4,
         "scoring.regression_weighted_score": 2, "similarity.rank_similar": 2,
         "similarity.emit": 2, "regression.fit_ols": 2, "regression.emit": 4,
@@ -2400,12 +2433,12 @@ class TestDamagedPlayersFile:
             assert (captured.out, captured.err) == ("", "")
         roles = ingest._roles(ingest.DEFAULT_SCHEMA)
         try:
-            fast = ingest._parse_fast(bytearray(data), roles, None)
+            fast = ingest._parse_fast(bytearray(data), roles, ingest.FilterPolicy())
         except ValueError:  # the fast path declines: the loop reads the file
             fast = None
         if fast is not None:
             stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-            assert_same_outcome(fast, ingest._parse_rows(stream, roles, None))
+            assert_same_outcome(fast, ingest._parse_rows(stream, roles, ingest.FilterPolicy()))
 
 
 def test_readme_flags_table_matches_the_tables():
@@ -2415,14 +2448,13 @@ def test_readme_flags_table_matches_the_tables():
         return "all" if len(commands) == len(cli.SUBCOMMANDS) else ", ".join(commands) or "—"
 
     for key, flag in cli.FLAGS.items():
-        # a filter setting's default is FilterPolicy's
-        default = flag.default or getattr(ingest.FilterPolicy(), key, None)
         needed = [name for name, sub in cli.SUBCOMMANDS.items() if key in sub.needs]
         read = [name for name, sub in cli.SUBCOMMANDS.items() if key in sub.reads]
         if not needed and not read:  # read by every subcommand
             read = list(cli.SUBCOMMANDS)
         name = "--" + key.replace("_", "-")
-        assert f"| `{name}` | {default or '—'} | {names(needed)} | {names(read)} |" in readme
+        default = flag.default or "—"
+        assert f"| `{name}` | {default} | {names(needed)} | {names(read)} |" in readme
 
 
 def _no_parse(*args, **kwargs):
@@ -2544,6 +2576,8 @@ class TestBadFiles:
             "--input", str(players_csv), "--out", str(tmp_path / "o"),
         )
         assert str(config) in diagnostic["error"] and message in diagnostic["error"]
+        if case == "not-utf8":  # the reason every other input gives
+            assert diagnostic["error"].endswith("not UTF-8 text: byte 0xff (invalid start byte)")
         assert not (tmp_path / "o").exists()
 
     def test_config_integer_too_long_to_read(self, players_csv, tmp_path, capsys):
@@ -2708,7 +2742,9 @@ class TestBadFiles:
         # the fast path declines a header it cannot decode and leaves the bytes whole
         unread = bytearray(data)
         with pytest.raises(ValueError):
-            ingest._parse_fast(unread, ingest._roles(ingest.DEFAULT_SCHEMA), None)
+            ingest._parse_fast(
+                unread, ingest._roles(ingest.DEFAULT_SCHEMA), ingest.FilterPolicy()
+            )
         assert unread == data
         players = tmp_path / "players.csv"
         players.write_bytes(data)

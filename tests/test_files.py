@@ -230,7 +230,7 @@ def tables(draw):
 
 
 def _scores(values) -> StatTable:
-    """Scores as ``pca.project`` names them, ``PC1`` to ``PCk``."""
+    """Scores as ``pca.transform`` names them, ``PC1`` to ``PCk``."""
     n, k = values.shape
     ids = [f"e{i}" for i in range(n)]
     return StatTable(ids, ids, [0.0] * n, [f"PC{j + 1}" for j in range(k)], values)

@@ -138,7 +138,7 @@ class TestParseCsv:
         # the fast path declines the file, so the loop's check raises
         text = f"name,team,gp,min,pts48\n{row}\n"
         with pytest.raises(ValueError):
-            ingest._parse_fast(bytearray(text.encode()), ingest._roles(SCHEMA4), None)
+            ingest._parse_fast(bytearray(text.encode()), ingest._roles(SCHEMA4), FilterPolicy())
         with pytest.raises(ValidationError) as raised:
             parse_csv(bytearray(text.encode()), SCHEMA4)
         assert str(raised.value) == message
@@ -157,6 +157,26 @@ class TestParseCsv:
                 parse_csv(source, SCHEMA4)
             message = str(raised.value)
             assert message.endswith("not UTF-8 text: byte 0xed (invalid continuation byte)")
+
+    @pytest.mark.parametrize(
+        "filler, message",
+        [
+            (0, "not UTF-8 text: byte 0xe9 (invalid continuation byte)"),
+            (20_000, "ragged row at line 3: expected 5 cells, got 4"),
+        ],
+        ids=["byte-near", "byte-20kb-on"],
+    )
+    def test_first_fault_wins_only_16kb_before_a_byte_not_utf8(self, tmp_path, filler, message):
+        # the loop decodes 8 KB at a time and reads lines in blocks of about
+        # 8 KB, so the byte is met first unless it lies about 16 KB or more
+        # past the ragged row
+        rows = "P,BOS,50,1200,1.5\n" * (filler // 18)  # 18 bytes a row
+        text = "name,team,gp,min,s\nA,BOS,50,1200,1.5\nB,BOS,50,1200\n" + rows
+        path = tmp_path / "players.csv"
+        path.write_bytes(text.encode() + b"Jos\xe9,BOS,50,1200,1.5\n")
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path, SCHEMA4)
+        assert str(raised.value).endswith(message)
 
     @given(data=st.data())
     def test_cell_semantics_match_float_and_isfinite(self, data):
@@ -208,7 +228,7 @@ QUOTED_NAMES = "pid,name,team,gp,min,a\n" + "".join(
 )
 
 
-def _fast(text, roles=ROLES5, policy=None):
+def _fast(text, roles=ROLES5, policy=FilterPolicy()):
     """The fast path's table, or None where it declines (raises ValueError)."""
     try:
         return ingest._parse_fast(bytearray(text.encode()), roles, policy)
@@ -218,7 +238,7 @@ def _fast(text, roles=ROLES5, policy=None):
 
 def _loop(text, roles=ROLES5):
     """The csv loop's table, the reference."""
-    return ingest._parse_rows(io.StringIO(text, newline=""), roles, None)
+    return ingest._parse_rows(io.StringIO(text, newline=""), roles, FilterPolicy())
 
 
 def _no_loop(*args):
@@ -227,7 +247,7 @@ def _no_loop(*args):
 
 def _kept_columns(table, policy):
     """``table`` with only the stat columns ``policy`` keeps, chosen here by fnmatch."""
-    if policy is None or policy.column_mode != "rate-only":
+    if policy.column_mode != "rate-only":
         return table
     keep = [
         j
@@ -331,10 +351,11 @@ def csv_texts(draw):
 
 @st.composite
 def policies(draw):
-    """None, or a policy whose patterns may match some of csv_texts' stat names."""
+    """The default policy, or one whose patterns may match some of csv_texts'
+    stat names."""
     mode = draw(st.sampled_from([None, "all", "rate-only"]))
     if mode is None:
-        return None
+        return FilterPolicy()
     patterns = st.sampled_from(["s", "t*", "[su]", "*", "x", 'q"', "c,d"])
     return FilterPolicy(
         min_games=draw(st.integers(0, 90)),
@@ -372,11 +393,11 @@ class TestFastPath:
     @pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
     @settings(max_examples=600, deadline=None)
     @given(case=csv_texts(), policy=policies())
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[0]), policy=None)
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[1]), policy=None)
-    @example(case=(SCHEMA5, FALLBACK_TEXTS[2]), policy=None)
-    @example(case=(SCHEMA4, 'name,team,gp,min\ncr\rname,"N,Y",0,1200.5\n'), policy=None)
-    @example(case=(SCHEMA5, LABELS_LAST), policy=None)
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[0]), policy=FilterPolicy())
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[1]), policy=FilterPolicy())
+    @example(case=(SCHEMA5, FALLBACK_TEXTS[2]), policy=FilterPolicy())
+    @example(case=(SCHEMA4, 'name,team,gp,min\ncr\rname,"N,Y",0,1200.5\n'), policy=FilterPolicy())
+    @example(case=(SCHEMA5, LABELS_LAST), policy=FilterPolicy())
     @example(case=(SCHEMA5, NON_LATIN1_DROPPED), policy=DROP_T)
     def test_paths_agree(self, case, policy):
         # both parses convert only the kept columns; the loop over all of
@@ -390,7 +411,7 @@ class TestFastPath:
             assert_same_outcome(fast, want)
         got = _outcome(lambda t: parse_csv(io.StringIO(t, newline=""), schema, policy), text)
         assert_same_outcome(got, want)
-        if policy is not None and isinstance(loop, RawTable):
+        if isinstance(loop, RawTable):
             assert_same_outcome(apply_filter(got, policy), apply_filter(loop, policy))
 
     @pytest.mark.parametrize("schema", [SCHEMA4, SCHEMA5], ids=["4-names", "5-names"])
